@@ -31,6 +31,8 @@ use crate::common::{read_dims, read_len, write_dims};
 pub const BLOCK: usize = 16;
 /// Latent length per block: 4096 / 64 = 64 → the fixed 64:1 reduction.
 pub const LATENT: usize = 64;
+/// Values per block.
+const BLOCK_LEN: usize = BLOCK * BLOCK * BLOCK;
 
 /// The AE-B compressor. Must be trained (or fine-tuned) before use.
 #[derive(Clone)]
@@ -131,6 +133,7 @@ impl AeB {
     pub fn train(&mut self, training_fields: &[Field], epochs: usize, seed: u64) {
         let mut blocks = Vec::new();
         for field in training_fields {
+            // lint:allow(R1): training input is local, not wire bytes; a 2D field is a caller bug
             assert_eq!(field.dims().rank(), 3, "AE-B is defined for 3D data only");
             let (lo, hi) = field.min_max();
             let range = hi - lo;
@@ -233,7 +236,7 @@ impl Compressor for AeB {
             }
             self.model
                 .encode_blocks_into(&sc.batch, chunk.len(), &mut sc.latents, &mut sc.nn)
-                .expect("batch shaped by the block loop");
+                .map_err(|_| CompressError::UnsupportedField("block batch shape"))?;
             for &v in &sc.latents {
                 out.extend_from_slice(&v.to_le_bytes());
             }
@@ -261,52 +264,59 @@ impl Compressor for AeB {
             return Err(DecompressError::InvalidHeader("data range"));
         }
         let n_blocks = read_len(bytes, &mut pos, "block count")?;
-        let range = (hi - lo) as f64;
-        let mut field = Field::zeros(dims);
-        let specs: Vec<BlockSpec> = field.blocks(BLOCK).collect();
-        if specs.len() != n_blocks {
+        // Validate the header against the payload before allocating anything
+        // it sizes: the block grid follows from the dims arithmetically, and
+        // the latent section is exactly one LATENT-vector per block, so a
+        // short frame claiming a huge field is refused without touching the
+        // heap.
+        let grid_blocks = dims
+            .block_grid(BLOCK)
+            .iter()
+            .try_fold(1usize, |acc, &g| acc.checked_mul(g))
+            .ok_or(DecompressError::InvalidHeader("block grid overflow"))?;
+        if grid_blocks != n_blocks {
             return Err(DecompressError::Inconsistent(
                 "block count does not match dims",
             ));
         }
-        // The latent payload is exactly one LATENT-vector per block; any
-        // shortfall or surplus is corruption.
+        let latent_bytes = bytes
+            .get(pos..)
+            .ok_or(DecompressError::Truncated("latent payload"))?;
         let expected_latent_bytes = n_blocks
             .checked_mul(LATENT * 4)
             .ok_or(DecompressError::InvalidHeader("latent payload overflow"))?;
-        if bytes.len() - pos != expected_latent_bytes {
-            return Err(if bytes.len() - pos < expected_latent_bytes {
+        if latent_bytes.len() != expected_latent_bytes {
+            return Err(if latent_bytes.len() < expected_latent_bytes {
                 DecompressError::Truncated("latent payload")
             } else {
                 DecompressError::Inconsistent("trailing bytes")
             });
         }
-        let latents: Vec<f32> = bytes[pos..]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        let block_len = BLOCK * BLOCK * BLOCK;
+        let range = (hi - lo) as f64;
+        let mut field = Field::zeros(dims);
         // Batched decode through the resident inference path: one
         // `decode_latents_into` per 16-block chunk, reusing the network
-        // scratch and both staging buffers across the whole field (the
-        // old per-chunk tensor allocation and training-cache churn made
-        // AE-B's decode pathologically slow).
+        // scratch and the staging buffers across the whole field.
         let sc = &mut self.scratch;
-        let mut pred = Vec::with_capacity(block_len);
-        for (chunk_no, chunk) in specs.chunks(16).enumerate() {
-            let start = chunk_no * 16 * LATENT;
-            let z = &latents[start..start + chunk.len() * LATENT];
+        for (chunk_no, chunk) in latent_bytes.chunks(16 * LATENT * 4).enumerate() {
+            sc.latents.clear();
+            sc.latents.extend(
+                chunk
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
+            let n = sc.latents.len() / LATENT;
             self.model
-                .decode_latents_into(z, chunk.len(), &mut sc.decoded, &mut sc.nn)
-                .expect("latent payload length checked above");
-            for (k, spec) in chunk.iter().enumerate() {
-                pred.clear();
-                pred.extend(
-                    sc.decoded[k * block_len..(k + 1) * block_len]
+                .decode_latents_into(&sc.latents, n, &mut sc.decoded, &mut sc.nn)
+                .map_err(|_| DecompressError::Inconsistent("latent batch shape"))?;
+            for (k, block) in sc.decoded.chunks_exact(BLOCK_LEN).enumerate() {
+                sc.batch.clear();
+                sc.batch.extend(
+                    block
                         .iter()
                         .map(|&v| ((v as f64 + 1.0) * 0.5 * range + lo as f64) as f32),
                 );
-                field.write_block(spec, &pred);
+                field.write_block(&BlockSpec::of(dims, BLOCK, chunk_no * 16 + k), &sc.batch);
             }
         }
         Ok(field)
@@ -391,6 +401,50 @@ mod tests {
         let bytes = ae.compress(&field, ErrorBound::rel(1e-3)).unwrap();
         for len in 0..bytes.len() {
             assert!(ae.decompress(&bytes[..len]).is_err());
+        }
+    }
+
+    /// Peak virtual size of this process in KiB (Linux), if readable.
+    fn vm_peak_kib() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmPeak:"))?;
+        line.split_whitespace().nth(1)?.parse().ok()
+    }
+
+    #[test]
+    fn huge_dims_in_a_tiny_frame_are_refused_before_allocating() {
+        let field = Application::Rtm.generate(Dims::d3(16, 16, 16), 4);
+        let mut ae = AeB::new(9);
+        ae.train(std::slice::from_ref(&field), 1, 10);
+        let id = ae.model_id().expect("trained");
+        // ~40 bytes claiming a 2^31-element field: the right model id, dims
+        // 2048x1024x1024, a matching block count and no latents at all.
+        let frame = |blocks: u64| {
+            let mut payload = id.as_bytes().to_vec();
+            write_dims(&mut payload, Dims::d3(2048, 1024, 1024));
+            write_f32(&mut payload, 0.0);
+            write_f32(&mut payload, 1.0);
+            write_uvarint(&mut payload, blocks);
+            payload
+        };
+        let before = vm_peak_kib();
+        assert_eq!(
+            ae.decompress_payload(&frame(128 * 64 * 64)),
+            Err(DecompressError::Truncated("latent payload"))
+        );
+        assert_eq!(
+            ae.decompress_payload(&frame(7)),
+            Err(DecompressError::Inconsistent(
+                "block count does not match dims"
+            ))
+        );
+        // The 8 GiB field (and its half-million block specs) must never have
+        // been requested: the process's peak address space barely moves.
+        if let (Some(before), Some(after)) = (before, vm_peak_kib()) {
+            assert!(
+                after < before + (1 << 20),
+                "peak virtual size grew from {before} KiB to {after} KiB"
+            );
         }
     }
 

@@ -3,9 +3,10 @@
 //! Supports the subset the workspace's property tests use: the `proptest!`
 //! macro over functions whose arguments are drawn from range strategies or
 //! `proptest::collection::vec`, plus `prop_assert!`, `prop_assert_eq!` and
-//! `prop_assume!`. Each test runs [`NUM_CASES`] deterministic random cases
-//! (seeded from the test name); failing inputs are reported via panic but
-//! not shrunk.
+//! `prop_assume!`. Each test runs [`num_cases`] deterministic random cases
+//! (seeded from the test name; [`NUM_CASES`] unless the `PROPTEST_CASES`
+//! environment variable overrides it, as upstream honours); failing inputs
+//! are reported via panic but not shrunk.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SampleUniform, SeedableRng};
@@ -14,8 +15,18 @@ use rand::{Rng, SampleUniform, SeedableRng};
 /// suite fast while still exercising each property across ranks and bounds.
 pub const NUM_CASES: usize = 64;
 
+/// Cases each property runs: `PROPTEST_CASES` when set to a positive
+/// integer (CI uses it to run a suite deep), else [`NUM_CASES`].
+pub fn num_cases() -> usize {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or(NUM_CASES)
+}
+
 /// A property may reject (via `prop_assume!`) at most this many times
-/// `NUM_CASES` before the test fails — the analogue of upstream's
+/// [`num_cases`] before the test fails — the analogue of upstream's
 /// `max_global_rejects` guard against vacuously-passing properties.
 pub const MAX_REJECT_FACTOR: usize = 16;
 
@@ -149,7 +160,7 @@ macro_rules! prop_assert_eq {
 }
 
 /// Mirror of `proptest::proptest!`: each `#[test] fn name(arg in strategy, …)`
-/// becomes a plain `#[test]` running [`NUM_CASES`] generated cases.
+/// becomes a plain `#[test]` running [`num_cases`] generated cases.
 #[macro_export]
 macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)+) => {
@@ -159,15 +170,16 @@ macro_rules! proptest {
                 let mut rng = $crate::TestRng::deterministic(stringify!($name));
                 // `prop_assume!` rejections are retried rather than counted
                 // against the case budget (as upstream does), so filtered
-                // properties still run NUM_CASES effective cases; a property
-                // that rejects nearly everything fails loudly instead of
-                // passing vacuously.
+                // properties still run num_cases() effective cases; a
+                // property that rejects nearly everything fails loudly
+                // instead of passing vacuously.
+                let cases = $crate::num_cases();
                 let mut case = 0usize;
                 let mut attempts = 0usize;
-                while case < $crate::NUM_CASES {
+                while case < cases {
                     attempts += 1;
                     assert!(
-                        attempts <= $crate::NUM_CASES * $crate::MAX_REJECT_FACTOR,
+                        attempts <= cases * $crate::MAX_REJECT_FACTOR,
                         "property `{}` rejected too many inputs via prop_assume! \
                          ({} accepted out of {} attempts)",
                         stringify!($name),
@@ -188,7 +200,7 @@ macro_rules! proptest {
                                     $(, "\n  ", stringify!($arg), " = {:?}")+
                                 ),
                                 case + 1,
-                                $crate::NUM_CASES,
+                                cases,
                                 msg
                                 $(, $arg)+
                             );
@@ -239,7 +251,7 @@ mod tests {
         }
         ACCEPTED.store(0, Ordering::Relaxed);
         heavily_filtered();
-        assert_eq!(ACCEPTED.load(Ordering::Relaxed), crate::NUM_CASES);
+        assert_eq!(ACCEPTED.load(Ordering::Relaxed), crate::num_cases());
     }
 
     #[test]

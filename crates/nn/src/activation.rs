@@ -3,7 +3,7 @@
 //! in the Table I experiments).
 
 use crate::infer::{NnScratch, Shape};
-use crate::layer::{Layer, NnError};
+use crate::layer::{infer_tensor, Layer, NnError};
 use aesz_tensor::Tensor;
 
 /// Pointwise inference core shared by the activation layers: stream `f` over
@@ -16,14 +16,7 @@ fn pointwise_into(
     layer: &'static str,
     f: impl Fn(f32) -> f32,
 ) -> Result<Shape, NnError> {
-    if input.len() != shape.len() {
-        return Err(NnError {
-            layer,
-            problem: "input length does not match shape",
-            expected: shape.len(),
-            got: input.len(),
-        });
-    }
+    NnError::check_len(layer, input, shape)?;
     out.clear();
     out.extend(input.iter().map(|&v| f(v)));
     Ok(shape)
@@ -52,7 +45,7 @@ impl Layer for Tanh {
     }
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let out = input.map(|v| v.tanh());
+        let out = infer_tensor(self, input)?;
         self.cached_output = Some(out.clone());
         Ok(out)
     }
@@ -102,7 +95,7 @@ impl Layer for Relu {
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.cached_input = Some(input.clone());
-        Ok(input.map(|v| v.max(0.0)))
+        infer_tensor(self, input)
     }
 
     fn infer_into(
@@ -154,8 +147,7 @@ impl Layer for LeakyRelu {
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         self.cached_input = Some(input.clone());
-        let s = self.slope;
-        Ok(input.map(|v| if v > 0.0 { v } else { s * v }))
+        infer_tensor(self, input)
     }
 
     fn infer_into(

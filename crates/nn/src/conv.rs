@@ -9,17 +9,12 @@
 //! Padding is always `k/2` ("same"), so stride-1 convolutions preserve the
 //! spatial size and stride-2 convolutions halve it (for even sizes).
 
-use crate::gemm::{gemm_into, GemmBias};
-use crate::im2col::{im2col_into, ConvGeom};
+use crate::gemm::{gemm_packed, pack_a, GemmBias};
+use crate::im2col::{pad_sample_into, tap_offsets_into, ConvGeom};
 use crate::infer::{NnScratch, Shape};
-use crate::layer::{Layer, NnError, Param};
+use crate::layer::{infer_tensor, Layer, NnError, Param};
 use aesz_tensor::{init, Tensor};
 use rand::rngs::StdRng;
-
-/// Target column count of one im2col panel: bounds the resident column
-/// buffer (`k_rows · PANEL_COLS` floats) so it stays cache-friendly while
-/// leaving enough width for the GEMM inner loop to vectorize.
-const PANEL_COLS: usize = 512;
 
 /// Convolution over 2 or 3 spatial dimensions with cubic kernels.
 #[derive(Clone)]
@@ -46,12 +41,7 @@ pub(crate) struct Act5 {
 
 impl Act5 {
     pub(crate) fn from_shape(shape: &[usize], spatial_rank: usize) -> Act5 {
-        match Self::try_from_shape(shape, spatial_rank, "Act5") {
-            Ok(a) => a,
-            Err(_) => {
-                panic!("activation shape {shape:?} incompatible with spatial rank {spatial_rank}")
-            }
-        }
+        Self::try_from_shape(shape, spatial_rank, "Act5").unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible parse for the error-returning layer entry points.
@@ -84,16 +74,8 @@ impl Act5 {
         }
     }
 
-    pub(crate) fn to_shape(self, spatial_rank: usize) -> Vec<usize> {
-        match spatial_rank {
-            2 => vec![self.n, self.c, self.h, self.w],
-            3 => vec![self.n, self.c, self.d, self.h, self.w],
-            r => panic!("unsupported spatial rank {r}"),
-        }
-    }
-
-    /// Shape for the inference path, built without touching the heap.
-    pub(crate) fn to_infer_shape(self, spatial_rank: usize) -> Shape {
+    /// The activation's shape, built without touching the heap.
+    pub(crate) fn to_shape(self, spatial_rank: usize) -> Shape {
         match spatial_rank {
             2 => Shape::new(&[self.n, self.c, self.h, self.w]),
             3 => Shape::new(&[self.n, self.c, self.d, self.h, self.w]),
@@ -146,60 +128,33 @@ impl ConvNd {
         self.out_channels
     }
 
-    fn kernel_dims(&self) -> (usize, usize, usize) {
-        if self.spatial_rank == 2 {
-            (1, self.kernel, self.kernel)
-        } else {
-            (self.kernel, self.kernel, self.kernel)
-        }
-    }
-
-    fn pads(&self) -> (isize, isize, isize) {
-        let p = (self.kernel / 2) as isize;
-        if self.spatial_rank == 2 {
-            (0, p, p)
-        } else {
-            (p, p, p)
-        }
-    }
-
-    fn out_extent(extent: usize, kernel: usize, pad: isize, stride: usize) -> usize {
-        (extent as isize + 2 * pad - kernel as isize) as usize / stride + 1
-    }
-
-    fn output_act(&self, input: Act5) -> Act5 {
-        let (kd, kh, kw) = self.kernel_dims();
-        let (pd, ph, pw) = self.pads();
-        let sd = if self.spatial_rank == 2 {
-            1
-        } else {
-            self.stride
-        };
-        Act5 {
-            n: input.n,
-            c: self.out_channels,
-            d: Self::out_extent(input.d, kd, pd, sd),
-            h: Self::out_extent(input.h, kh, ph, self.stride),
-            w: Self::out_extent(input.w, kw, pw, self.stride),
-        }
-    }
-
-    /// The im2col lowering geometry for one input sample.
+    /// The convolution geometry for one input sample: 2D data rides in the
+    /// depth-1 plane with a 1×k×k kernel, unit depth stride and no depth pad.
     fn geom(&self, ia: Act5) -> ConvGeom {
-        let (kd, kh, kw) = self.kernel_dims();
-        let (pd, ph, pw) = self.pads();
-        let sd = if self.spatial_rank == 2 {
-            1
+        let (k, s, p) = (self.kernel, self.stride, self.kernel / 2);
+        let (kd, sd, pd) = if self.spatial_rank == 2 {
+            (1, 1, 0)
         } else {
-            self.stride
+            (k, s, p)
         };
         ConvGeom::new(
             self.in_channels,
             [ia.d, ia.h, ia.w],
-            [kd, kh, kw],
-            [sd, self.stride, self.stride],
-            [pd as usize, ph as usize, pw as usize],
+            [kd, k, k],
+            [sd, s, s],
+            [pd, p, p],
         )
+    }
+
+    fn output_act(&self, ia: Act5) -> Act5 {
+        let [d, h, w] = self.geom(ia).out_dhw;
+        Act5 {
+            n: ia.n,
+            c: self.out_channels,
+            d,
+            h,
+            w,
+        }
     }
 
     /// Shape checks shared by both forward entry points.
@@ -216,43 +171,38 @@ impl ConvNd {
         Ok(ia)
     }
 
-    /// GEMM inference core shared by `try_forward` and `infer_into`: per
-    /// sample, unfold cache-sized im2col panels and multiply them against
-    /// the weight matrix. Bit-identical to the direct 7-deep loop it
-    /// replaced: the column rows follow the weight layout's
-    /// `(ci, dk, hk, wk)` order and [`gemm_into`] accumulates ascending-k,
-    /// so every output element sums its taps in the original order (padded
-    /// taps contribute an explicit `+0.0`; see [`crate::gemm`]).
+    /// The one forward implementation, an implicit GEMM: pack the weights
+    /// and build the tap table once per call, copy each sample once into the
+    /// padded `scratch.pad`, then run one [`gemm_packed`] call per output row
+    /// reading `B` row `k` in place at `row_base + taps[k]`. The taps follow
+    /// the weight layout's `(ci, dk, hk, wk)` order and the engine adds them
+    /// ascending from the bias: bit-identical to the direct 7-deep loop
+    /// (padded taps add an explicit `+0.0`; see [`crate::gemm`]).
     fn run(&self, x: &[f32], ia: Act5, oa: Act5, out: &mut [f32], scratch: &mut NnScratch) {
         let g = self.geom(ia);
-        debug_assert_eq!([oa.d, oa.h, oa.w], g.out_dhw);
-        let w = self.weight.value.as_slice();
         let b = self.bias.value.as_slice();
         let k = g.k_rows();
-        let in_sample = ia.sample_len();
-        let out_sample = oa.sample_len();
-        let spatial = oa.spatial_len();
-        let rows_total = g.out_rows();
-        let rows_per_panel = (PANEL_COLS / oa.w.max(1)).clamp(1, rows_total.max(1));
+        let (in_sample, out_sample) = (ia.sample_len(), oa.sample_len());
+        pack_a(self.weight.value.as_slice(), oa.c, k, &mut scratch.a_pack);
+        tap_offsets_into(&g, &mut scratch.taps);
+        let taps = &scratch.taps[..k];
+        scratch.pad.clear(); // zeroed once: samples rewrite only data positions
+        scratch.pad.resize(g.padded_len(), 0.0);
         for n in 0..ia.n {
-            let x_n = &x[n * in_sample..(n + 1) * in_sample];
-            let out_n = &mut out[n * out_sample..(n + 1) * out_sample];
-            let mut r0 = 0usize;
-            while r0 < rows_total {
-                let r1 = (r0 + rows_per_panel).min(rows_total);
-                im2col_into(x_n, &g, r0, r1, &mut scratch.col);
-                let np = (r1 - r0) * oa.w;
-                gemm_into(
-                    w,
-                    &scratch.col,
-                    GemmBias::Row(b),
+            pad_sample_into(&x[n * in_sample..][..in_sample], &g, &mut scratch.pad);
+            let out_n = &mut out[n * out_sample..][..out_sample];
+            for r in 0..g.out_rows() {
+                gemm_packed(
+                    &scratch.a_pack,
                     oa.c,
                     k,
-                    np,
-                    &mut out_n[r0 * oa.w..],
-                    spatial,
+                    &scratch.pad[g.row_base(r)..],
+                    |kk| taps[kk],
+                    oa.w,
+                    GemmBias::Row(b),
+                    &mut out_n[r * oa.w..],
+                    oa.spatial_len(),
                 );
-                r0 = r1;
             }
         }
     }
@@ -268,13 +218,9 @@ impl Layer for ConvNd {
     }
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let ia = self.validate(input.shape())?;
-        let oa = self.output_act(ia);
-        let mut out = vec![0.0f32; oa.n * oa.sample_len()];
-        let mut scratch = NnScratch::new();
-        self.run(input.as_slice(), ia, oa, &mut out, &mut scratch);
+        let out = infer_tensor(self, input)?;
         self.cached_input = Some(input.clone());
-        Ok(Tensor::from_vec(&oa.to_shape(self.spatial_rank), out).expect("consistent shape"))
+        Ok(out)
     }
 
     fn infer_into(
@@ -285,18 +231,11 @@ impl Layer for ConvNd {
         scratch: &mut NnScratch,
     ) -> Result<Shape, NnError> {
         let ia = self.validate(shape.dims())?;
-        if input.len() != shape.len() {
-            return Err(NnError {
-                layer: "ConvNd",
-                problem: "input length does not match shape",
-                expected: shape.len(),
-                got: input.len(),
-            });
-        }
+        NnError::check_len("ConvNd", input, shape)?;
         let oa = self.output_act(ia);
         out.resize(oa.n * oa.sample_len(), 0.0);
         self.run(input, ia, oa, out, scratch);
-        Ok(oa.to_infer_shape(self.spatial_rank))
+        Ok(oa.to_shape(self.spatial_rank))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -306,16 +245,12 @@ impl Layer for ConvNd {
             .expect("backward called before forward");
         let ia = Act5::from_shape(input.shape(), self.spatial_rank);
         let oa = self.output_act(ia);
-        assert_eq!(grad_output.shape(), &oa.to_shape(self.spatial_rank)[..]);
+        assert_eq!(grad_output.shape(), oa.to_shape(self.spatial_rank).dims());
 
-        let (kd, kh, kw) = self.kernel_dims();
-        let (pd, ph, pw) = self.pads();
-        let sd = if self.spatial_rank == 2 {
-            1
-        } else {
-            self.stride
-        };
-        let (sh, sw) = (self.stride, self.stride);
+        let g = self.geom(ia);
+        let [kd, kh, kw] = g.kernel_dhw;
+        let [pd, ph, pw] = g.pad_dhw.map(|p| p as isize);
+        let [sd, sh, sw] = g.stride_dhw;
         let k_elems = kd * kh * kw;
 
         let x = input.as_slice();
@@ -419,21 +354,9 @@ impl Layer for Reshape {
     }
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let n = input.shape()[0];
-        let per_sample: usize = input.shape()[1..].iter().product();
-        let target: usize = self.per_sample_shape.iter().product();
-        if per_sample != target {
-            return Err(NnError {
-                layer: "Reshape",
-                problem: "per-sample element count mismatch",
-                expected: target,
-                got: per_sample,
-            });
-        }
+        let out = infer_tensor(self, input)?;
         self.cached_in_shape = Some(input.shape().to_vec());
-        let mut shape = vec![n];
-        shape.extend_from_slice(&self.per_sample_shape);
-        Ok(input.reshape(&shape).expect("element count checked"))
+        Ok(out)
     }
 
     fn infer_into(

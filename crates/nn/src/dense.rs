@@ -12,7 +12,7 @@
 
 use crate::gemm::{gemm_into, GemmBias};
 use crate::infer::{NnScratch, Shape};
-use crate::layer::{Layer, NnError, Param};
+use crate::layer::{infer_tensor, Layer, NnError, Param};
 use aesz_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 
@@ -71,9 +71,10 @@ impl Dense {
     }
 
     /// GEMM core shared by `try_forward` and `infer_into`: pack `Wᵀ` into
-    /// `scratch.packed`, then one `x·Wᵀ ⊕ b` multiply. The transpose pack
-    /// turns the per-row dot products into a `p`-vectorizable axpy sweep
-    /// without changing any element's accumulation order.
+    /// `scratch.packed`, then one `x·Wᵀ ⊕ b` multiply (which packs `x`
+    /// MR-interleaved into `scratch.a_pack`). The transpose pack makes each
+    /// `Wᵀ` row a contiguous run of output features, so the register tiles
+    /// sweep them without changing any element's accumulation order.
     fn run(&self, x: &[f32], n: usize, out: &mut [f32], scratch: &mut NnScratch) {
         let w = self.weight.value.as_slice();
         let b = self.bias.value.as_slice();
@@ -94,6 +95,7 @@ impl Dense {
             fout,
             out,
             fout,
+            &mut scratch.a_pack,
         );
     }
 }
@@ -108,12 +110,9 @@ impl Layer for Dense {
     }
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let n = self.validate(input.shape())?;
-        let mut out = vec![0.0f32; n * self.out_features];
-        let mut scratch = NnScratch::new();
-        self.run(input.as_slice(), n, &mut out, &mut scratch);
+        let out = infer_tensor(self, input)?;
         self.cached_input = Some(input.clone());
-        Ok(Tensor::from_vec(&[n, self.out_features], out).expect("consistent shape"))
+        Ok(out)
     }
 
     fn infer_into(
@@ -124,14 +123,7 @@ impl Layer for Dense {
         scratch: &mut NnScratch,
     ) -> Result<Shape, NnError> {
         let n = self.validate(shape.dims())?;
-        if input.len() != shape.len() {
-            return Err(NnError {
-                layer: "Dense",
-                problem: "input length does not match shape",
-                expected: shape.len(),
-                got: input.len(),
-            });
-        }
+        NnError::check_len("Dense", input, shape)?;
         out.resize(n * self.out_features, 0.0);
         self.run(input, n, out, scratch);
         Ok(Shape::new(&[n, self.out_features]))

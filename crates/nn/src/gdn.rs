@@ -14,7 +14,7 @@
 
 use crate::conv::Act5;
 use crate::infer::{NnScratch, Shape};
-use crate::layer::{Layer, NnError, Param};
+use crate::layer::{infer_tensor, Layer, NnError, Param};
 use aesz_tensor::Tensor;
 
 /// Shared implementation of GDN (divide) and iGDN (multiply).
@@ -145,12 +145,9 @@ impl Layer for Gdn {
     }
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let a = self.validate(input.shape())?;
-        let mut out = vec![0.0f32; input.len()];
-        let mut scratch = NnScratch::new();
-        self.run(input.as_slice(), a, &mut out, &mut scratch);
+        let out = infer_tensor(self, input)?;
         self.cached_input = Some(input.clone());
-        Ok(Tensor::from_vec(input.shape(), out).expect("consistent shape"))
+        Ok(out)
     }
 
     fn infer_into(
@@ -161,14 +158,7 @@ impl Layer for Gdn {
         scratch: &mut NnScratch,
     ) -> Result<Shape, NnError> {
         let a = self.validate(shape.dims())?;
-        if input.len() != shape.len() {
-            return Err(NnError {
-                layer: if self.inverse { "iGDN" } else { "GDN" },
-                problem: "input length does not match shape",
-                expected: shape.len(),
-                got: input.len(),
-            });
-        }
+        NnError::check_len(if self.inverse { "iGDN" } else { "GDN" }, input, shape)?;
         out.resize(input.len(), 0.0);
         self.run(input, a, out, scratch);
         Ok(shape)

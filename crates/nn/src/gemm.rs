@@ -1,25 +1,29 @@
-//! Blocked, SIMD-friendly f32 GEMM micro-kernel with a pinned accumulation
-//! order — the single matrix engine behind every inference-path layer.
+//! Register-blocked f32 GEMM micro-kernel with a pinned accumulation order —
+//! the single matrix engine behind every inference-path layer.
 //!
-//! `C[m][p] = seed ⊕ Σ_k A[m][k]·B[k][p]` where the seed is a per-row bias
-//! (convolution), a per-column bias (dense) or zero. The defining property is
-//! **bit-identity by construction**: every output element accumulates its
-//! products in ascending `k` order starting from its bias, exactly the order
-//! of the direct 7-deep convolution loop and the dense dot product it
-//! replaces. The optimized kernel vectorizes across *independent* output
-//! elements (the `p` axis) and unrolls `k` four-wide, which changes neither
-//! the per-element operand order nor the rounding: Rust never contracts
-//! `a*b + c` into an FMA and never reassociates float sums, so the axpy form
-//! below is bitwise equal to the scalar reference twin on every input —
-//! enforced by `tests/kernel_differential.rs`.
+//! `C[i][j] = seed ⊕ Σ_k A[i][k]·B_k[j]`: the seed is a per-row bias
+//! (convolution), a per-column bias (dense) or zero, and row `k` of `B` is
+//! any contiguous run the caller names by a tap offset — `k·p` for a dense
+//! multiply ([`gemm_into`]), a tap table into a zero-padded, phase-split
+//! sample for the implicit-GEMM convolution ([`crate::im2col`]). `A` is
+//! packed MR-interleaved (`pack_a`); `MR×NR` tiles of `C` (up to 8 output
+//! channels by 8 positions, widening to 32 positions as `MR` shrinks) stay
+//! in registers across the whole `k` loop, and tails reuse the same generic
+//! kernel at the next power-of-two size.
 //!
-//! One caveat is inherited by callers that lower padding to explicit zero
-//! columns (`im2col`): a `+0.0·w` term is a bitwise no-op only while `w` is
-//! finite and the accumulator is not exactly `-0.0`. Trained and initialised
-//! networks satisfy both (biases are born `+0.0` and round-to-nearest
-//! subtraction cannot produce `-0.0` from training updates); hand-crafted
-//! hostile model files may not, and get a well-defined — just different —
-//! reconstruction, never undefined behaviour.
+//! **Bit-identity by construction**: every element starts from its seed and
+//! adds `A[i][k]·B_k[j]` in ascending `k`, the order of the direct loops
+//! this engine replaced. Tiling only changes which independent elements
+//! share a pass; Rust never contracts `a*b + c` into an FMA nor reassociates
+//! float sums, so the kernel equals its scalar twin [`gemm_reference`]
+//! bitwise on every input (`tests/kernel_differential.rs`).
+//!
+//! One caveat for callers that lower padding to explicit zero taps: a
+//! `+0.0·w` term is a bitwise no-op only while `w` is finite and the
+//! accumulator is not exactly `-0.0`. Trained and initialised networks
+//! satisfy both (biases are born `+0.0`; round-to-nearest training updates
+//! cannot produce `-0.0`); a hand-crafted hostile model file may not, and
+//! gets a well-defined — just different — reconstruction.
 
 /// How each output element's accumulator is seeded before the `k` loop.
 #[derive(Clone, Copy, Debug)]
@@ -34,19 +38,138 @@ pub enum GemmBias<'a> {
     Zero,
 }
 
-fn seed_row(c_row: &mut [f32], bias: GemmBias, m: usize) {
-    match bias {
-        GemmBias::Row(b) => c_row.fill(b[m]),
-        GemmBias::Col(b) => c_row.copy_from_slice(&b[..c_row.len()]),
-        GemmBias::Zero => c_row.fill(0.0),
+/// Largest power of two `<= min(rest, max)`: the tile edge covering the
+/// next `rest >= 1` rows or columns.
+fn tile_edge(rest: usize, max: usize) -> usize {
+    1 << rest.min(max).ilog2()
+}
+
+/// Row-tile height: 8 rows of 8 lanes are eight AVX2 accumulators, half the
+/// register file.
+const MR_MAX: usize = 8;
+
+/// Column-tile width for an `mr`-row tile: wide enough for four 8-lane
+/// accumulators, the independent add chains that hide the add latency.
+fn nr_max(mr: usize) -> usize {
+    (32 / mr).max(8)
+}
+
+/// Pack `A: (m, k)` row-major MR-interleaved: the row block `i0..i0+mr` of
+/// each tile height starts at `i0·k` and holds `A[i0..i0+mr][kk]` for each
+/// `kk` in turn, one `mr`-wide chunk per kernel step.
+pub(crate) fn pack_a(a: &[f32], m: usize, k: usize, packed: &mut Vec<f32>) {
+    assert!(a.len() >= m * k, "A too small");
+    packed.clear();
+    let mut i0 = 0usize;
+    while i0 < m {
+        let mr = tile_edge(m - i0, MR_MAX);
+        for kk in 0..k {
+            packed.extend((i0..i0 + mr).map(|i| a[i * k + kk]));
+        }
+        i0 += mr;
     }
 }
 
-/// `C = bias ⊕ A·B` with `A: (m, k)` row-major, `B: (k, p)` row-major and
-/// `C` rows of length `p` placed at stride `ldc` (so a caller can write a
-/// panel straight into a larger activation buffer). Accumulation is pinned:
-/// element `(im, ip)` computes `bias ⊕ A[im][0]·B[0][ip] ⊕ A[im][1]·B[1][ip]
-/// ⊕ …` in exactly that order.
+/// The `NR`-wide seed of one `MR`-row tile at `(i0, j0)`.
+fn seed<const MR: usize, const NR: usize>(
+    bias: GemmBias,
+    (i0, j0): (usize, usize),
+) -> [[f32; NR]; MR] {
+    std::array::from_fn(|r| match bias {
+        GemmBias::Row(bs) => [bs[i0 + r]; NR],
+        GemmBias::Col(bs) => std::array::from_fn(|j| bs[j0 + j]),
+        GemmBias::Zero => [0.0; NR],
+    })
+}
+
+/// The micro-kernel for one row-tile height `$mr`: accumulate
+/// `seed + Σ_kk a[kk][r]·b[tap(kk) + j]` in ascending `kk`, then store row
+/// `r` at `c[r·ldc..][..NR]`. Rows are unrolled in the source and each
+/// instance is out of line so the accumulators stay in registers; a rolled
+/// `0..MR` loop runs from the stack under LTO at a tenth of the speed.
+macro_rules! tile_fn {
+    ($name:ident, $mr:literal, [$($r:literal),*]) => {
+        #[inline(never)]
+        fn $name<const NR: usize>(
+            a: &[f32],
+            b: &[f32],
+            tap: impl Fn(usize) -> usize,
+            seed: [[f32; NR]; $mr],
+            c: &mut [f32],
+            ldc: usize,
+        ) {
+            let mut acc = seed; // a private local, so it is promoted to registers
+            for (kk, av) in a.chunks_exact($mr).enumerate() {
+                let s = tap(kk);
+                let bv: [f32; NR] = b[s..s + NR].try_into().expect("NR-wide run");
+                $(
+                    let ar = av[$r];
+                    for j in 0..NR {
+                        acc[$r][j] += ar * bv[j];
+                    }
+                )*
+            }
+            $(c[$r * ldc..][..NR].copy_from_slice(&acc[$r]);)*
+        }
+    };
+}
+tile_fn!(tile8, 8, [0, 1, 2, 3, 4, 5, 6, 7]);
+tile_fn!(tile4, 4, [0, 1, 2, 3]);
+tile_fn!(tile2, 2, [0, 1]);
+tile_fn!(tile1, 1, [0]);
+
+/// The engine: `C[i][j] = bias ⊕ Σ_kk A[i][kk]·b[tap(kk) + j]` for `i < m`,
+/// `j < p`, with `A` [`pack_a`]-packed and `C` rows at stride `ldc`; every
+/// run `b[tap(kk)..][..p]` must be in bounds.
+#[allow(clippy::too_many_arguments)] // the BLAS sgemm-style signature
+pub(crate) fn gemm_packed(
+    a_packed: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    tap: impl Fn(usize) -> usize + Copy,
+    p: usize,
+    bias: GemmBias,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert!(ldc >= p, "row stride {ldc} shorter than row length {p}");
+    assert!(a_packed.len() >= m * k, "packed A too small");
+    if m > 0 {
+        assert!(c.len() >= (m - 1) * ldc + p, "C too small");
+    }
+    let mut i0 = 0usize;
+    while i0 < m {
+        let mr = tile_edge(m - i0, MR_MAX);
+        let a = &a_packed[i0 * k..(i0 + mr) * k];
+        let mut j0 = 0usize;
+        while j0 < p {
+            let nr = tile_edge(p - j0, nr_max(mr));
+            let (at, b, c) = ((i0, j0), &b[j0..], &mut c[i0 * ldc + j0..]);
+            macro_rules! cols {
+                ($tile:ident, $mr:literal, [$($nr:literal),*]) => {
+                    match nr {
+                        $($nr => $tile::<$nr>(a, b, tap, seed::<$mr, $nr>(bias, at), c, ldc),)*
+                        _ => $tile::<1>(a, b, tap, seed::<$mr, 1>(bias, at), c, ldc),
+                    }
+                };
+            }
+            match mr {
+                8 => cols!(tile8, 8, [8, 4, 2]),
+                4 => cols!(tile4, 4, [8, 4, 2]),
+                2 => cols!(tile2, 2, [16, 8, 4, 2]),
+                _ => cols!(tile1, 1, [32, 16, 8, 4, 2]),
+            }
+            j0 += nr;
+        }
+        i0 += mr;
+    }
+}
+
+/// `C = bias ⊕ A·B` with `A: (m, k)` and `B: (k, p)` row-major and `C` rows
+/// at stride `ldc`: `pack_a` into the caller-owned `pack`, then the engine
+/// with tap offsets `kk·p`. Element `(im, ip)` computes
+/// `bias ⊕ A[im][0]·B[0][ip] ⊕ A[im][1]·B[1][ip] ⊕ …` in exactly that order.
 #[allow(clippy::too_many_arguments)] // the BLAS sgemm-style signature
 pub fn gemm_into(
     a: &[f32],
@@ -57,46 +180,11 @@ pub fn gemm_into(
     p: usize,
     c: &mut [f32],
     ldc: usize,
+    pack: &mut Vec<f32>,
 ) {
-    assert!(ldc >= p, "row stride {ldc} shorter than row length {p}");
-    assert!(a.len() >= m * k, "A too small");
     assert!(b.len() >= k * p, "B too small");
-    if m > 0 {
-        assert!(c.len() >= (m - 1) * ldc + p, "C too small");
-    }
-    for im in 0..m {
-        let a_row = &a[im * k..im * k + k];
-        let c_row = &mut c[im * ldc..im * ldc + p];
-        seed_row(c_row, bias, im);
-        // k unrolled 4-wide: four B rows stream through one pass over the C
-        // row, quartering the C-row traffic. Each element still adds its
-        // products in ascending-k order, so the bits match the scalar loop.
-        let mut ik = 0usize;
-        while ik + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[ik], a_row[ik + 1], a_row[ik + 2], a_row[ik + 3]);
-            let b0 = &b[ik * p..ik * p + p];
-            let b1 = &b[(ik + 1) * p..(ik + 1) * p + p];
-            let b2 = &b[(ik + 2) * p..(ik + 2) * p + p];
-            let b3 = &b[(ik + 3) * p..(ik + 3) * p + p];
-            for j in 0..p {
-                let mut v = c_row[j];
-                v += a0 * b0[j];
-                v += a1 * b1[j];
-                v += a2 * b2[j];
-                v += a3 * b3[j];
-                c_row[j] = v;
-            }
-            ik += 4;
-        }
-        while ik < k {
-            let av = a_row[ik];
-            let b_row = &b[ik * p..ik * p + p];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
-            }
-            ik += 1;
-        }
-    }
+    pack_a(a, m, k, pack);
+    gemm_packed(pack, m, k, b, |kk| kk * p, p, bias, c, ldc);
 }
 
 /// Scalar reference twin of [`gemm_into`]: the naive per-element triple loop
@@ -144,7 +232,17 @@ mod tests {
         let bias = [0.125f32, -0.5];
         let mut fast = [0.0f32; 4];
         let mut slow = [0.0f32; 4];
-        gemm_into(&a, &b, GemmBias::Row(&bias), 2, 3, 2, &mut fast, 2);
+        gemm_into(
+            &a,
+            &b,
+            GemmBias::Row(&bias),
+            2,
+            3,
+            2,
+            &mut fast,
+            2,
+            &mut Vec::new(),
+        );
         gemm_reference(&a, &b, GemmBias::Row(&bias), 2, 3, 2, &mut slow, 2);
         assert_eq!(bits(&fast), bits(&slow));
         // m=0: first row = 0.125 + 1·1 + 2·2 + 3·3 = 14.125
@@ -157,7 +255,17 @@ mod tests {
         let b = [0.0f32; 6]; // 3x2 of zeros
         let bias = [7.0f32, -3.0];
         let mut c = [0.0f32; 4];
-        gemm_into(&a, &b, GemmBias::Col(&bias), 2, 3, 2, &mut c, 2);
+        gemm_into(
+            &a,
+            &b,
+            GemmBias::Col(&bias),
+            2,
+            3,
+            2,
+            &mut c,
+            2,
+            &mut Vec::new(),
+        );
         assert_eq!(c, [7.0, -3.0, 7.0, -3.0]);
     }
 
@@ -166,22 +274,35 @@ mod tests {
         let a = [1.0f32, 1.5];
         let b = [2.0f32];
         let mut c = [9.0f32; 6]; // 2 rows of p=1 at stride 3
-        gemm_into(&a, &b, GemmBias::Zero, 2, 1, 1, &mut c, 3);
+        gemm_into(&a, &b, GemmBias::Zero, 2, 1, 1, &mut c, 3, &mut Vec::new());
         assert_eq!(c, [2.0, 9.0, 9.0, 3.0, 9.0, 9.0]);
     }
 
     #[test]
     fn k_remainder_paths_agree_with_reference() {
-        // k = 1..9 exercises both the unrolled body and the remainder loop.
+        // Every tile edge on both axes (m, p up to 9 cross the 8/4/2/1
+        // tails), against a spread of k.
         for k in 1..9usize {
-            let a: Vec<f32> = (0..2 * k).map(|i| (i as f32 * 0.37).sin()).collect();
-            let b: Vec<f32> = (0..k * 3).map(|i| (i as f32 * 0.71).cos()).collect();
-            let bias = [0.1f32, 0.2];
-            let mut fast = vec![0.0f32; 6];
-            let mut slow = vec![0.0f32; 6];
-            gemm_into(&a, &b, GemmBias::Row(&bias), 2, k, 3, &mut fast, 3);
-            gemm_reference(&a, &b, GemmBias::Row(&bias), 2, k, 3, &mut slow, 3);
-            assert_eq!(bits(&fast), bits(&slow), "k={k}");
+            for (m, p) in [(2usize, 3usize), (9, 9), (5, 13), (8, 16), (1, 7)] {
+                let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+                let b: Vec<f32> = (0..k * p).map(|i| (i as f32 * 0.71).cos()).collect();
+                let bias: Vec<f32> = (0..m).map(|i| 0.1 * i as f32 + 0.1).collect();
+                let mut fast = vec![0.0f32; m * p];
+                let mut slow = vec![0.0f32; m * p];
+                gemm_into(
+                    &a,
+                    &b,
+                    GemmBias::Row(&bias),
+                    m,
+                    k,
+                    p,
+                    &mut fast,
+                    p,
+                    &mut Vec::new(),
+                );
+                gemm_reference(&a, &b, GemmBias::Row(&bias), m, k, p, &mut slow, p);
+                assert_eq!(bits(&fast), bits(&slow), "m={m} k={k} p={p}");
+            }
         }
     }
 }

@@ -1,21 +1,19 @@
-//! `im2col`/`col2im` packing: lowering N-dimensional convolution onto the
-//! [`gemm`](crate::gemm) micro-kernel.
+//! Lowering N-dimensional convolution onto the [`gemm`](crate::gemm) engine
+//! as an *implicit* GEMM, plus the `col2im` fold.
 //!
-//! `im2col` unfolds one input sample into a column panel `B: (K, P)` where
-//! `K = channels · kd·kh·kw` ranges over the kernel taps in the weight
-//! layout's `(ci, dk, hk, wk)` order and `P` ranges over a contiguous run of
-//! output positions. Out-of-bounds taps (same-padding) become explicit `0.0`
-//! entries, so `W·B` sums each output element in exactly the direct loop's
-//! tap order with the padded taps contributing `+0.0` — bit-identical for
-//! finite weights (see the [`gemm`](crate::gemm) module docs for the one
-//! caveat). Panels are caller-sized so the column buffer can be held to a
-//! cache-friendly footprint regardless of the activation size.
+//! `K` ranges over the kernel taps in the weight layout's `(ci, dk, hk, wk)`
+//! order and `P` over one output row (`od`, `oh` fixed). Instead of
+//! unfolding a `(K, P)` column panel, `pad_sample_into` copies a sample
+//! once into a zero-padded buffer whose rows are phase-split by the w
+//! stride, and `tap_offsets_into` tabulates where each tap's contiguous
+//! input run starts relative to a row's `ConvGeom::row_base`. Padded taps
+//! read explicit `0.0` entries, so each output element sums its taps in the
+//! direct loop's order with `+0.0` for the pads — bit-identical for finite
+//! weights (see [`gemm`](crate::gemm) for the one caveat).
 //!
-//! `col2im` is the adjoint scatter-add (the decode-side pairing a strided
-//! transpose convolution would use; the current decoder substitutes
-//! upsample + convolution, so it is exercised by the differential harness
-//! only). Both directions keep scalar reference twins; the harness demands
-//! bitwise equality.
+//! `col2im` is the adjoint scatter-add of a column panel, the pairing a
+//! GEMM-lowered backward pass (`dX = col2im(Wᵀ·dY)`) would use; it keeps a
+//! scalar reference twin held bitwise by the differential harness.
 
 /// Geometry of one convolution lowering: a single sample's input extents,
 /// kernel, stride and padding, with the output extents derived. 2D data uses
@@ -61,7 +59,7 @@ impl ConvGeom {
         }
     }
 
-    /// Rows of the column panel: `channels · kd·kh·kw`, the GEMM `K`.
+    /// Taps per output element, `channels · kd·kh·kw`: the GEMM `K`.
     pub fn k_rows(&self) -> usize {
         self.channels * self.kernel_dhw.iter().product::<usize>()
     }
@@ -76,119 +74,102 @@ impl ConvGeom {
         self.out_dhw.iter().product()
     }
 
-    /// Output "rows" (one per `(od, oh)` pair); panels are whole numbers of
-    /// these so every panel is a contiguous slice of the output.
+    /// Output "rows" (one per `(od, oh)` pair): each is a contiguous run of
+    /// `out_dhw[2]` positions of the output, the `P` of one GEMM call.
     pub fn out_rows(&self) -> usize {
         self.out_dhw[0] * self.out_dhw[1]
     }
+
+    /// Padded spatial extents `(d+2pd, h+2ph, w+2pw)` of the
+    /// [`pad_sample_into`] buffer.
+    pub(crate) fn padded_dhw(&self) -> [usize; 3] {
+        std::array::from_fn(|i| self.in_dhw[i] + 2 * self.pad_dhw[i])
+    }
+
+    /// Length of the [`pad_sample_into`] buffer: every channel's padded
+    /// volume.
+    pub(crate) fn padded_len(&self) -> usize {
+        self.channels * self.padded_dhw().iter().product::<usize>()
+    }
+
+    /// Offset of phase `q` within a padded row split by the w stride: the
+    /// number of padded columns whose residue mod the stride is below `q`.
+    fn phase_start(&self, q: usize) -> usize {
+        let (wp, sw) = (self.padded_dhw()[2], self.stride_dhw[2]);
+        (0..q).map(|r| wp.saturating_sub(r).div_ceil(sw)).sum()
+    }
+
+    /// Where output row `r` (`od = r / oh_e`, `oh = r % oh_e`) starts
+    /// reading the [`pad_sample_into`] buffer; tap `k` of that row reads
+    /// `row_base(r) + taps[k]`.
+    pub(crate) fn row_base(&self, r: usize) -> usize {
+        let [_, hp, wp] = self.padded_dhw();
+        let (od, oh) = (r / self.out_dhw[1], r % self.out_dhw[1]);
+        (od * self.stride_dhw[0] * hp + oh * self.stride_dhw[1]) * wp
+    }
 }
 
-/// Unfold output rows `or0..or1` (each `out_w` positions wide) of one input
-/// sample into `col`, row-major `(k_rows, (or1-or0)·out_w)`. Out-of-bounds
-/// taps become `0.0`. `x` is one sample: `channels · in_spatial` values.
-pub fn im2col_into(x: &[f32], g: &ConvGeom, or0: usize, or1: usize, col: &mut Vec<f32>) {
-    let [_, ih_e, iw_e] = g.in_dhw;
-    let id_e = g.in_dhw[0];
-    let [kd, kh, kw] = g.kernel_dhw;
-    let [sd, sh, sw] = g.stride_dhw;
+/// Copy one sample `x` into `dst` ([`ConvGeom::padded_len`] values): each
+/// channel becomes a padded `(d+2pd)×(h+2ph)×(w+2pw)` volume whose rows,
+/// for a w stride `s > 1`, are split into `s` phases (padded columns
+/// `q, q+s, …` stored contiguously). Tap `wk` of output column `ow` then
+/// reads `phase(wk % s) + wk / s + ow` within its row — a contiguous run.
+/// Only data positions are written; the pads must already be `0.0`, as a
+/// buffer zeroed once per geometry stays across samples.
+pub(crate) fn pad_sample_into(x: &[f32], g: &ConvGeom, dst: &mut [f32]) {
+    let [id_e, ih_e, iw_e] = g.in_dhw;
     let [pd, ph, pw] = g.pad_dhw;
-    let [_, oh_e, ow_e] = g.out_dhw;
-    let in_spatial = g.in_spatial();
-    assert!(or1 <= g.out_rows() && or0 <= or1, "panel out of range");
-    assert!(x.len() >= g.channels * in_spatial, "sample too small");
-
-    let np = (or1 - or0) * ow_e;
-    col.clear();
-    col.resize(g.k_rows() * np, 0.0);
-
-    let mut row = 0usize;
-    for ci in 0..g.channels {
-        let x_c = &x[ci * in_spatial..(ci + 1) * in_spatial];
-        for dk in 0..kd {
-            for hk in 0..kh {
-                for wk in 0..kw {
-                    let dst_row = &mut col[row * np..(row + 1) * np];
-                    // iw = ow·sw + tw; valid ow span precomputed so the copy
-                    // loop below runs branch-free.
-                    let tw = wk as isize - pw as isize;
-                    let ow_lo = if tw >= 0 {
-                        0
-                    } else {
-                        ((-tw) as usize).div_ceil(sw)
-                    };
-                    let ow_hi = if (iw_e as isize) <= tw {
-                        0
-                    } else {
-                        ow_e.min(((iw_e as isize - tw - 1) as usize) / sw + 1)
-                    };
-                    for (ri, r) in (or0..or1).enumerate() {
-                        let od = r / oh_e;
-                        let oh = r % oh_e;
-                        let id = (od * sd + dk) as isize - pd as isize;
-                        let ih = (oh * sh + hk) as isize - ph as isize;
-                        if id < 0 || id >= id_e as isize || ih < 0 || ih >= ih_e as isize {
-                            continue; // stays zero
-                        }
-                        let base = (id as usize * ih_e + ih as usize) * iw_e;
-                        let dst = &mut dst_row[ri * ow_e..(ri + 1) * ow_e];
-                        if ow_hi <= ow_lo {
-                            continue;
-                        }
-                        if sw == 1 {
-                            let iw0 = (ow_lo as isize + tw) as usize;
-                            dst[ow_lo..ow_hi]
-                                .copy_from_slice(&x_c[base + iw0..base + iw0 + (ow_hi - ow_lo)]);
-                        } else {
-                            for (ow, d) in dst[ow_lo..ow_hi].iter_mut().enumerate() {
-                                let iw = ((ow_lo + ow) * sw) as isize + tw;
-                                *d = x_c[base + iw as usize];
-                            }
-                        }
+    let [_, hp, wp] = g.padded_dhw();
+    let sw = g.stride_dhw[2];
+    let chan = g.padded_len() / g.channels.max(1);
+    assert!(x.len() >= g.channels * g.in_spatial(), "sample too small");
+    assert!(dst.len() >= g.padded_len(), "padded buffer too small");
+    // Phase q holds padded columns q, q+sw, …: `n` data columns starting at
+    // padded column c0 (the first one at or past the left pad), stored from
+    // `to` within the padded row.
+    for q in 0..sw {
+        let c0 = pw + (q + sw - pw % sw) % sw;
+        if c0 >= pw + iw_e {
+            continue;
+        }
+        let (n, from, to) = (
+            (pw + iw_e - c0).div_ceil(sw),
+            c0 - pw,
+            g.phase_start(q) + c0 / sw,
+        );
+        let planes = x.chunks_exact(ih_e * iw_e).take(g.channels * id_e);
+        for (p, plane) in planes.enumerate() {
+            let (ci, id) = (p / id_e, p % id_e);
+            let base = ci * chan + ((id + pd) * hp + ph) * wp + to;
+            for (ih, src) in plane.chunks_exact(iw_e).enumerate() {
+                let row = &mut dst[base + ih * wp..][..n];
+                if sw == 1 {
+                    row.copy_from_slice(&src[from..from + n]);
+                } else {
+                    for (i, d) in row.iter_mut().enumerate() {
+                        *d = src[from + i * sw];
                     }
-                    row += 1;
                 }
             }
         }
     }
 }
 
-/// Scalar reference twin of [`im2col_into`]: one bounds check per entry.
-pub fn im2col_reference(x: &[f32], g: &ConvGeom, or0: usize, or1: usize, col: &mut Vec<f32>) {
-    let [id_e, ih_e, iw_e] = g.in_dhw;
+/// Tap-offset table of the implicit GEMM, one entry per `k` in the weight
+/// layout's `(ci, dk, hk, wk)` order: where tap `k`'s contiguous input run
+/// starts in the [`pad_sample_into`] buffer, relative to an output row's
+/// [`ConvGeom::row_base`].
+pub(crate) fn tap_offsets_into(g: &ConvGeom, taps: &mut Vec<usize>) {
     let [kd, kh, kw] = g.kernel_dhw;
-    let [sd, sh, sw] = g.stride_dhw;
-    let [pd, ph, pw] = g.pad_dhw;
-    let [_, oh_e, ow_e] = g.out_dhw;
-    let in_spatial = g.in_spatial();
-    let np = (or1 - or0) * ow_e;
-    col.clear();
-    col.resize(g.k_rows() * np, 0.0);
-    let mut row = 0usize;
+    let [dp, hp, wp] = g.padded_dhw();
+    let sw = g.stride_dhw[2];
+    taps.clear();
     for ci in 0..g.channels {
         for dk in 0..kd {
             for hk in 0..kh {
                 for wk in 0..kw {
-                    for (ri, r) in (or0..or1).enumerate() {
-                        let (od, oh) = (r / oh_e, r % oh_e);
-                        for ow in 0..ow_e {
-                            let id = (od * sd + dk) as isize - pd as isize;
-                            let ih = (oh * sh + hk) as isize - ph as isize;
-                            let iw = (ow * sw + wk) as isize - pw as isize;
-                            let inside = id >= 0
-                                && id < id_e as isize
-                                && ih >= 0
-                                && ih < ih_e as isize
-                                && iw >= 0
-                                && iw < iw_e as isize;
-                            if inside {
-                                let xi = ci * in_spatial
-                                    + (id as usize * ih_e + ih as usize) * iw_e
-                                    + iw as usize;
-                                col[row * np + ri * ow_e + ow] = x[xi];
-                            }
-                        }
-                    }
-                    row += 1;
+                    let row = ((ci * dp + dk) * hp + hk) * wp;
+                    taps.push(row + g.phase_start(wk % sw) + wk / sw);
                 }
             }
         }
@@ -196,8 +177,9 @@ pub fn im2col_reference(x: &[f32], g: &ConvGeom, or0: usize, or1: usize, col: &m
 }
 
 /// Fold a column panel back onto one input sample, accumulating (`x +=`).
-/// The adjoint of [`im2col_into`]: entries whose tap fell in the padding are
-/// dropped. Accumulation order is row-major over the panel (ascending `k`,
+/// `col` is a `(k_rows, (or1-or0)·out_w)` column panel, the layout an im2col
+/// unfold would produce; entries whose tap fell in the padding are dropped.
+/// Accumulation order is row-major over the panel (ascending `k`,
 /// then ascending position), pinned for the reference twin.
 pub fn col2im_into(col: &[f32], g: &ConvGeom, or0: usize, or1: usize, x: &mut [f32]) {
     let [id_e, ih_e, iw_e] = g.in_dhw;
@@ -299,29 +281,58 @@ mod tests {
     }
 
     #[test]
-    fn packed_panel_matches_reference_across_strides_and_panels() {
-        for &(stride, edge) in &[(1usize, 5usize), (2, 6), (2, 7), (3, 7)] {
+    fn padded_taps_read_exactly_the_direct_loop_inputs() {
+        // Every (row, tap, column) of the implicit GEMM must read the value
+        // the direct loop would, or an explicit 0.0 where it skips a pad.
+        for &(stride, [d, h, w]) in &[
+            (1usize, [1usize, 5usize, 5usize]),
+            (2, [1, 6, 7]),
+            (3, [1, 7, 7]),
+            (2, [3, 4, 5]),
+        ] {
+            let kd = if d == 1 { 1 } else { 3 };
             let g = ConvGeom::new(
                 2,
-                [1, edge, edge],
-                [1, 3, 3],
-                [1, stride, stride],
-                [0, 1, 1],
+                [d, h, w],
+                [kd, 3, 3],
+                [if d == 1 { 1 } else { stride }, stride, stride],
+                [kd / 2, 1, 1],
             );
-            let x: Vec<f32> = (0..2 * edge * edge)
-                .map(|i| (i as f32 * 0.31).sin())
+            let x: Vec<f32> = (0..2 * g.in_spatial())
+                .map(|i| (i as f32 * 0.31).sin() + 2.0)
                 .collect();
-            let rows = g.out_rows();
-            for or0 in 0..rows {
-                let or1 = (or0 + 2).min(rows);
-                let (mut fast, mut slow) = (Vec::new(), Vec::new());
-                im2col_into(&x, &g, or0, or1, &mut fast);
-                im2col_reference(&x, &g, or0, or1, &mut slow);
-                assert_eq!(
-                    bits(&fast),
-                    bits(&slow),
-                    "stride {stride} edge {edge} rows {or0}..{or1}"
-                );
+            let (mut pad, mut taps) = (vec![0.0; g.padded_len()], Vec::new());
+            pad_sample_into(&x, &g, &mut pad);
+            tap_offsets_into(&g, &mut taps);
+            assert_eq!(taps.len(), g.k_rows());
+            let [sd, sh, sw] = g.stride_dhw;
+            for r in 0..g.out_rows() {
+                let (od, oh) = (r / g.out_dhw[1], r % g.out_dhw[1]);
+                for (k, &tap) in taps.iter().enumerate() {
+                    let (ci, t) = (k / (kd * 9), k % (kd * 9));
+                    let (dk, hk, wk) = (t / 9, t % 9 / 3, t % 3);
+                    for ow in 0..g.out_dhw[2] {
+                        let id = (od * sd + dk) as isize - (kd / 2) as isize;
+                        let ih = (oh * sh + hk) as isize - 1;
+                        let iw = (ow * sw + wk) as isize - 1;
+                        let inside = (0..d as isize).contains(&id)
+                            && (0..h as isize).contains(&ih)
+                            && (0..w as isize).contains(&iw);
+                        let want = if inside {
+                            x[ci * g.in_spatial()
+                                + (id as usize * h + ih as usize) * w
+                                + iw as usize]
+                        } else {
+                            0.0
+                        };
+                        let got = pad[g.row_base(r) + tap + ow];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "stride {stride} r {r} k {k} ow {ow}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -7,10 +7,10 @@
 //! * [`Shape`] — a fixed-capacity copy type describing the activation layout,
 //!   so shape flow itself never touches the heap (a `Vec<usize>` per layer
 //!   per call would).
-//! * [`NnScratch`] — the ping-pong activation buffers, the `im2col` column
-//!   panel, the packed `Wᵀ` panel of the dense layers and the GDN coefficient
-//!   buffer. All grow to their high-water mark on the first batch and are
-//!   reused verbatim afterwards.
+//! * [`NnScratch`] — the ping-pong activations, the convolution's padded
+//!   sample and tap table (see [`crate::im2col`]), the packed GEMM operands
+//!   and the GDN coefficients. All grow to their high-water mark on the
+//!   first batch and are reused verbatim afterwards.
 //!
 //! `NnScratch` deliberately clones as *empty*: compressors keep one scratch
 //! per fork (`AeSz`/`AeA`/`AeB` each own one), and a fork must not drag a
@@ -71,8 +71,12 @@ pub struct NnScratch {
     /// (crate::sequential::Sequential::infer_into).
     pub(crate) ping: Vec<f32>,
     pub(crate) pong: Vec<f32>,
-    /// `im2col` column panel of the convolution layers.
-    pub(crate) col: Vec<f32>,
+    /// Padded, phase-split sample and tap-offset table of the convolutions.
+    pub(crate) pad: Vec<f32>,
+    pub(crate) taps: Vec<usize>,
+    /// MR-interleaved `A` operand of [`crate::gemm`] (conv weights, dense
+    /// inputs).
+    pub(crate) a_pack: Vec<f32>,
     /// Packed `Wᵀ` panel of the dense layers.
     pub(crate) packed: Vec<f32>,
     /// GDN effective coefficients and per-position squares.
@@ -85,11 +89,13 @@ impl NnScratch {
         Self::default()
     }
 
-    /// Total resident capacity in f32 elements (for diagnostics).
+    /// Total resident capacity in elements (for diagnostics).
     pub fn resident_elems(&self) -> usize {
         self.ping.capacity()
             + self.pong.capacity()
-            + self.col.capacity()
+            + self.pad.capacity()
+            + self.taps.capacity()
+            + self.a_pack.capacity()
             + self.packed.capacity()
             + self.coeff.capacity()
     }
@@ -121,7 +127,7 @@ mod tests {
     fn scratch_clones_empty() {
         let mut s = NnScratch::new();
         s.ping.resize(1024, 0.0);
-        s.col.resize(4096, 0.0);
+        s.pad.resize(4096, 0.0);
         assert!(s.resident_elems() >= 5120);
         let c = s.clone();
         assert_eq!(c.resident_elems(), 0);

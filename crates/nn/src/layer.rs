@@ -36,6 +36,21 @@ impl std::fmt::Display for NnError {
 
 impl std::error::Error for NnError {}
 
+impl NnError {
+    /// Reject an activation slice whose length disagrees with its shape.
+    pub(crate) fn check_len(layer: &'static str, input: &[f32], shape: Shape) -> Result<(), Self> {
+        if input.len() == shape.len() {
+            return Ok(());
+        }
+        Err(NnError {
+            layer,
+            problem: "input length does not match shape",
+            expected: shape.len(),
+            got: input.len(),
+        })
+    }
+}
+
 /// A trainable parameter: value plus gradient accumulator of identical shape.
 #[derive(Debug, Clone)]
 pub struct Param {
@@ -138,6 +153,25 @@ pub trait Layer: Send + Sync {
     fn num_params(&self) -> usize {
         self.params().iter().map(|p| p.len()).sum()
     }
+}
+
+/// The training forward of a layer as its inference core: `infer_into` on a
+/// fresh scratch, wrapped as a tensor. Each layer's `try_forward` is this
+/// plus the cache its `backward` needs, so every layer has exactly one
+/// forward implementation.
+pub(crate) fn infer_tensor(layer: &dyn Layer, input: &Tensor) -> Result<Tensor, NnError> {
+    if input.rank() > Shape::MAX_RANK {
+        return Err(NnError {
+            layer: layer.name(),
+            problem: "activation rank above 5",
+            expected: Shape::MAX_RANK,
+            got: input.rank(),
+        });
+    }
+    let mut out = Vec::new();
+    let shape = Shape::new(input.shape());
+    let shape = layer.infer_into(input.as_slice(), shape, &mut out, &mut NnScratch::new())?;
+    Ok(Tensor::from_vec(shape.dims(), out).expect("infer_into output matches its shape"))
 }
 
 impl Clone for Box<dyn Layer> {

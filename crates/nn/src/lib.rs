@@ -12,11 +12,13 @@
 //!   used by the paper's architecture: strided convolutions, GDN/iGDN
 //!   nonlinearities, fully-connected resize layers, Tanh output.
 //! * [`gemm`], [`im2col`], [`infer`] — the inference engine: convolution and
-//!   dense forward passes lower to one blocked GEMM micro-kernel with a
-//!   pinned accumulation order (bit-identical to the direct loops it
-//!   replaced, enforced by reference twins in the differential harness),
-//!   fed from caller-owned [`infer::NnScratch`] buffers so a resident
-//!   compressor performs no per-call allocation once warm.
+//!   dense forward passes run on one register-blocked `MR×NR` GEMM
+//!   micro-kernel with a pinned accumulation order (bit-identical to the
+//!   direct loops it replaced, enforced by the differential harness).
+//!   Convolution is an implicit GEMM reading its taps in place from a
+//!   zero-padded, phase-split copy of each sample through a tap-offset
+//!   table; all buffers are caller-owned [`infer::NnScratch`], so a
+//!   resident compressor performs no per-call allocation once warm.
 //! * [`sequential`] — ordered layer stacks with joint backward.
 //! * [`loss`] — reconstruction losses (MSE, L1, log-cosh) and the
 //!   distribution-matching regularizers that differentiate the autoencoder

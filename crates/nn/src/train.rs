@@ -95,11 +95,6 @@ impl Trainer {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. for inference between epochs).
-    pub fn model_mut(&mut self) -> &mut ConvAutoencoder {
-        &mut self.model
-    }
-
     /// Consume the trainer, returning the trained model.
     pub fn into_model(self) -> ConvAutoencoder {
         self.model

@@ -9,7 +9,7 @@
 
 use crate::conv::Act5;
 use crate::infer::{NnScratch, Shape};
-use crate::layer::{Layer, NnError};
+use crate::layer::{infer_tensor, Layer, NnError};
 use aesz_tensor::Tensor;
 
 /// Repeat each spatial cell `factor` times along every spatial axis.
@@ -44,8 +44,8 @@ impl Upsample {
         }
     }
 
-    /// Replication core shared by `try_forward` and `infer_into` (pure data
-    /// movement, so bit-identity between the two paths is trivial).
+    /// Replication core of the one forward implementation (pure data
+    /// movement).
     fn run(&self, x: &[f32], ia: Act5, oa: Act5, out: &mut [f32]) {
         let f = self.factor;
         let fd = if self.spatial_rank == 2 { 1 } else { f };
@@ -76,12 +76,9 @@ impl Layer for Upsample {
     }
 
     fn try_forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let ia = Act5::try_from_shape(input.shape(), self.spatial_rank, "Upsample")?;
-        let oa = self.output_act(ia);
-        let mut out = vec![0.0f32; oa.n * oa.sample_len()];
-        self.run(input.as_slice(), ia, oa, &mut out);
+        let out = infer_tensor(self, input)?;
         self.cached_in_shape = Some(input.shape().to_vec());
-        Ok(Tensor::from_vec(&oa.to_shape(self.spatial_rank), out).expect("consistent shape"))
+        Ok(out)
     }
 
     fn infer_into(
@@ -92,18 +89,11 @@ impl Layer for Upsample {
         _scratch: &mut NnScratch,
     ) -> Result<Shape, NnError> {
         let ia = Act5::try_from_shape(shape.dims(), self.spatial_rank, "Upsample")?;
-        if input.len() != shape.len() {
-            return Err(NnError {
-                layer: "Upsample",
-                problem: "input length does not match shape",
-                expected: shape.len(),
-                got: input.len(),
-            });
-        }
+        NnError::check_len("Upsample", input, shape)?;
         let oa = self.output_act(ia);
         out.resize(oa.n * oa.sample_len(), 0.0);
         self.run(input, ia, oa, out);
-        Ok(oa.to_infer_shape(self.spatial_rank))
+        Ok(oa.to_shape(self.spatial_rank))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

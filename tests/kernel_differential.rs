@@ -10,11 +10,13 @@
 //! reorderings the IEEE semantics cannot observe.
 //!
 //! The NN inference engine is held to the same contract: `gemm_into` and the
-//! `im2col`/`col2im` packers must match their scalar twins bitwise across
-//! spatial ranks 2–3, strides, pads and odd edges, and the whole GEMM-lowered
-//! `ConvNd` path must reproduce the direct 7-deep loop it replaced bit for
-//! bit on hostile weights (`ae_stream_golden.rs` extends that lock to whole
-//! trained-autoencoder streams).
+//! `col2im` fold must match their scalar twins bitwise across every tile
+//! shape and tail, and the whole implicit-GEMM `ConvNd` path must reproduce
+//! the direct 7-deep loop it replaced bit for bit on hostile weights —
+//! across spatial ranks 2–3, strides, pads and odd edges, and on the three
+//! production geometries (`ae_stream_golden.rs` extends that lock to whole
+//! trained-autoencoder streams). `PROPTEST_CASES=1024` runs the properties
+//! deep; the default is 64 cases each.
 //!
 //! The second half locks whole streams: each of the seven codecs must emit
 //! byte-identical output across repeated runs and across fork boundaries
@@ -35,9 +37,7 @@ use aesz_repro::codec::lz::{
 use aesz_repro::metrics::{CodecId, ErrorBound};
 use aesz_repro::nn::conv::ConvNd;
 use aesz_repro::nn::gemm::{gemm_into, gemm_reference, GemmBias};
-use aesz_repro::nn::im2col::{
-    col2im_into, col2im_reference, im2col_into, im2col_reference, ConvGeom,
-};
+use aesz_repro::nn::im2col::{col2im_into, col2im_reference, ConvGeom};
 use aesz_repro::nn::{Layer, NnScratch, Shape};
 use aesz_repro::predictors::{lorenzo, mean, regression, Quantizer};
 use aesz_repro::tensor::init::rng;
@@ -102,8 +102,8 @@ const FINITE_SPECIALS: [f32; 8] = [
 
 /// The pre-GEMM `ConvNd` forward pass: the direct 7-deep loop with
 /// skip-out-of-bounds padding, accumulating taps in `(ci, dk, hk, wk)`
-/// order from the bias. The lowered im2col+GEMM path must match this
-/// bitwise on finite weights.
+/// order from the bias. The implicit-GEMM path must match this bitwise on
+/// finite weights.
 #[allow(clippy::too_many_arguments)]
 fn conv_direct_reference(
     x: &[f32],
@@ -399,9 +399,9 @@ proptest! {
 
     #[test]
     fn gemm_kernels_match_their_references(
-        m in 1usize..=4,
+        m in 1usize..=9,
         k in 1usize..=9,
-        p in 1usize..=10,
+        p in 1usize..=40,
         slack in 0usize..=2,
         bias_kind in 0usize..=2,
         values in proptest::collection::vec(-100.0f32..100.0, 16..64),
@@ -424,7 +424,7 @@ proptest! {
         let ldc = p + slack;
         let mut fast = vec![9.25f32; (m - 1) * ldc + p];
         let mut slow = fast.clone();
-        gemm_into(&a, &b, bias, m, k, p, &mut fast, ldc);
+        gemm_into(&a, &b, bias, m, k, p, &mut fast, ldc, &mut Vec::new());
         gemm_reference(&a, &b, bias, m, k, p, &mut slow, ldc);
         prop_assert_eq!(bits32(&fast), bits32(&slow));
         for (i, &v) in fast.iter().enumerate() {
@@ -435,7 +435,7 @@ proptest! {
     }
 
     #[test]
-    fn im2col_kernels_match_their_references(
+    fn col2im_kernels_match_their_references(
         rank in 2usize..=3,
         channels in 1usize..=3,
         d in 1usize..=4,
@@ -445,13 +445,13 @@ proptest! {
         sd in 1usize..=2,
         sh in 1usize..=2,
         sw in 1usize..=2,
-        panel in 0usize..256,
         values in proptest::collection::vec(-100.0f32..100.0, 16..64),
         spots in proptest::collection::vec(0usize..1024, 0..6),
         picks in proptest::collection::vec(0usize..SPECIALS.len(), 0..6),
     ) {
         // Same-padding geometry exactly as ConvNd builds it: 2D data rides
-        // in the depth-1 plane with a 1×k×k kernel.
+        // in the depth-1 plane with a 1×k×k kernel. col2im must accumulate
+        // onto a pre-seeded buffer in the same pinned order on both sides.
         let kk = [1usize, 3][kernel_pick];
         let (dd, kd, psd) = if rank == 2 { (1, 1, 1) } else { (d, kk, sd) };
         let g = ConvGeom::new(
@@ -461,19 +461,7 @@ proptest! {
             [psd, sh, sw],
             [kd / 2, kk / 2, kk / 2],
         );
-        let x = make_block(&values, &[channels, dd, h, w], &spots, &picks);
         let rows = g.out_rows();
-        let or0 = panel % rows;
-        let or1 = rows.min(or0 + 1 + panel / 16);
-        for (lo, hi) in [(0, rows), (or0, or1)] {
-            let (mut fast, mut slow) = (Vec::new(), Vec::new());
-            im2col_into(&x, &g, lo, hi, &mut fast);
-            im2col_reference(&x, &g, lo, hi, &mut slow);
-            prop_assert_eq!(bits32(&fast), bits32(&slow));
-        }
-
-        // And fold back: col2im must accumulate onto a pre-seeded buffer in
-        // the same pinned order on both sides.
         let np = g.out_spatial();
         let col = make_block(&values, &[g.k_rows(), np], &spots, &picks);
         let mut xf = make_block(&values, &[channels, dd, h, w], &[], &[]);
@@ -487,13 +475,13 @@ proptest! {
     fn conv_gemm_lowering_matches_the_direct_loop(
         rank in 2usize..=3,
         n in 1usize..=2,
-        in_c in 1usize..=3,
-        out_c in 1usize..=3,
+        in_c in 1usize..=4,
+        out_c in 1usize..=9,
         kernel_pick in 0usize..=1,
         stride in 1usize..=2,
         d in 1usize..=4,
-        h in 1usize..=6,
-        w in 1usize..=6,
+        h in 1usize..=20,
+        w in 1usize..=20,
         seed in 0u64..1024,
         values in proptest::collection::vec(-100.0f32..100.0, 16..64),
         spots in proptest::collection::vec(0usize..1024, 0..5),
@@ -501,10 +489,13 @@ proptest! {
         wspots in proptest::collection::vec(0usize..1024, 0..4),
         wpicks in proptest::collection::vec(0usize..FINITE_SPECIALS.len(), 0..4),
     ) {
-        // End-to-end: ConvNd's im2col+GEMM inference path against the
+        // End-to-end: ConvNd's implicit-GEMM inference path against the
         // pre-rewrite direct loop, on Kaiming weights spliced with finite
         // hostile values (the kernel's documented bit-identity domain —
-        // inputs still carry the full set, infinities included).
+        // inputs still carry the full set, infinities included). out_c up
+        // to 9 and w up to 20 reach every row tile (8, 4, 2, 1) and every
+        // column tile (up to 32 wide for single-channel layers) plus their
+        // tails.
         let kernel = [1usize, 3][kernel_pick];
         let mut r = rng(seed);
         let mut conv = ConvNd::new(rank, in_c, out_c, kernel, stride, &mut r);
@@ -550,6 +541,86 @@ proptest! {
         );
         prop_assert_eq!(out.len(), out_shape.len());
         prop_assert_eq!(bits32(&out), bits32(&direct));
+    }
+}
+
+/// The convolutions of one production autoencoder, exactly as
+/// `ConvAutoencoder::new` stacks them: `(in_c, out_c, edge, stride)`.
+fn production_convs(block: usize, channels: &[usize]) -> Vec<(usize, usize, usize, usize)> {
+    let mut convs = Vec::new();
+    let (mut edge, mut in_c) = (block, 1usize);
+    for &c in channels {
+        convs.push((in_c, c, edge, 1));
+        convs.push((c, c, edge, 2));
+        edge /= 2;
+        in_c = c;
+    }
+    for &c in channels.iter().rev() {
+        edge *= 2; // after the decoder's Upsample
+        convs.push((in_c, c, edge, 1));
+        in_c = c;
+    }
+    convs.push((in_c, 1, edge, 1));
+    convs
+}
+
+/// Deterministic lock on the geometries that run in production — AE-B
+/// (3D 16³, channels [8, 8]), AE-SZ 2D (32², [8, 16]) and AE-SZ 3D (8³,
+/// [8, 16]) — every encoder and decoder convolution against the direct loop
+/// on a two-sample batch.
+#[test]
+fn production_conv_geometries_match_the_direct_loop() {
+    for (rank, block, channels) in [
+        (3usize, 16usize, [8usize, 8]),
+        (2, 32, [8, 16]),
+        (3, 8, [8, 16]),
+    ] {
+        for (i, (in_c, out_c, edge, stride)) in
+            production_convs(block, &channels).into_iter().enumerate()
+        {
+            let mut r = rng(100 + i as u64);
+            let mut conv = ConvNd::new(rank, in_c, out_c, 3, stride, &mut r);
+            for (j, b) in conv.params_mut()[1]
+                .value
+                .as_mut_slice()
+                .iter_mut()
+                .enumerate()
+            {
+                *b = 0.125 * (j as f32 + 1.0);
+            }
+            let weights = conv.params()[0].value.as_slice().to_vec();
+            let biases = conv.params()[1].value.as_slice().to_vec();
+            let dd = if rank == 2 { 1 } else { edge };
+            let x: Vec<f32> = (0..2 * in_c * dd * edge * edge)
+                .map(|v| (v as f32 * 0.37).sin())
+                .collect();
+            let shape = if rank == 2 {
+                Shape::new(&[2, in_c, edge, edge])
+            } else {
+                Shape::new(&[2, in_c, edge, edge, edge])
+            };
+            let mut out = Vec::new();
+            conv.infer_into(&x, shape, &mut out, &mut NnScratch::new())
+                .expect("valid shape");
+            let (kd, sd) = if rank == 2 { (1, 1) } else { (3, stride) };
+            let direct = conv_direct_reference(
+                &x,
+                2,
+                in_c,
+                out_c,
+                [dd, edge, edge],
+                [kd, 3, 3],
+                [sd, stride, stride],
+                [kd / 2, 1, 1],
+                &weights,
+                &biases,
+            );
+            assert_eq!(
+                bits32(&out),
+                bits32(&direct),
+                "rank {rank} block {block} conv {i}: {in_c}->{out_c} at {edge}, stride {stride}"
+            );
+        }
     }
 }
 

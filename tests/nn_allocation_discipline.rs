@@ -13,7 +13,8 @@
 //! `kernel_differential.rs` and the per-layer tests in `crates/nn`.
 //!
 //! This binary holds exactly one `#[test]` so the measured regions never
-//! interleave with another test's allocations.
+//! interleave with another test's allocations; it checks a 2D geometry and
+//! AE-B's 3D one in turn.
 
 mod common;
 
@@ -31,16 +32,40 @@ fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn warm_inference_path_performs_no_per_call_allocations() {
-    // The AE-B-like 2D geometry: 16×16 blocks through a strided conv stack.
-    let model = ConvAutoencoder::new(AeConfig {
-        spatial_rank: 2,
-        block_size: 16,
-        latent_dim: 8,
-        channels: vec![8, 16],
-        variational: true,
-        seed: 11,
-    });
-    let batch = 16usize; // blocks per call, the compressors' chunk size
+    // A 2D geometry (16×16 blocks through a strided conv stack) and AE-B's
+    // (3D 16³ blocks, channels [8, 8], latent 64): between them they warm
+    // every resident buffer — ping-pong activations, the convolution's
+    // padded and phase-split sample, its tap-offset table, the packed
+    // weights and the dense panels.
+    let configs = [
+        AeConfig {
+            spatial_rank: 2,
+            block_size: 16,
+            latent_dim: 8,
+            channels: vec![8, 16],
+            variational: true,
+            seed: 11,
+        },
+        AeConfig {
+            spatial_rank: 3,
+            block_size: 16,
+            latent_dim: 64,
+            channels: vec![8, 8],
+            variational: false,
+            seed: 13,
+        },
+    ];
+    for config in configs {
+        let rank = config.spatial_rank;
+        assert_warm_rounds_allocate_nothing(ConvAutoencoder::new(config), rank);
+    }
+}
+
+fn assert_warm_rounds_allocate_nothing(model: ConvAutoencoder, rank: usize) {
+    // 16 blocks per call is the compressors' chunk size; the 3D round uses
+    // 4 to keep the debug-build suite quick (the per-sample buffers are the
+    // same size either way).
+    let batch = if rank == 2 { 16usize } else { 4 };
     let block_len = model.config().block_len();
     let blocks: Vec<f32> = (0..batch * block_len)
         .map(|i| ((i as f32) * 0.37).sin())
@@ -58,9 +83,9 @@ fn warm_inference_path_performs_no_per_call_allocations() {
         .expect("shaped latents");
 
     // Steady state: every subsequent encode+decode round must run entirely
-    // inside the warm buffers. 32 rounds × 16 blocks = 512 blocks; a single
-    // per-block (or even per-call) allocation would fail the == 0 below.
-    let rounds = 32u64;
+    // inside the warm buffers. A single per-block (or even per-call)
+    // allocation would fail the == 0 below.
+    let rounds = if rank == 2 { 32u64 } else { 3 };
     let (n_alloc, checksum) = count_allocations(|| {
         let mut acc = 0.0f64;
         for _ in 0..rounds {
@@ -77,7 +102,7 @@ fn warm_inference_path_performs_no_per_call_allocations() {
     assert!(checksum.is_finite());
     assert_eq!(
         n_alloc, 0,
-        "warm inference allocated {n_alloc} times over {rounds} encode+decode rounds"
+        "rank-{rank} warm inference allocated {n_alloc} times over {rounds} encode+decode rounds"
     );
 
     // And the outputs of the warm path are the same every round (the loop
@@ -89,5 +114,5 @@ fn warm_inference_path_performs_no_per_call_allocations() {
         .expect("shaped batch");
     let a: Vec<u32> = latents.iter().map(|v| v.to_bits()).collect();
     let b: Vec<u32> = latents2.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(a, b, "fresh scratch and warm scratch disagree");
+    assert_eq!(a, b, "rank-{rank}: fresh scratch and warm scratch disagree");
 }
