@@ -18,11 +18,12 @@ use aesz_metrics::container::MODEL_ID_LEN;
 use aesz_metrics::{
     CodecId, CompressError, Compressor, DecompressError, EmbeddedModel, ErrorBound, ModelId,
 };
+use aesz_nn::lanes::{self, LaneScratch, Lanes};
 use aesz_nn::models::conv_ae::{AeConfig, ConvAutoencoder};
 use aesz_nn::models::zoo::AeVariant;
 use aesz_nn::serialize::{load_model, model_id, save_model, ModelError};
 use aesz_nn::train::{TrainConfig, Trainer};
-use aesz_nn::NnScratch;
+use aesz_nn::{NnError, NnScratch};
 use aesz_tensor::{BlockSpec, Dims, Field};
 
 use crate::common::{read_dims, read_len, write_dims};
@@ -33,6 +34,10 @@ pub const BLOCK: usize = 16;
 pub const LATENT: usize = 64;
 /// Values per block.
 const BLOCK_LEN: usize = BLOCK * BLOCK * BLOCK;
+/// Bytes of one block's latent record: `LATENT` little-endian `f32`s.
+const RECORD: usize = LATENT * 4;
+/// Blocks per network call on every lane.
+const BATCH: usize = 16;
 
 /// The AE-B compressor. Must be trained (or fine-tuned) before use.
 #[derive(Clone)]
@@ -41,25 +46,19 @@ pub struct AeB {
     trained: bool,
     /// Content-addressed id of the trained weights; `None` until trained.
     model_id: Option<ModelId>,
-    /// Resident inference buffers; warm after the first batch, clone cold.
-    scratch: AeBScratch,
+    /// Resident inference buffers, one slot per lane; warm after the first
+    /// batch, clone cold.
+    scratch: LaneScratch<AeBLane>,
 }
 
-/// Per-instance buffers of the blockwise inference path (clone cold — each
-/// [`Compressor::fork`] warms its own, the per-worker residency model of
-/// `aesz serve`).
+/// One lane's buffers of the blockwise inference path.
 #[derive(Default)]
-struct AeBScratch {
+struct AeBLane {
     nn: NnScratch,
+    block: Vec<f32>,
     batch: Vec<f32>,
     latents: Vec<f32>,
     decoded: Vec<f32>,
-}
-
-impl Clone for AeBScratch {
-    fn clone(&self) -> Self {
-        AeBScratch::default()
-    }
 }
 
 impl Default for AeB {
@@ -83,7 +82,7 @@ impl AeB {
             model,
             trained: false,
             model_id: None,
-            scratch: AeBScratch::default(),
+            scratch: LaneScratch::default(),
         }
     }
 
@@ -124,7 +123,7 @@ impl AeB {
             model,
             trained: true,
             model_id: Some(id),
-            scratch: AeBScratch::default(),
+            scratch: LaneScratch::default(),
         })
     }
 
@@ -212,35 +211,53 @@ impl Compressor for AeB {
             ));
         }
         let range = hi - lo;
-        let specs: Vec<BlockSpec> = field.blocks(BLOCK).collect();
+        let dims = field.dims();
+        let n_blocks = field.block_count(BLOCK);
         let mut out = Vec::new();
         // The model id leads the payload (like AE-A) so dispatchers can
         // resolve the model without parsing the stream.
         out.extend_from_slice(model_id.as_bytes());
-        write_dims(&mut out, field.dims());
+        write_dims(&mut out, dims);
         write_f32(&mut out, lo);
         write_f32(&mut out, hi);
-        write_uvarint(&mut out, specs.len() as u64);
-        let sc = &mut self.scratch;
-        for chunk in specs.chunks(16) {
-            sc.batch.clear();
-            for spec in chunk {
-                let blk = field.extract_block(spec);
-                sc.batch.extend(blk.data.iter().map(|&v| {
-                    if range > 0.0 {
-                        2.0 * (v - lo) / range - 1.0
-                    } else {
-                        0.0
-                    }
-                }));
+        write_uvarint(&mut out, n_blocks as u64);
+        // One fixed-size latent record per block; each lane encodes its
+        // contiguous block range straight into its share of the records.
+        let header_len = out.len();
+        out.resize(header_len + n_blocks * RECORD, 0);
+        let records = out.get_mut(header_len..).unwrap_or_default();
+        let norm = |v: f32| {
+            if range > 0.0 {
+                2.0 * (v - lo) / range - 1.0
+            } else {
+                0.0
             }
-            self.model
-                .encode_blocks_into(&sc.batch, chunk.len(), &mut sc.latents, &mut sc.nn)
-                .map_err(|_| CompressError::UnsupportedField("block batch shape"))?;
-            for &v in &sc.latents {
-                out.extend_from_slice(&v.to_le_bytes());
+        };
+        let plan = Lanes::for_batches(n_blocks, BATCH);
+        let model = &self.model;
+        let work = plan
+            .ranges()
+            .zip(plan.split_mut(records, RECORD))
+            .zip(self.scratch.lanes(plan.count()));
+        lanes::run(work, |((blocks, records), sc)| -> Result<(), NnError> {
+            for (first, records) in blocks
+                .step_by(BATCH)
+                .zip(records.chunks_mut(BATCH * RECORD))
+            {
+                let n = records.len() / RECORD;
+                sc.batch.clear();
+                for i in first..first + n {
+                    field.extract_block_into(&BlockSpec::of(dims, BLOCK, i), &mut sc.block);
+                    sc.batch.extend(sc.block.iter().map(|&v| norm(v)));
+                }
+                model.encode_blocks_into(&sc.batch, n, &mut sc.latents, &mut sc.nn)?;
+                for (dst, v) in records.chunks_exact_mut(4).zip(&sc.latents) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
             }
-        }
+            Ok(())
+        })
+        .map_err(|_| CompressError::UnsupportedField("block batch shape"))?;
         Ok(out)
     }
 
@@ -255,9 +272,9 @@ impl Compressor for AeB {
         }
         let mut pos = MODEL_ID_LEN;
         let dims: Dims = read_dims(bytes, &mut pos)?;
-        if dims.rank() != 3 {
+        let Dims::D3 { nz, ny, nx } = dims else {
             return Err(DecompressError::InvalidHeader("AE-B streams are 3D only"));
-        }
+        };
         let lo = read_f32(bytes, &mut pos).ok_or(DecompressError::Truncated("lo"))?;
         let hi = read_f32(bytes, &mut pos).ok_or(DecompressError::Truncated("hi"))?;
         if !lo.is_finite() || !hi.is_finite() {
@@ -269,10 +286,12 @@ impl Compressor for AeB {
         // the latent section is exactly one LATENT-vector per block, so a
         // short frame claiming a huge field is refused without touching the
         // heap.
-        let grid_blocks = dims
-            .block_grid(BLOCK)
-            .iter()
-            .try_fold(1usize, |acc, &g| acc.checked_mul(g))
+        let slab_blocks = ny
+            .div_ceil(BLOCK)
+            .checked_mul(nx.div_ceil(BLOCK))
+            .ok_or(DecompressError::InvalidHeader("block grid overflow"))?;
+        let grid_blocks = slab_blocks
+            .checked_mul(nz.div_ceil(BLOCK))
             .ok_or(DecompressError::InvalidHeader("block grid overflow"))?;
         if grid_blocks != n_blocks {
             return Err(DecompressError::Inconsistent(
@@ -283,7 +302,7 @@ impl Compressor for AeB {
             .get(pos..)
             .ok_or(DecompressError::Truncated("latent payload"))?;
         let expected_latent_bytes = n_blocks
-            .checked_mul(LATENT * 4)
+            .checked_mul(RECORD)
             .ok_or(DecompressError::InvalidHeader("latent payload overflow"))?;
         if latent_bytes.len() != expected_latent_bytes {
             return Err(if latent_bytes.len() < expected_latent_bytes {
@@ -294,37 +313,80 @@ impl Compressor for AeB {
         }
         let range = (hi - lo) as f64;
         let mut field = Field::zeros(dims);
-        // Batched decode through the resident inference path: one
-        // `decode_latents_into` per 16-block chunk, reusing the network
-        // scratch and the staging buffers across the whole field.
-        let sc = &mut self.scratch;
-        for (chunk_no, chunk) in latent_bytes.chunks(16 * LATENT * 4).enumerate() {
-            sc.latents.clear();
-            sc.latents.extend(
-                chunk
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            );
-            let n = sc.latents.len() / LATENT;
-            self.model
-                .decode_latents_into(&sc.latents, n, &mut sc.decoded, &mut sc.nn)
-                .map_err(|_| DecompressError::Inconsistent("latent batch shape"))?;
-            for (k, block) in sc.decoded.chunks_exact(BLOCK_LEN).enumerate() {
-                sc.batch.clear();
-                sc.batch.extend(
-                    block
-                        .iter()
-                        .map(|&v| ((v as f64 + 1.0) * 0.5 * range + lo as f64) as f32),
-                );
-                field.write_block(&BlockSpec::of(dims, BLOCK, chunk_no * 16 + k), &sc.batch);
-            }
-        }
+        // Lanes own whole z-slabs: blocks are row-major over the grid, so
+        // block row `r` covers field planes [16r, 16r + 16) contiguously, and
+        // each lane decodes its slabs' blocks in batches straight into its
+        // share of the field.
+        let slab_len = BLOCK.saturating_mul(ny).saturating_mul(nx);
+        let plan = Lanes::over(
+            nz.div_ceil(BLOCK),
+            Lanes::for_batches(n_blocks, BATCH).count(),
+        );
+        let model = &self.model;
+        let work = plan
+            .ranges()
+            .zip(plan.split(latent_bytes, slab_blocks * RECORD))
+            .zip(plan.split_mut(field.as_mut_slice(), slab_len))
+            .zip(self.scratch.lanes(plan.count()));
+        lanes::run(
+            work,
+            |(((slabs, latents), out), sc)| -> Result<(), DecompressError> {
+                let first_block = slabs.start * slab_blocks;
+                let batches = (first_block..)
+                    .step_by(BATCH)
+                    .zip(latents.chunks(BATCH * RECORD));
+                for (first, chunk) in batches {
+                    sc.latents.clear();
+                    sc.latents.extend(
+                        chunk
+                            .chunks_exact(4)
+                            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                    );
+                    let n = sc.latents.len() / LATENT;
+                    model
+                        .decode_latents_into(&sc.latents, n, &mut sc.decoded, &mut sc.nn)
+                        .map_err(|_| DecompressError::Inconsistent("latent batch shape"))?;
+                    for (i, block) in (first..).zip(sc.decoded.chunks_exact(BLOCK_LEN)) {
+                        let spec = BlockSpec::of(dims, BLOCK, i);
+                        write_to_slab(out, slabs.start * BLOCK, (ny, nx), &spec, block, lo, range)
+                            .ok_or(DecompressError::Inconsistent("block outside its lane"))?;
+                    }
+                }
+                Ok(())
+            },
+        )?;
         Ok(field)
     }
 
     fn is_error_bounded(&self) -> bool {
         false
     }
+}
+
+/// Write the denormalised valid region of decoded block `spec` into `slab`,
+/// the field planes (each `ny × nx`) from plane `z0` on; `None` when the
+/// block does not lie inside the slab.
+fn write_to_slab(
+    slab: &mut [f32],
+    z0: usize,
+    (ny, nx): (usize, usize),
+    spec: &BlockSpec,
+    block: &[f32],
+    lo: f32,
+    range: f64,
+) -> Option<()> {
+    let planes = block.chunks_exact(BLOCK * BLOCK).take(spec.size[0]);
+    for (bz, plane) in planes.enumerate() {
+        let z = (spec.origin[0] + bz).checked_sub(z0)?;
+        for (by, row) in plane.chunks_exact(BLOCK).take(spec.size[1]).enumerate() {
+            let start = (z * ny + spec.origin[1] + by) * nx + spec.origin[2];
+            let dst = slab.get_mut(start..start + spec.size[2])?;
+            for (d, &v) in dst.iter_mut().zip(row) {
+                *d = ((v as f64 + 1.0) * 0.5 * range + lo as f64) as f32;
+            }
+        }
+    }
+    Some(())
 }
 
 /// Read the model id leading an AE-B payload (container frame already
@@ -445,6 +507,50 @@ mod tests {
                 after < before + (1 << 20),
                 "peak virtual size grew from {before} KiB to {after} KiB"
             );
+        }
+    }
+
+    #[test]
+    fn lanes_match_the_per_block_reference_at_every_boundary() {
+        // Freshly initialised weights, loaded as a trained model: inference
+        // bits are all that matter here, so training is skipped.
+        let mut ae = AeB::from_model_bytes(&AeB::new(11).to_model_bytes()).expect("AE-B model");
+        let model = ae.model.clone();
+        let mut nn = NnScratch::new();
+        let mut latents = Vec::new();
+        let mut decoded = Vec::new();
+        // A partial last z-slab and edge blocks on every axis; the first
+        // field spans several batches (and lanes, on a multi-core machine).
+        for dims in [Dims::d3(40, 56, 72), Dims::d3(17, 16, 33)] {
+            let field = Application::NyxBaryonDensity.generate(dims, 12);
+            let (lo, hi) = field.min_max();
+            let (range, range64) = (hi - lo, (hi - lo) as f64);
+            let payload = ae.compress_payload(&field, ErrorBound::rel(1e-3)).unwrap();
+            let n_blocks = field.block_count(BLOCK);
+            let records = &payload[payload.len() - n_blocks * RECORD..];
+            let mut recon = Field::zeros(dims);
+            for (spec, record) in field.blocks(BLOCK).zip(records.chunks_exact(RECORD)) {
+                let block = field.extract_block(&spec).data;
+                let normed: Vec<f32> = block
+                    .iter()
+                    .map(|&v| 2.0 * (v - lo) / range - 1.0)
+                    .collect();
+                model
+                    .encode_blocks_into(&normed, 1, &mut latents, &mut nn)
+                    .unwrap();
+                let want: Vec<u8> = latents.iter().flat_map(|v| v.to_le_bytes()).collect();
+                assert_eq!(record, want.as_slice(), "latents of block {}", spec.index);
+                model
+                    .decode_latents_into(&latents, 1, &mut decoded, &mut nn)
+                    .unwrap();
+                let values: Vec<f32> = decoded
+                    .iter()
+                    .map(|&v| ((v as f64 + 1.0) * 0.5 * range64 + lo as f64) as f32)
+                    .collect();
+                recon.write_block(&spec, &values);
+            }
+            let got = ae.decompress_payload(&payload).unwrap();
+            assert_eq!(got.as_slice(), recon.as_slice(), "reconstruction of {dims}");
         }
     }
 

@@ -37,8 +37,8 @@ fn parallel_beats_serial_on_8mb_field() {
     // 1456² f32 = 8.09 MB. The model is untrained (predictor quality is
     // irrelevant to throughput) and the policy is LorenzoOnly so the
     // measurement isolates the per-block pipeline that the chunked rayon
-    // fan-out parallelizes; AE inference is batch-parallel inside `aesz_nn`
-    // for serial and parallel paths alike.
+    // fan-out parallelizes; no AE inference runs, so the lane-parallel AE
+    // stage (one lane on the serial path) does not enter the timing.
     let field = Application::CesmCldhgh.generate(Dims::d2(1456, 1456), 42);
     assert!(field.len() * 4 >= 8 * 1024 * 1024, "field must be >= 8 MB");
     let model = ConvAutoencoder::new(AeConfig {

@@ -135,7 +135,7 @@ fn canonical_codes(lengths: &[(u32, u8)]) -> HashMap<u32, (u64, u8)> {
 /// canonical table plus the packed code stream) and decodable with
 /// [`huffman_decode`].
 ///
-/// Fast path for compact alphabets (symbols < [`DENSE_SYMBOL_LIMIT`], which
+/// Fast path for compact alphabets (symbols < `DENSE_SYMBOL_LIMIT`, which
 /// covers every quantizer stream): frequencies are counted into a dense
 /// array instead of a hash map, and emission goes through a dense
 /// symbol-indexed table of pre-reversed codes so each symbol is one batched

@@ -4,8 +4,8 @@
 //! `slice.par_chunks_mut(n).enumerate().for_each(f)` — with real
 //! parallelism via `std::thread::scope`: chunks are dealt round-robin to
 //! one scoped thread per available core. No work stealing, but chunk work
-//! in this workspace (per-sample convolution) is uniform, so static
-//! distribution is close to optimal.
+//! in this workspace (codec block chunks, one NN lane per core) is uniform,
+//! so static distribution is close to optimal.
 
 pub mod pool;
 

@@ -10,21 +10,24 @@
 //!   violation. The [`Compressor`] trait impl wraps the raw AE-SZ stream in
 //!   the workspace container frame; the inherent methods work on the
 //!   unframed stream.
-//! * **Parallel** — the per-block predictor/quantization work is partitioned
-//!   into contiguous chunks of [`AeSzConfig::chunk_blocks`] blocks and fanned
-//!   out with rayon, while AE inference runs in wide batches of
-//!   `AE_PARALLEL_BATCH` blocks (the convolution layers parallelize per
-//!   sample; the batch is bounded so activation memory stays independent of
-//!   the field size).
-//!   Chunk outputs are merged in block order, so the parallel path produces
-//!   **byte-identical** streams and reports to the serial reference
-//!   ([`AeSz::compress_with_report_serial`] / [`AeSz::try_decompress_serial`]).
+//! * **Parallel** — AE inference runs in contiguous *lanes* of blocks, at
+//!   most one per core ([`aesz_nn::lanes`]): each lane owns a resident
+//!   network scratch and a disjoint range of the flat prediction and
+//!   latent-index buffers, and walks it in batches of `AE_BATCH` blocks. The
+//!   per-block predictor/quantization work is partitioned into contiguous
+//!   chunks of [`AeSzConfig::chunk_blocks`] blocks and fanned out with rayon.
+//!   A sample's inference does not depend on which blocks share its batch,
+//!   and chunk outputs are merged in block order, so the parallel path
+//!   produces **byte-identical** streams and reports to the serial reference
+//!   ([`AeSz::compress_with_report_serial`] / [`AeSz::try_decompress_serial`]),
+//!   which runs the same loops on one lane.
 
 use aesz_codec::{compress_bytes, decode_codes_capped, decompress_bytes_capped, encode_codes};
 use aesz_metrics::{CodecId, CompressError, Compressor, EmbeddedModel, ErrorBound, ModelId};
+use aesz_nn::lanes::{self, LaneScratch, Lanes};
 use aesz_nn::models::conv_ae::ConvAutoencoder;
 use aesz_nn::serialize::save_model;
-use aesz_nn::NnScratch;
+use aesz_nn::{NnError, NnScratch};
 use aesz_predictors::{lorenzo, mean, Quantizer};
 use aesz_tensor::{BlockSpec, Dims, Field};
 use rayon::prelude::*;
@@ -83,42 +86,28 @@ pub struct AeSz {
     model_id: ModelId,
     config: AeSzConfig,
     last_report: CompressionReport,
-    /// Resident inference buffers; warm after the first batch, clone cold.
-    scratch: AeSzScratch,
+    /// Resident inference buffers, one slot per lane; warm after the first
+    /// batch, clone cold.
+    scratch: LaneScratch<AeSzLane>,
 }
 
-/// Per-instance buffers of the AE inference stages: the network scratch plus
-/// the batch/latent/decode staging vectors that `ae_predict_blocks` and
-/// `ae_decode_latents` cycle through. All reach their high-water mark on the
-/// first batch, making AE inference allocation-free for the rest of the
-/// field. Clones are cold — a [`Compressor::fork`] must not drag a sibling's
-/// megabytes along; each fork warms its own, which is exactly the per-worker
-/// residency model of `aesz serve`.
+/// One lane's buffers of the AE inference stages: the network scratch plus
+/// the block/batch/latent/decode staging vectors that `ae_predict_blocks`
+/// and `ae_decode_latents` cycle through. All reach their high-water mark on
+/// the lane's first batch, making AE inference allocation-free for the rest
+/// of the field.
 #[derive(Default)]
-struct AeSzScratch {
+struct AeSzLane {
     nn: NnScratch,
+    block: Vec<f32>,
     batch: Vec<f32>,
     latents: Vec<f32>,
     zd: Vec<f32>,
     decoded: Vec<f32>,
 }
 
-impl Clone for AeSzScratch {
-    fn clone(&self) -> Self {
-        AeSzScratch::default()
-    }
-}
-
-/// Batch size used by the serial reference path when pushing blocks through
-/// the network.
+/// Blocks per network call on every lane.
 const AE_BATCH: usize = 32;
-
-/// Batch size of the parallel path's AE inference. Wide enough to keep every
-/// core busy in the per-sample conv parallelism (and far wider than
-/// [`AE_BATCH`]'s stop-and-go batching), but bounded so peak activation
-/// memory stays independent of the field size. Batch partitioning provably
-/// does not change the network outputs, so this only affects speed/memory.
-const AE_PARALLEL_BATCH: usize = 1024;
 
 /// Everything the per-block compression stage produces for one *chunk* of
 /// blocks. Chunk-level outputs (instead of per-block `QuantizedBlock`s) keep
@@ -165,7 +154,7 @@ impl AeSz {
             model_id,
             config,
             last_report: CompressionReport::default(),
-            scratch: AeSzScratch::default(),
+            scratch: LaneScratch::default(),
         }
     }
 
@@ -256,9 +245,27 @@ impl AeSz {
         }
     }
 
-    /// Run every block through encoder → latent quantization → decoder in
-    /// batches of `batch` blocks, returning the denormalised predictions and
-    /// the quantized latent indices per block.
+    /// The lanes of an AE stage over `blocks` blocks: one per core (at most
+    /// one per batch) on the parallel path, a single lane on the serial one.
+    fn ae_lanes(blocks: usize, parallel: bool) -> Lanes {
+        if parallel {
+            Lanes::for_batches(blocks, AE_BATCH)
+        } else {
+            Lanes::over(blocks, 1)
+        }
+    }
+
+    /// Map normalised network outputs back to the data domain.
+    fn denormalise_into(dst: &mut [f32], src: &[f32], lo: f32, range: f64) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = (v + 1.0) * 0.5 * range as f32 + lo;
+        }
+    }
+
+    /// Run every block through encoder → latent quantization → decoder,
+    /// returning the flat denormalised predictions (`block_len` padded
+    /// values per block) and the flat quantized latent indices (`latent_dim`
+    /// per block), both in block order.
     fn ae_predict_blocks(
         &mut self,
         field: &Field,
@@ -266,101 +273,84 @@ impl AeSz {
         lo: f32,
         range: f64,
         latent_codec: &LatentCodec,
-        batch: usize,
-    ) -> (Vec<Vec<f32>>, Vec<Vec<i64>>) {
-        let latent_dim = self.model.config().latent_dim;
-        let block_len = self.model.config().block_len();
-        let mut ae_preds = Vec::with_capacity(specs.len());
-        let mut latent_indices_per_block = Vec::with_capacity(specs.len());
+        parallel: bool,
+    ) -> Result<(Vec<f32>, Vec<i64>), NnError> {
+        let latent_dim = self.model.config().latent_dim.max(1);
+        let block_len = self.model.config().block_len().max(1);
+        let mut preds = vec![0.0f32; specs.len() * block_len];
+        let mut indices = vec![0i64; specs.len() * latent_dim];
+        let plan = Self::ae_lanes(specs.len(), parallel);
+        let model = &self.model;
         let norm = |v: f32| 2.0 * (v - lo) / range as f32 - 1.0;
-        let sc = &mut self.scratch;
-        for chunk in specs.chunks(batch.max(1)) {
-            sc.batch.clear();
-            for spec in chunk {
-                let blk = field.extract_block(spec);
-                sc.batch.extend(blk.data.iter().map(|&v| norm(v)));
+        let work = plan
+            .split(specs, 1)
+            .zip(plan.split_mut(&mut preds, block_len))
+            .zip(plan.split_mut(&mut indices, latent_dim))
+            .zip(self.scratch.lanes(plan.count()));
+        lanes::run(work, |(((specs, preds), indices), sc)| {
+            let batches = specs
+                .chunks(AE_BATCH)
+                .zip(preds.chunks_mut(AE_BATCH * block_len))
+                .zip(indices.chunks_mut(AE_BATCH * latent_dim));
+            for ((specs, preds), indices) in batches {
+                sc.batch.clear();
+                for spec in specs {
+                    field.extract_block_into(spec, &mut sc.block);
+                    sc.batch.extend(sc.block.iter().map(|&v| norm(v)));
+                }
+                model.encode_blocks_into(&sc.batch, specs.len(), &mut sc.latents, &mut sc.nn)?;
+                // Quantize + dequantize the latents (the z → z_d path of Fig. 5).
+                latent_codec.quantize_into(&sc.latents, indices);
+                sc.zd.resize(indices.len(), 0.0);
+                latent_codec.dequantize_into(indices, &mut sc.zd);
+                model.decode_latents_into(&sc.zd, specs.len(), &mut sc.decoded, &mut sc.nn)?;
+                Self::denormalise_into(preds, &sc.decoded, lo, range);
             }
-            if self
-                .model
-                .encode_blocks_into(&sc.batch, chunk.len(), &mut sc.latents, &mut sc.nn)
-                .is_err()
-            {
-                // Unreachable: the batch is shaped by the loop above. Fall
-                // back to zero latents so downstream shapes stay consistent.
-                sc.latents.clear();
-                sc.latents.resize(chunk.len() * latent_dim, 0.0);
-            }
-            // Quantize + dequantize the latents (the z → z_d path of Fig. 5).
-            sc.zd.clear();
-            for z in sc.latents.chunks(latent_dim.max(1)).take(chunk.len()) {
-                let idx = latent_codec.quantize(z);
-                sc.zd.extend(latent_codec.dequantize(&idx));
-                latent_indices_per_block.push(idx);
-            }
-            if self
-                .model
-                .decode_latents_into(&sc.zd, chunk.len(), &mut sc.decoded, &mut sc.nn)
-                .is_err()
-            {
-                // Unreachable: the latents are shaped by the quantize loop.
-                sc.decoded.clear();
-                sc.decoded.resize(chunk.len() * block_len, 0.0);
-            }
-            for pred_norm in sc.decoded.chunks(block_len.max(1)).take(chunk.len()) {
-                // Denormalise back to the data domain.
-                let pred: Vec<f32> = pred_norm
-                    .iter()
-                    .map(|&v| (v + 1.0) * 0.5 * range as f32 + lo)
-                    .collect();
-                ae_preds.push(pred);
-            }
-        }
-        (ae_preds, latent_indices_per_block)
+            Ok(())
+        })?;
+        Ok((preds, indices))
     }
 
-    /// Decode the latent indices of the AE-predicted blocks (one model-sized
-    /// latent vector per block) back into denormalised block predictions, in
-    /// batches of `batch` blocks.
+    /// Decode the flat latent indices of the AE-predicted blocks (one
+    /// model-sized latent vector per block) back into flat denormalised block
+    /// predictions (`block_len` padded values per block).
     fn ae_decode_latents(
         &mut self,
         latent_indices: &[i64],
         lo: f32,
         range: f64,
         latent_codec: &LatentCodec,
-        batch: usize,
-    ) -> Vec<Vec<f32>> {
+        parallel: bool,
+    ) -> Result<Vec<f32>, DecompressError> {
         let latent_dim = self.model.config().latent_dim.max(1);
-        let block_len = self.model.config().block_len();
+        let block_len = self.model.config().block_len().max(1);
         debug_assert_eq!(latent_indices.len() % latent_dim, 0);
         let n_ae = latent_indices.len() / latent_dim;
-        let mut preds = Vec::with_capacity(n_ae.min(MAX_FIELD_ELEMS));
-        let batch = batch.max(1);
-        let sc = &mut self.scratch;
-        for group in latent_indices.chunks(batch * latent_dim) {
-            let n = group.len() / latent_dim;
-            sc.zd.clear();
-            for idx in group.chunks(latent_dim) {
-                sc.zd.extend(latent_codec.dequantize(idx));
+        let n_preds = n_ae
+            .checked_mul(block_len)
+            .ok_or(DecompressError::InvalidHeader("prediction buffer overflow"))?;
+        let mut preds = vec![0.0f32; n_preds];
+        let plan = Self::ae_lanes(n_ae, parallel);
+        let model = &self.model;
+        let work = plan
+            .split(latent_indices, latent_dim)
+            .zip(plan.split_mut(&mut preds, block_len))
+            .zip(self.scratch.lanes(plan.count()));
+        lanes::run(work, |((indices, preds), sc)| {
+            let batches = indices
+                .chunks(AE_BATCH * latent_dim)
+                .zip(preds.chunks_mut(AE_BATCH * block_len));
+            for (indices, preds) in batches {
+                let n = indices.len() / latent_dim;
+                sc.zd.resize(indices.len(), 0.0);
+                latent_codec.dequantize_into(indices, &mut sc.zd);
+                model.decode_latents_into(&sc.zd, n, &mut sc.decoded, &mut sc.nn)?;
+                Self::denormalise_into(preds, &sc.decoded, lo, range);
             }
-            if self
-                .model
-                .decode_latents_into(&sc.zd, n, &mut sc.decoded, &mut sc.nn)
-                .is_err()
-            {
-                // Unreachable: the latents are shaped by the dequantize loop.
-                sc.decoded.clear();
-                sc.decoded.resize(n * block_len, 0.0);
-            }
-            for pred_norm in sc.decoded.chunks(block_len.max(1)).take(n) {
-                preds.push(
-                    pred_norm
-                        .iter()
-                        .map(|&v| (v + 1.0) * 0.5 * range as f32 + lo)
-                        .collect(),
-                );
-            }
-        }
-        preds
+            Ok(())
+        })
+        .map_err(|_: NnError| DecompressError::Inconsistent("latent batch shape"))?;
+        Ok(preds)
     }
 
     /// Compress a field with the parallel pipeline, returning the raw
@@ -436,16 +426,13 @@ impl AeSz {
         let use_ae = self.config.policy != PredictorPolicy::LorenzoOnly
             && range > 0.0
             && rank == self.model.config().spatial_rank;
-        let (ae_preds, latent_indices_per_block) = if use_ae {
-            let batch = if parallel {
-                AE_PARALLEL_BATCH
-            } else {
-                AE_BATCH
-            };
-            self.ae_predict_blocks(field, &specs, lo, range, &latent_codec, batch)
+        let (ae_preds, latent_indices) = if use_ae {
+            self.ae_predict_blocks(field, &specs, lo, range, &latent_codec, parallel)
+                .map_err(|_| CompressError::UnsupportedField("block batch shape"))?
         } else {
             (Vec::new(), Vec::new())
         };
+        let block_len = self.model.config().block_len().max(1);
 
         // --- Per-block predictor selection and quantization, chunked ---
         let policy = self.config.policy;
@@ -547,11 +534,11 @@ impl AeSz {
             let mut scratch = BlockScratch::default();
             let mut out = ChunkOut {
                 choices: Vec::with_capacity(chunk_specs.len()),
-                codes: Vec::new(),
+                codes: Vec::with_capacity(chunk_specs.iter().map(|s| s.valid_len()).sum()),
                 unpredictable: Vec::new(),
             };
             for (spec, bi) in chunk_specs.iter().zip(start..) {
-                let ae_pred = ae_preds.get(bi).map(Vec::as_slice);
+                let ae_pred = ae_preds.chunks_exact(block_len).nth(bi);
                 let (choice, mean_value) = compute_block(spec, ae_pred, &mut scratch);
                 out.choices.push((choice, mean_value));
                 out.codes.extend_from_slice(&scratch.codes);
@@ -591,10 +578,8 @@ impl AeSz {
                 match choice {
                     BlockPredictor::Ae => {
                         report.ae_blocks += 1;
-                        let idx = latent_indices_per_block
-                            .get(bi)
-                            .map_or(&[][..], Vec::as_slice);
-                        kept_latent_indices.extend_from_slice(idx);
+                        let idx = latent_indices.chunks_exact(latent_dim.max(1)).nth(bi);
+                        kept_latent_indices.extend_from_slice(idx.unwrap_or_default());
                     }
                     BlockPredictor::Lorenzo => report.lorenzo_blocks += 1,
                     BlockPredictor::Mean => {
@@ -768,17 +753,13 @@ impl AeSz {
             ));
         }
 
-        // --- Batched AE decode over all AE blocks ---
-        let batch = if parallel {
-            AE_PARALLEL_BATCH
-        } else {
-            AE_BATCH
-        };
+        // --- Lane-parallel AE decode over all AE blocks ---
         let ae_preds = if n_ae > 0 {
-            self.ae_decode_latents(&latent_indices, lo, range, &latent_codec, batch)
+            self.ae_decode_latents(&latent_indices, lo, range, &latent_codec, parallel)?
         } else {
             Vec::new()
         };
+        let block_len = self.model.config().block_len().max(1);
 
         // --- Per-block offsets so chunks can work independently ---
         let mut field = Field::zeros(dims);
@@ -829,7 +810,7 @@ impl AeSz {
             let unpred = unpredictable.get(*esc_off.get(bi)?..*esc_off.get(bi + 1)?)?;
             match predictors.get(bi)? {
                 BlockPredictor::Ae => {
-                    let pred = ae_preds.get(*ae_ord.get(bi)?)?;
+                    let pred = ae_preds.chunks_exact(block_len).nth(*ae_ord.get(bi)?)?;
                     Self::padded_to_valid_into(pred, spec, rank, &mut scratch.pred_valid);
                     quantizer.dequantize_buffer_into(
                         codes,
@@ -1070,20 +1051,47 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_paths_are_bit_identical() {
-        let field = Application::CesmCldhgh.generate(Dims::d2(80, 56), 55);
-        let mut aesz = quick_aesz_2d(&field);
-        for rel_eb in [1e-2, 1e-3] {
-            let (par_bytes, par_report) = aesz
-                .compress_with_report(&field, ErrorBound::rel(rel_eb))
-                .expect("valid input");
-            let (ser_bytes, ser_report) = aesz
-                .compress_with_report_serial(&field, ErrorBound::rel(rel_eb))
-                .expect("valid input");
-            assert_eq!(par_bytes, ser_bytes, "streams must be byte-identical");
-            assert_eq!(par_report, ser_report, "reports must match");
-            let par_field = aesz.try_decompress(&par_bytes).unwrap();
-            let ser_field = aesz.try_decompress_serial(&par_bytes).unwrap();
-            assert_eq!(par_field.as_slice(), ser_field.as_slice());
+        // Both fields hold more than 2 × AE_BATCH blocks with partial edge
+        // blocks, so on a multi-core machine the AE stages run several lanes
+        // (under AeOnly the decoder's lanes too) against the one-lane serial
+        // reference.
+        let field_2d = Application::CesmCldhgh.generate(Dims::d2(150, 136), 55);
+        let aesz_2d = quick_aesz_2d(&field_2d);
+        let field_3d = Application::NyxBaryonDensity.generate(Dims::d3(36, 40, 44), 55);
+        let opts = TrainingOptions {
+            block_size: 8,
+            latent_dim: 8,
+            channels: vec![4, 8],
+            epochs: 1,
+            max_blocks: 16,
+            seed: 17,
+            ..TrainingOptions::default_for_rank(3)
+        };
+        let model = train_swae_for_field(std::slice::from_ref(&field_3d), &opts);
+        let aesz_3d = AeSz::new(model, AeSzConfig::default_3d());
+        for (field, mut aesz) in [(field_2d, aesz_2d), (field_3d, aesz_3d)] {
+            assert!(field.block_count(aesz.config().block_size) > 2 * AE_BATCH);
+            for (policy, rel_eb) in [
+                (PredictorPolicy::Adaptive, 1e-2),
+                (PredictorPolicy::Adaptive, 1e-3),
+                (PredictorPolicy::AeOnly, 1e-3),
+            ] {
+                aesz.set_policy(policy);
+                let (par_bytes, par_report) = aesz
+                    .compress_with_report(&field, ErrorBound::rel(rel_eb))
+                    .expect("valid input");
+                let (ser_bytes, ser_report) = aesz
+                    .compress_with_report_serial(&field, ErrorBound::rel(rel_eb))
+                    .expect("valid input");
+                assert_eq!(par_bytes, ser_bytes, "streams must be byte-identical");
+                assert_eq!(par_report, ser_report, "reports must match");
+                if policy == PredictorPolicy::AeOnly {
+                    assert_eq!(par_report.ae_blocks, par_report.total_blocks);
+                }
+                let par_field = aesz.try_decompress(&par_bytes).unwrap();
+                let ser_field = aesz.try_decompress_serial(&par_bytes).unwrap();
+                assert_eq!(par_field.as_slice(), ser_field.as_slice());
+            }
         }
     }
 

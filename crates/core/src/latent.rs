@@ -31,10 +31,18 @@ impl LatentCodec {
     /// Quantize a latent vector to integer indices; `dequantize_one` of each
     /// index reproduces the value the decoder will use.
     pub fn quantize(&self, latent: &[f32]) -> Vec<i64> {
-        latent
-            .iter()
-            .map(|&v| (v as f64 / (2.0 * self.abs_bound)).round() as i64)
-            .collect()
+        let mut out = vec![0; latent.len()];
+        self.quantize_into(latent, &mut out);
+        out
+    }
+
+    /// In-place [`LatentCodec::quantize`]: writes the index of `latent[i]`
+    /// to `out[i]` (the two slices have the same length).
+    pub fn quantize_into(&self, latent: &[f32], out: &mut [i64]) {
+        debug_assert_eq!(latent.len(), out.len());
+        for (o, &v) in out.iter_mut().zip(latent) {
+            *o = (v as f64 / (2.0 * self.abs_bound)).round() as i64;
+        }
     }
 
     /// Reconstruct one latent element from its quantization index.
@@ -44,7 +52,18 @@ impl LatentCodec {
 
     /// Reconstruct a full latent vector from its indices.
     pub fn dequantize(&self, indices: &[i64]) -> Vec<f32> {
-        indices.iter().map(|&i| self.dequantize_one(i)).collect()
+        let mut out = vec![0.0; indices.len()];
+        self.dequantize_into(indices, &mut out);
+        out
+    }
+
+    /// In-place [`LatentCodec::dequantize`]: writes the value of
+    /// `indices[i]` to `out[i]` (the two slices have the same length).
+    pub fn dequantize_into(&self, indices: &[i64], out: &mut [f32]) {
+        debug_assert_eq!(indices.len(), out.len());
+        for (o, &i) in out.iter_mut().zip(indices) {
+            *o = self.dequantize_one(i);
+        }
     }
 
     /// Quantize and immediately dequantize (the `z → z_d` path of Fig. 5).

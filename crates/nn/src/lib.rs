@@ -19,6 +19,9 @@
 //!   zero-padded, phase-split copy of each sample through a tap-offset
 //!   table; all buffers are caller-owned [`infer::NnScratch`], so a
 //!   resident compressor performs no per-call allocation once warm.
+//! * [`lanes`] — the lane split the codecs' NN block loops share: at most
+//!   one contiguous range of blocks per core, each with its own resident
+//!   scratch and a disjoint slice of the outputs, bit-identical to one lane.
 //! * [`sequential`] — ordered layer stacks with joint backward.
 //! * [`loss`] — reconstruction losses (MSE, L1, log-cosh) and the
 //!   distribution-matching regularizers that differentiate the autoencoder
@@ -35,8 +38,9 @@
 //!   to name the exact network that encoded them, so a trained predictor can
 //!   be stored next to the compressed data like the paper's network files.
 //!
-//! Everything is deterministic given a seed; training parallelises over the
-//! mini-batch with rayon.
+//! Everything is deterministic given a seed. Layers and training run on the
+//! calling thread; the only parallelism is the codecs' block-level fan-out
+//! through [`lanes`].
 
 #![forbid(unsafe_code)]
 
@@ -47,6 +51,7 @@ pub mod gdn;
 pub mod gemm;
 pub mod im2col;
 pub mod infer;
+pub mod lanes;
 pub mod layer;
 pub mod loss;
 pub mod models;

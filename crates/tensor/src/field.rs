@@ -319,41 +319,45 @@ impl Field {
 
     /// Extract one block (padded to nominal size by edge replication).
     pub fn extract_block(&self, spec: &BlockSpec) -> Block {
-        let rank = self.dims.rank();
-        let b = spec.nominal;
-        let mut data = vec![0.0f32; spec.padded_len(rank)];
-        match self.dims {
-            Dims::D1 { .. } => {
-                for (i, slot) in data.iter_mut().enumerate().take(b) {
-                    let src = spec.origin[0] + i.min(spec.size[0].saturating_sub(1));
-                    *slot = self.data[src];
-                }
-            }
-            Dims::D2 { nx, .. } => {
-                for by in 0..b {
-                    let sy = spec.origin[0] + by.min(spec.size[0].saturating_sub(1));
-                    for bx in 0..b {
-                        let sx = spec.origin[1] + bx.min(spec.size[1].saturating_sub(1));
-                        data[by * b + bx] = self.data[sy * nx + sx];
-                    }
-                }
-            }
-            Dims::D3 { ny, nx, .. } => {
-                for bz in 0..b {
-                    let sz = spec.origin[0] + bz.min(spec.size[0].saturating_sub(1));
-                    for by in 0..b {
-                        let sy = spec.origin[1] + by.min(spec.size[1].saturating_sub(1));
-                        for bx in 0..b {
-                            let sx = spec.origin[2] + bx.min(spec.size[2].saturating_sub(1));
-                            data[(bz * b + by) * b + bx] = self.data[(sz * ny + sy) * nx + sx];
-                        }
-                    }
-                }
-            }
-        }
+        let mut data = Vec::new();
+        self.extract_block_into(spec, &mut data);
         Block {
             spec: spec.clone(),
             data,
+        }
+    }
+
+    /// [`Field::extract_block`] into a caller-owned buffer (cleared first, then
+    /// `nominal^rank` values), so per-block paths reuse one allocation. Each
+    /// padded row is the block's valid run along the fastest axis followed by
+    /// its last value; rows past the valid extent repeat the last valid row.
+    pub fn extract_block_into(&self, spec: &BlockSpec, out: &mut Vec<f32>) {
+        let b = spec.nominal;
+        out.clear();
+        out.resize(spec.padded_len(self.dims.rank()), 0.0);
+        // Source coordinate of padded index `i` along axis `ax`.
+        let src = |ax: usize, i: usize| spec.origin[ax] + i.min(spec.size[ax].saturating_sub(1));
+        let pad_row = |dst: &mut [f32], start: usize, len: usize| {
+            let run = &self.data[start..start + len];
+            let (valid, tail) = dst.split_at_mut(len);
+            valid.copy_from_slice(run);
+            if let Some(&v) = run.last() {
+                tail.fill(v);
+            }
+        };
+        match self.dims {
+            Dims::D1 { .. } => pad_row(out, spec.origin[0], spec.size[0]),
+            Dims::D2 { nx, .. } => {
+                for (by, row) in out.chunks_exact_mut(b).enumerate() {
+                    pad_row(row, src(0, by) * nx + spec.origin[1], spec.size[1]);
+                }
+            }
+            Dims::D3 { ny, nx, .. } => {
+                for (i, row) in out.chunks_exact_mut(b).enumerate() {
+                    let (sz, sy) = (src(0, i / b), src(1, i % b));
+                    pad_row(row, (sz * ny + sy) * nx + spec.origin[2], spec.size[2]);
+                }
+            }
         }
     }
 
@@ -649,6 +653,21 @@ mod tests {
         let spec = f.blocks(4).next().unwrap();
         let blk = f.extract_block(&spec);
         assert_eq!(blk.data, vec![1.0, 2.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn extract_into_a_reused_buffer_replicates_every_edge() {
+        let f = Field::from_fn(Dims::d3(5, 6, 7), |c| (c[0] * 42 + c[1] * 7 + c[2]) as f32);
+        let mut buf = vec![f32::NAN; 3];
+        for spec in f.blocks(4) {
+            f.extract_block_into(&spec, &mut buf);
+            assert_eq!(buf.len(), 64);
+            for (i, &v) in buf.iter().enumerate() {
+                let at = |ax: usize, p: usize| spec.origin[ax] + p.min(spec.size[ax] - 1);
+                let (z, y, x) = (at(0, i / 16), at(1, i / 4 % 4), at(2, i % 4));
+                assert_eq!(v, f.as_slice()[(z * 6 + y) * 7 + x]);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Allocation discipline of the per-block hot paths (see README
 //! "Performance"): after the scratch buffers warm up, the block loops of
-//! `Sz2` and the core AE-SZ compressor must perform no per-block heap
-//! allocation. The test installs a counting allocator and compares the
+//! `Sz2`, the core AE-SZ compressor (with and without its AE stages) and
+//! AE-B must perform no per-block heap allocation. The test installs a counting allocator and compares the
 //! allocating-call count between a small and a much larger field — if any
 //! block-loop path allocated per block, the count would grow by at least
 //! one per extra block, while scratch reuse keeps the growth logarithmic
@@ -12,7 +12,7 @@
 
 mod common;
 
-use aesz_repro::baselines::Sz2;
+use aesz_repro::baselines::{AeB, Sz2};
 use aesz_repro::core::training::{train_swae_for_field, TrainingOptions};
 use aesz_repro::core::{AeSz, AeSzConfig, PredictorPolicy};
 use aesz_repro::datagen::Application;
@@ -104,5 +104,50 @@ fn block_loops_allocate_o1_per_block() {
         e_large < e_small + extra_blocks / 4,
         "aesz decompress allocations scale with block count: \
          {e_small} for 16 blocks vs {e_large} for 1024"
+    );
+
+    // --- The AE stages of AE-SZ on the same fields: Adaptive runs the
+    // encoder, latent codec and decoder on every block; AeOnly makes every
+    // block AE-predicted, so decompress runs the decoder on every block too.
+    for policy in [PredictorPolicy::Adaptive, PredictorPolicy::AeOnly] {
+        aesz.set_policy(policy);
+        let small_stream = aesz.compress(&small, BOUND).expect("compress");
+        // Warm every lane's scratch on the large field first.
+        let large_stream = aesz.compress(&large, BOUND).expect("compress");
+        aesz.decompress(&large_stream).expect("decompress");
+        let (c_small, _) = count_allocations(|| aesz.compress(&small, BOUND).ok());
+        let (c_large, _) = count_allocations(|| aesz.compress(&large, BOUND).ok());
+        assert!(
+            c_large < c_small + extra_blocks / 4,
+            "aesz {policy:?} compress allocations scale with block count: \
+             {c_small} for 16 blocks vs {c_large} for 1024"
+        );
+        let (e_small, _) = count_allocations(|| aesz.decompress(&small_stream).ok());
+        let (e_large, _) = count_allocations(|| aesz.decompress(&large_stream).ok());
+        assert!(
+            e_large < e_small + extra_blocks / 4,
+            "aesz {policy:?} decompress allocations scale with block count: \
+             {e_small} for 16 blocks vs {e_large} for 1024"
+        );
+    }
+
+    // --- AE-B (16³ blocks; untrained weights loaded as a model, since only
+    // the inference path's allocations matter): 1 vs 16 blocks, one lane on
+    // every machine, so the comparison sees per-block costs only (spawning
+    // lanes costs O(cores) per call, which the AE-SZ rounds above absorb).
+    // Compress only: the debug-build decoder is too slow to run here, and
+    // its loop reuses its staging buffers by construction. ---
+    let mut aeb = AeB::from_model_bytes(&AeB::new(7).to_model_bytes()).expect("AE-B model");
+    let small = Application::Rtm.generate(Dims::d3(16, 16, 16), 9);
+    let large = Application::Rtm.generate(Dims::d3(32, 32, 64), 9);
+    let extra_blocks = 16 - 1;
+    aeb.compress(&large, BOUND).expect("compress");
+    aeb.compress(&small, BOUND).expect("compress");
+    let (c_small, _) = count_allocations(|| aeb.compress(&small, BOUND).ok());
+    let (c_large, _) = count_allocations(|| aeb.compress(&large, BOUND).ok());
+    assert!(
+        c_large < c_small + extra_blocks / 4,
+        "aeb compress allocations scale with block count: \
+         {c_small} for 1 block vs {c_large} for 16"
     );
 }
