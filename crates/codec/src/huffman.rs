@@ -299,6 +299,20 @@ pub fn huffman_decode(buf: &[u8]) -> Option<Vec<u32>> {
 /// `max_symbols` symbols, so a corrupt count prefix on untrusted input is
 /// rejected before any symbol-count-sized allocation happens.
 pub fn huffman_decode_capped(buf: &[u8], max_symbols: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    huffman_decode_capped_into(buf, max_symbols, &mut out)?;
+    Some(out)
+}
+
+/// [`huffman_decode_capped`] into a caller-owned buffer, which is cleared
+/// first and holds the symbols on success; a decoder that keeps the buffer
+/// across streams allocates none once it is warm.
+pub fn huffman_decode_capped_into(
+    buf: &[u8],
+    max_symbols: usize,
+    out: &mut Vec<u32>,
+) -> Option<()> {
+    out.clear();
     let mut pos = 0usize;
     let count = read_uvarint(buf, &mut pos)?;
     if count > max_symbols as u64 {
@@ -307,7 +321,7 @@ pub fn huffman_decode_capped(buf: &[u8], max_symbols: usize) -> Option<Vec<u32>>
     let count = usize::try_from(count).ok()?;
     let table_len = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
     if count == 0 {
-        return Some(Vec::new());
+        return Some(());
     }
     // Every table entry occupies at least two bytes (delta varint + length),
     // so a table longer than the remaining input is malformed.
@@ -334,7 +348,8 @@ pub fn huffman_decode_capped(buf: &[u8], max_symbols: usize) -> Option<Vec<u32>>
 
     if table_len == 1 {
         // Degenerate alphabet: the payload carries `count` copies of one symbol.
-        return Some(vec![lengths[0].0; count]);
+        out.resize(count, lengths[0].0);
+        return Some(());
     }
 
     let codes = canonical_codes(&lengths);
@@ -356,7 +371,7 @@ pub fn huffman_decode_capped(buf: &[u8], max_symbols: usize) -> Option<Vec<u32>>
     // Each symbol consumes at least one payload bit; clamp the hint so a
     // corrupt count cannot force a huge allocation before the bit reader
     // runs out of input.
-    let mut out = Vec::with_capacity(count.min(payload.len().saturating_mul(8)));
+    out.reserve(count.min(payload.len().saturating_mul(8)));
     let mut reader = BitReader::new(payload);
     'symbols: while out.len() < count {
         if let Some(lut) = &lut {
@@ -392,7 +407,7 @@ pub fn huffman_decode_capped(buf: &[u8], max_symbols: usize) -> Option<Vec<u32>>
             }
         }
     }
-    Some(out)
+    Some(())
 }
 
 /// Build the flattened decode LUT: for every window value whose leading
@@ -562,6 +577,36 @@ mod tests {
         write_uvarint(&mut hostile, u64::MAX); // count
         write_uvarint(&mut hostile, 1); // table_len
         assert_eq!(huffman_decode_capped(&hostile, 1 << 20), None);
+    }
+
+    #[test]
+    fn decode_into_a_reused_buffer_matches_the_allocating_decode() {
+        let streams = [
+            (0..3000)
+                .map(|i| (i * 7919 % 300) as u32)
+                .collect::<Vec<_>>(),
+            vec![42u32; 100], // degenerate single-symbol layout
+            Vec::new(),
+            vec![5, 9],
+        ];
+        // One buffer across every stream, left dirty by the previous one.
+        let mut out = vec![u32::MAX; 4000];
+        for data in &streams {
+            let enc = huffman_encode(data);
+            assert_eq!(
+                huffman_decode_capped_into(&enc, data.len(), &mut out),
+                Some(())
+            );
+            assert_eq!(&out, data);
+        }
+        let enc = huffman_encode(&streams[0]);
+        let warm = out.capacity();
+        assert_eq!(huffman_decode_capped_into(&enc, 2999, &mut out), None);
+        assert_eq!(
+            huffman_decode_capped_into(&enc[..enc.len() - 3], 3000, &mut out),
+            None
+        );
+        assert_eq!(out.capacity(), warm, "a rejected stream keeps the buffer");
     }
 
     #[test]

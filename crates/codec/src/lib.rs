@@ -73,9 +73,11 @@ pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use hash::{sha256, ModelId, MODEL_ID_LEN};
-pub use huffman::{huffman_decode, huffman_decode_capped, huffman_encode};
+pub use huffman::{
+    huffman_decode, huffman_decode_capped, huffman_decode_capped_into, huffman_encode,
+};
 pub use lz::{zlite_compress, zlite_decompress, zlite_decompress_capped};
 pub use pipeline::{
-    compress_bytes, decode_codes, decode_codes_capped, decompress_bytes, decompress_bytes_capped,
-    encode_codes, CodecError,
+    compress_bytes, decode_codes, decode_codes_capped, decode_codes_capped_into, decompress_bytes,
+    decompress_bytes_capped, encode_codes, CodecError,
 };

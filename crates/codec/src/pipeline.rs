@@ -6,7 +6,7 @@
 //! * [`compress_bytes`] / [`decompress_bytes`] — `zlite` over raw byte
 //!   payloads (unpredictable values, latent headers, block means).
 
-use crate::huffman::{huffman_decode, huffman_decode_capped, huffman_encode};
+use crate::huffman::{huffman_decode, huffman_decode_capped_into, huffman_encode};
 use crate::lz::{zlite_compress, zlite_decompress, zlite_decompress_capped};
 
 /// Errors surfaced while decoding compressed payloads.
@@ -51,9 +51,22 @@ pub fn decode_codes(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
 /// at most [`crate::huffman`]'s 56 bits (7 bytes) per symbol, so the inner
 /// zlite output is capped at `8 · max_symbols` bytes plus table headroom.
 pub fn decode_codes_capped(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, CodecError> {
+    let mut codes = Vec::new();
+    decode_codes_capped_into(buf, max_symbols, &mut codes)?;
+    Ok(codes)
+}
+
+/// [`decode_codes_capped`] into a caller-owned buffer, which is cleared
+/// first and holds the codes on success; a decoder that keeps the buffer
+/// across streams allocates no code buffer once it is warm.
+pub fn decode_codes_capped_into(
+    buf: &[u8],
+    max_symbols: usize,
+    codes: &mut Vec<u32>,
+) -> Result<(), CodecError> {
     let huff_cap = max_symbols.saturating_mul(8).saturating_add(1 << 16);
     let huff = zlite_decompress_capped(buf, huff_cap).ok_or(CodecError::CorruptLz)?;
-    huffman_decode_capped(&huff, max_symbols).ok_or(CodecError::CorruptHuffman)
+    huffman_decode_capped_into(&huff, max_symbols, codes).ok_or(CodecError::CorruptHuffman)
 }
 
 /// Losslessly compress an arbitrary byte payload with zlite.

@@ -22,7 +22,7 @@
 //!   ([`AeSz::compress_with_report_serial`] / [`AeSz::try_decompress_serial`]),
 //!   which runs the same loops on one lane.
 
-use aesz_codec::{compress_bytes, decode_codes_capped, decompress_bytes_capped, encode_codes};
+use aesz_codec::{compress_bytes, decode_codes_capped_into, decompress_bytes_capped, encode_codes};
 use aesz_metrics::{CodecId, CompressError, Compressor, EmbeddedModel, ErrorBound, ModelId};
 use aesz_nn::lanes::{self, LaneScratch, Lanes};
 use aesz_nn::models::conv_ae::ConvAutoencoder;
@@ -89,6 +89,25 @@ pub struct AeSz {
     /// Resident inference buffers, one slot per lane; warm after the first
     /// batch, clone cold.
     scratch: LaneScratch<AeSzLane>,
+    /// Resident quantization codes of the field being coded, in either
+    /// direction.
+    codes: CodeBuffer,
+}
+
+/// The field-sized code buffer (one `u32` per value) of compress and
+/// decompress, kept across calls so a warm instance allocates only the
+/// stream or field it returns. A fresh code buffer per call stacked its size
+/// on the field's at the top of the heap, and whether glibc's dynamic trim
+/// threshold then handed that memory back to the kernel after each call
+/// (about 4k page faults per 8 MB field to map it again) depended on what
+/// the process had allocated before. Clones are cold, like the lane scratch.
+#[derive(Default)]
+struct CodeBuffer(Vec<u32>);
+
+impl Clone for CodeBuffer {
+    fn clone(&self) -> Self {
+        CodeBuffer::default()
+    }
 }
 
 /// One lane's buffers of the AE inference stages: the network scratch plus
@@ -155,6 +174,7 @@ impl AeSz {
             config,
             last_report: CompressionReport::default(),
             scratch: LaneScratch::default(),
+            codes: CodeBuffer::default(),
         }
     }
 
@@ -560,7 +580,9 @@ impl AeSz {
 
         // --- Deterministic merge in block order ---
         let mut predictors = Vec::with_capacity(n_blocks.min(MAX_FIELD_ELEMS));
-        let mut all_codes: Vec<u32> = Vec::with_capacity(field.len());
+        let all_codes = &mut self.codes.0;
+        all_codes.clear();
+        all_codes.reserve(field.len());
         let mut unpredictable: Vec<f32> = Vec::new();
         let mut means: Vec<f32> = Vec::new();
         let mut kept_latent_indices: Vec<i64> = Vec::new();
@@ -598,7 +620,7 @@ impl AeSz {
         let latent_section = latent_codec.encode(&kept_latent_indices, latent_dim);
         let means_bytes: Vec<u8> = means.iter().flat_map(|v| v.to_le_bytes()).collect();
         let means_section = compress_bytes(&means_bytes);
-        let codes_section = encode_codes(&all_codes);
+        let codes_section = encode_codes(all_codes);
         let unpred_bytes: Vec<u8> = unpredictable.iter().flat_map(|v| v.to_le_bytes()).collect();
         let unpredictable_section = compress_bytes(&unpred_bytes);
 
@@ -646,6 +668,21 @@ impl AeSz {
     }
 
     fn decompress_impl(&mut self, bytes: &[u8], parallel: bool) -> Result<Field, DecompressError> {
+        // Lend the resident code buffer to the call and take it back
+        // whatever the outcome.
+        let mut codes = std::mem::take(&mut self.codes);
+        let field = self.decompress_with(bytes, parallel, &mut codes.0);
+        self.codes = codes;
+        field
+    }
+
+    /// [`AeSz::decompress_impl`] with the code buffer lent out of `self`.
+    fn decompress_with(
+        &mut self,
+        bytes: &[u8],
+        parallel: bool,
+        all_codes: &mut Vec<u32>,
+    ) -> Result<Field, DecompressError> {
         let stream = Stream::from_bytes(bytes)?;
         let h = &stream.header;
         let dims = h.dims;
@@ -671,7 +708,8 @@ impl AeSz {
         // --- Payload-level consistency checks (counts before contents) ---
         let n_points = dims.len();
         let n_blocks = stream.predictors.len();
-        let all_codes = decode_codes_capped(&stream.codes_section, n_points)?;
+        decode_codes_capped_into(&stream.codes_section, n_points, all_codes)?;
+        let all_codes: &[u32] = all_codes;
         if all_codes.len() != n_points {
             return Err(DecompressError::Inconsistent(
                 "code count does not match dims",
@@ -782,7 +820,7 @@ impl AeSz {
         let mut ae_ord = Vec::with_capacity(n_blocks.min(MAX_FIELD_ELEMS));
         let (mut esc, mut me, mut ae) = (0usize, 0usize, 0usize);
         esc_off.push(0usize);
-        let mut code_rest = all_codes.as_slice();
+        let mut code_rest = all_codes;
         for (p, spec) in stream.predictors.iter().zip(&specs) {
             mean_off.push(me);
             ae_ord.push(ae);
@@ -1047,6 +1085,37 @@ mod tests {
             .0
             .len();
         assert!(fine > coarse, "fine {fine} <= coarse {coarse}");
+    }
+
+    #[test]
+    fn code_buffer_stays_resident_across_calls_and_clones_cold() {
+        let field = Application::CesmCldhgh.generate(Dims::d2(64, 80), 5);
+        let mut aesz = quick_aesz_2d(&field);
+        let bound = ErrorBound::rel(1e-3);
+        let (bytes, _) = aesz.compress_with_report(&field, bound).unwrap();
+        let recon = aesz.try_decompress(&bytes).unwrap();
+        assert!(aesz.codes.0.capacity() >= field.len());
+        let buffer = aesz.codes.0.as_ptr();
+        // Warm calls in either direction give the same bits and reuse the
+        // buffer, and a call that fails part-way keeps it.
+        assert_eq!(aesz.compress_with_report(&field, bound).unwrap().0, bytes);
+        assert_eq!(
+            aesz.try_decompress(&bytes).unwrap().as_slice(),
+            recon.as_slice()
+        );
+        assert!(aesz.try_decompress(&bytes[..bytes.len() - 8]).is_err());
+        assert_eq!(aesz.codes.0.as_ptr(), buffer);
+        assert_eq!(
+            aesz.try_decompress_serial(&bytes).unwrap().as_slice(),
+            recon.as_slice()
+        );
+        // A fork starts cold and decodes the same field.
+        let mut fork = aesz.clone();
+        assert_eq!(fork.codes.0.capacity(), 0);
+        assert_eq!(
+            fork.try_decompress(&bytes).unwrap().as_slice(),
+            recon.as_slice()
+        );
     }
 
     #[test]
