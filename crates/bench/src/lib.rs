@@ -2,8 +2,8 @@
 //!
 //! Benchmark harness regenerating every table and figure of the AE-SZ paper's
 //! evaluation (Section V). Each table/figure has a dedicated binary under
-//! `src/bin/` (see DESIGN.md §5 for the full index), and the Criterion benches
-//! under `benches/` back the throughput numbers of Table VIII.
+//! `src/bin/` (see DESIGN.md §5 for the full index); `table8_speeds` prints
+//! the throughput numbers of Table VIII.
 //!
 //! The harness runs on the synthetic SDRBench stand-ins from `aesz-datagen`
 //! at laptop-scale extents, so absolute numbers differ from the paper's

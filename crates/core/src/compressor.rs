@@ -1214,7 +1214,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // payload-level peek is exactly what a frameless core stream needs
     fn wrong_model_is_reported_as_missing_model_not_geometry() {
         let field = Application::CesmCldhgh.generate(Dims::d2(64, 64), 57);
         let mut aesz = quick_aesz_2d(&field);
@@ -1226,7 +1225,7 @@ mod tests {
         }
         // Streams carry the encoder's content-addressed model id…
         assert_eq!(
-            crate::stream::peek_model_id(&bytes),
+            aesz_metrics::container::peek_payload_model_id(CodecId::AeSz, &bytes),
             Some(aesz.model_id()),
             "streams must be stamped with the encoder's model id"
         );

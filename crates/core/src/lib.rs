@@ -55,8 +55,4 @@ pub use compressor::{AeSz, CompressionReport};
 pub use config::{AeSzConfig, PredictorPolicy};
 pub use error::DecompressError;
 pub use latent::LatentCodec;
-// Deprecated shim (see `aesz_metrics::container::peek`); re-exported so the
-// old `aesz_core::peek_model_id` path keeps resolving for downstream users.
-#[allow(deprecated)]
-pub use stream::peek_model_id;
 pub use training::{train_swae_for_field, training_blocks_from_field};

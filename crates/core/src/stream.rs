@@ -93,7 +93,8 @@ pub struct Header {
     /// Content-addressed id of the trained model that encoded the stream
     /// (`None` for version-2 streams, which predate model provenance).
     /// Serialized immediately after the magic so it can be peeked without
-    /// parsing the rest of the header ([`peek_model_id`]).
+    /// parsing the rest of the header
+    /// ([`aesz_metrics::container::peek_payload_model_id`]).
     pub model_id: Option<ModelId>,
     /// Extents of the original field.
     pub dims: Dims,
@@ -386,23 +387,6 @@ impl Stream {
     }
 }
 
-/// Read only the model id of a serialized AE-SZ stream (payload bytes, no
-/// container frame), without parsing or validating anything else — the cheap
-/// pre-dispatch hook a registry uses to resolve the right trained model.
-/// Returns `None` for version-2 streams (no id) and for anything too short
-/// or mis-tagged to carry one.
-#[deprecated(
-    note = "use `aesz_metrics::container::peek`, which reports the model id (and the codec, \
-            version and payload length) from a complete framed stream; this payload-level \
-            peek survives only as a shim"
-)]
-pub fn peek_model_id(bytes: &[u8]) -> Option<ModelId> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    ModelId::from_prefix(&bytes[MAGIC.len()..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,14 +429,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the shim's behavior until it is removed
     fn v3_streams_carry_a_peekable_model_id() {
         let mut s = sample_stream();
         let id = ModelId::of(b"the trained network");
         s.header.model_id = Some(id);
         let bytes = s.to_bytes();
         assert_eq!(&bytes[..8], MAGIC);
-        assert_eq!(peek_model_id(&bytes), Some(id));
         let parsed = Stream::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, s);
         for len in 0..bytes.len() {
@@ -462,13 +444,10 @@ mod tests {
             );
         }
 
-        // Version-2 streams decode as "model id unknown" and peek as None.
+        // Version-2 streams decode as "model id unknown".
         let v2 = sample_stream().to_bytes();
         assert_eq!(&v2[..8], MAGIC_V2);
-        assert_eq!(peek_model_id(&v2), None);
         assert_eq!(Stream::from_bytes(&v2).unwrap().header.model_id, None);
-        assert_eq!(peek_model_id(&bytes[..10]), None);
-        assert_eq!(peek_model_id(b"garbage"), None);
     }
 
     #[test]

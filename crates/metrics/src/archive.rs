@@ -33,12 +33,11 @@ use rayon::prelude::*;
 use crate::bound::ErrorBound;
 use crate::compressor::Compressor;
 use crate::container::{
-    decode_chunk_entry, parse_model_section, read_chunk_index, read_model_section,
-    validate_chunk_entry, write_chunk_entry, ArchiveHeader, ChunkEntry, CodecId, EmbeddedModel,
-    ModelId, ARCHIVE_VERSION, ARCHIVE_VERSION_APPEND, ARCHIVE_VERSION_MODELS, CHUNK_ENTRY_LEN,
-    MAX_FIELD_ELEMS,
+    write_chunk_entry, ArchiveHeader, ChunkEntry, CodecId, EmbeddedModel, ModelId, ARCHIVE_VERSION,
+    ARCHIVE_VERSION_APPEND, ARCHIVE_VERSION_MODELS, CHUNK_ENTRY_LEN, MAX_FIELD_ELEMS,
 };
 use crate::error::{CompressError, DecompressError};
+use crate::stream::{read_archive, seek_archive};
 use aesz_tensor::{BlockSpec, Dims, Field};
 
 /// Chunking and batching knobs of the archive writer/reader, built fluently:
@@ -616,13 +615,13 @@ fn write_archive_impl<W: Write + Seek>(
 ///
 /// Emits the **inline** version-3 layout: a v3 header with index capacity 0
 /// and no index table, chunk frames back-to-back in index order, nothing to
-/// back-patch. Readers reconstruct the index from the frame headers
-/// ([`crate::container::reconstruct_chunk_index`]), so once the bytes land
-/// on disk the archive is random-accessible like any other. Peak resident
-/// raw payload is one [`ArchiveOptions::window_chunks`] window, never the
-/// field. Model embedding is not available on this path (the model-section
-/// length lives in the already-written header); use a seekable sink or ship
-/// models as sidecars.
+/// back-patch. The parser reconstructs the index from the frame headers,
+/// so once the bytes land on disk the archive is random-accessible like any
+/// other. Peak resident raw payload is one
+/// [`ArchiveOptions::window_chunks`] window, never the field. Model
+/// embedding is not available on this path (the model-section length lives
+/// in the already-written header); use a seekable sink or ship models as
+/// sidecars.
 pub fn write_archive_stream<W: Write>(
     source: &mut dyn ChunkSource,
     bound: ErrorBound,
@@ -697,9 +696,9 @@ pub fn write_field_archive_embedding(
 /// In-place extension of an existing version-3 archive along its slowest
 /// axis, without rewriting a single existing payload byte.
 ///
-/// [`ArchiveAppender::open`] validates the archive exactly like
-/// [`ArchiveReader::open`] (header, index tiling, model-tail hashes) but
-/// through seeks — chunk payloads are never read. Each
+/// [`ArchiveAppender::open`] validates the archive with the parser behind
+/// [`ArchiveReader::open`] (header, index tiling, frame heads, model-tail
+/// hashes), driven through seeks — chunk payloads are never read. Each
 /// [`append`](ArchiveAppender::append) compresses a new slab of data into
 /// frames written where the model tail used to start; the tail itself is
 /// stashed at open and written back — extended with any newly referenced
@@ -738,122 +737,21 @@ impl<F: Read + Write + Seek> ArchiveAppender<F> {
     pub fn open(mut file: F) -> Result<Self, ArchiveReadError> {
         let base = file.stream_position()?;
         let archive_len = file.seek(SeekFrom::End(0))?.saturating_sub(base);
-
-        // Fixed header first: read the largest possible encoded header (64
-        // bytes, rank 3 v3) or whatever the file holds, then parse a prefix.
-        let head_len = usize::try_from(archive_len.min(64)).unwrap_or(64);
-        let mut head = vec![0u8; head_len];
-        file.seek(SeekFrom::Start(base))?;
-        file.read_exact(&mut head)?;
-        let header = ArchiveHeader::read_prefix(&head).map_err(ArchiveReadError::Archive)?;
+        let (header, entries, models) = seek_archive(&mut file, base, archive_len)?;
         if header.version != ARCHIVE_VERSION_APPEND {
             return Err(ArchiveReadError::Archive(DecompressError::Unsupported(
                 "only version-3 archives are appendable; rewrite with reserved index slots or \
                  the stream writer",
             )));
         }
-        let count = header.chunk_count();
-        let data_start = header.data_start() as u64;
-        let tail = (header.model_len as u64)
-            .checked_add(data_start)
-            .filter(|&t| t <= archive_len)
-            .ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
-                "archive model section",
-            )))?;
-        let data_end = archive_len - header.model_len as u64;
-        debug_assert!(tail <= archive_len);
-
-        // The chunk index: decode stored entries (indexed) or walk the
-        // frame headers with seeks (inline), with the exact validation the
-        // buffered readers apply.
-        let mut entries = Vec::with_capacity(count.min(MAX_FIELD_ELEMS));
-        let mut expected = data_start;
-        if header.index_slots() > 0 {
-            let mut index = vec![0u8; header.index_len()];
-            file.seek(SeekFrom::Start(base + header.encoded_len() as u64))?;
-            file.read_exact(&mut index)?;
-            for i in 0..count {
-                let at = i * CHUNK_ENTRY_LEN;
-                let raw = index
-                    .get(at..at + CHUNK_ENTRY_LEN)
-                    .ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
-                        "archive chunk index",
-                    )))?;
-                let entry = decode_chunk_entry(raw).map_err(ArchiveReadError::Archive)?;
-                expected = validate_chunk_entry(&entry, i, expected, data_end, header.model_len)
-                    .map_err(ArchiveReadError::Archive)?;
-                entries.push(entry);
-            }
-            for slot in count..header.index_slots() {
-                let at = slot * CHUNK_ENTRY_LEN;
-                let raw = index
-                    .get(at..at + CHUNK_ENTRY_LEN)
-                    .ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
-                        "archive chunk index",
-                    )))?;
-                if raw.iter().any(|&b| b != 0) {
-                    return Err(ArchiveReadError::Archive(DecompressError::BadChunkIndex {
-                        chunk: slot,
-                        reason: "reserved index slot is not zero-filled",
-                    }));
-                }
-            }
-        } else {
-            let mut frame_head = [0u8; crate::container::FRAME_LEN];
-            for i in 0..count {
-                if data_end - expected < crate::container::FRAME_LEN as u64 {
-                    return Err(ArchiveReadError::Archive(DecompressError::Truncated(
-                        "archive chunk data",
-                    )));
-                }
-                file.seek(SeekFrom::Start(base + expected))?;
-                file.read_exact(&mut frame_head)?;
-                let info =
-                    crate::container::peek(&frame_head).map_err(ArchiveReadError::Archive)?;
-                let len = (crate::container::FRAME_LEN as u64)
-                    .checked_add(info.payload_len)
-                    .ok_or(ArchiveReadError::Archive(DecompressError::BadChunkIndex {
-                        chunk: i,
-                        reason: "frame length overflows the archive",
-                    }))?;
-                let entry = ChunkEntry {
-                    codec: info.codec,
-                    offset: expected,
-                    len,
-                };
-                expected = validate_chunk_entry(&entry, i, expected, data_end, header.model_len)
-                    .map_err(ArchiveReadError::Archive)?;
-                entries.push(entry);
-            }
-        }
-        if expected != data_end {
-            return Err(ArchiveReadError::Archive(DecompressError::Inconsistent(
-                "trailing bytes after the last chunk frame",
-            )));
-        }
-
-        // Stash and verify the model tail; finalize writes it back.
-        let mut models = Vec::new();
-        if header.model_len > 0 {
-            // lint:allow(R3): model_len was bounds-checked against the real
-            // archive length when computing `tail` above
-            let mut section = vec![0u8; header.model_len];
-            file.seek(SeekFrom::Start(base + data_end))?;
-            file.read_exact(&mut section)?;
-            for (_, frame) in parse_model_section(&section).map_err(ArchiveReadError::Archive)? {
-                let (model, _) =
-                    EmbeddedModel::from_frame(frame).map_err(ArchiveReadError::Archive)?;
-                models.push(model);
-            }
-        }
-
         Ok(ArchiveAppender {
             file,
             base,
             header,
             entries,
             models,
-            data_end,
+            // The parser checked that the model section fits the archive.
+            data_end: archive_len - header.model_len as u64,
         })
     }
 
@@ -1047,9 +945,10 @@ fn grow_slowest(dims: Dims, extra: usize) -> Dims {
 
 /// Random-access view over a validated archive byte stream.
 ///
-/// [`ArchiveReader::open`] parses and validates the header and the complete
-/// chunk index before returning, so every accessor works on trusted
-/// geometry; chunk payloads stay untouched (and untrusted) until decoded.
+/// [`ArchiveReader::open`] parses and validates the header, the complete
+/// chunk index, every chunk's frame head and the model section before
+/// returning, so every accessor works on trusted geometry; chunk payloads
+/// stay untouched (and untrusted) until decoded.
 pub struct ArchiveReader<'a> {
     bytes: &'a [u8],
     header: ArchiveHeader,
@@ -1058,12 +957,13 @@ pub struct ArchiveReader<'a> {
 }
 
 impl<'a> ArchiveReader<'a> {
-    /// Parse and validate the header, chunk index and (v2) model section of
-    /// `bytes`.
+    /// Parse and validate the header, chunk index, chunk frame heads and
+    /// (v2/v3) model section of `bytes`. Each chunk's 14-byte frame head
+    /// must repeat its index entry's length and codec, so a damaged frame
+    /// head fails here rather than at that chunk's decode. No payload byte
+    /// is read or copied.
     pub fn open(bytes: &'a [u8]) -> Result<Self, DecompressError> {
-        let header = ArchiveHeader::read(bytes)?;
-        let entries = read_chunk_index(bytes, &header)?;
-        let models = read_model_section(bytes, &header)?;
+        let (header, entries, models) = read_archive(bytes)?;
         Ok(ArchiveReader {
             bytes,
             header,

@@ -64,9 +64,9 @@
 //!
 //! * `cap == 0` — **inline archive**: no index table at all; the chunk
 //!   frames follow the header directly, back-to-back in index order. This
-//!   is what a seekless writer (a pipe) emits — the reader reconstructs the
-//!   index by walking the frame headers ([`reconstruct_chunk_index`]), so
-//!   random access still works once the bytes are on disk.
+//!   is what a seekless writer (a pipe) emits — the parser reconstructs the
+//!   index by walking the frame headers, so random access still works once
+//!   the bytes are on disk.
 //! * `cap >= n` — **appendable archive**: `cap` slots are reserved up
 //!   front, the first `n` hold real entries and the rest are zero-filled
 //!   (validated zero on read). [`crate::archive::ArchiveAppender`] fills
@@ -80,16 +80,20 @@
 //! …                 chunk frames, then the model section as in v2
 //! ```
 //!
-//! [`ArchiveHeader::read`], [`read_chunk_index`] and [`read_model_section`]
-//! are the trust boundary: extents are capped at [`MAX_FIELD_ELEMS`], the
-//! stored chunk count must equal the recomputed grid product, index entries
-//! must tile the data section exactly (first offset at the data start, each
-//! entry abutting the previous one, the last ending where the model section
-//! begins — the input's end for v1), and model entries must tile the model
-//! section exactly with every frame's recomputed payload hash equal to its
-//! stored id — so a flipped offset, a lying chunk count, a corrupted model
-//! or a truncated tail is an error before any chunk payload is interpreted,
-//! and no allocation exceeds the input size.
+//! The archive parser in [`crate::stream`] is the trust boundary, whichever
+//! driver feeds it ([`crate::stream::StreamDecoder`] for pushed bytes,
+//! [`crate::archive::ArchiveReader::open`] for a slice in memory,
+//! [`crate::archive::ArchiveAppender::open`] for a seekable file): extents
+//! are capped at [`MAX_FIELD_ELEMS`], the stored chunk count must equal the
+//! recomputed grid product, index entries must tile the data section
+//! exactly (first offset at the data start, each entry abutting the previous
+//! one, the last ending where the model section begins — the input's end
+//! for v1), every chunk frame head must agree with its entry, and model
+//! entries must tile the model section exactly with every frame's
+//! recomputed payload hash equal to its stored id — so a flipped offset, a
+//! lying chunk count, a corrupted model or a truncated tail is an error
+//! before any chunk payload is interpreted, and no allocation exceeds the
+//! input size.
 
 use crate::error::DecompressError;
 use aesz_tensor::Dims;
@@ -197,41 +201,74 @@ pub fn write_frame(codec: CodecId, payload: &[u8]) -> Vec<u8> {
 /// borrowed payload. The declared payload length must match the remaining
 /// input exactly; any shortfall or surplus is an error.
 pub fn read_frame(bytes: &[u8]) -> Result<(CodecId, &[u8]), DecompressError> {
-    if bytes.len() < CONTAINER_MAGIC.len() {
-        return Err(DecompressError::Truncated("container magic"));
-    }
-    if bytes[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
-        return Err(DecompressError::BadMagic);
-    }
-    if bytes.len() < FRAME_LEN {
-        return Err(DecompressError::Truncated("container frame"));
-    }
-    let version = bytes[4];
-    if version != CONTAINER_VERSION {
-        return Err(DecompressError::UnsupportedVersion(version));
-    }
-    let codec = CodecId::from_byte(bytes[5]).ok_or(DecompressError::UnknownCodec(bytes[5]))?;
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&bytes[6..14]);
-    let declared = u64::from_le_bytes(len_bytes);
-    let actual = (bytes.len() - FRAME_LEN) as u64;
-    if declared > actual {
-        return Err(DecompressError::Truncated("container payload"));
-    }
-    if declared < actual {
-        return Err(DecompressError::Inconsistent(
-            "trailing bytes after container payload",
-        ));
-    }
-    Ok((codec, &bytes[FRAME_LEN..]))
+    read_whole_frame(&CONTAINER_FRAME, bytes)
 }
 
-/// Read only the codec id of a frame (for dispatch or inspection), without
-/// requiring the payload to be complete.
-#[deprecated(note = "use `container::peek`, which also reports the version, \
-                     payload length and referenced model id")]
-pub fn peek_codec(bytes: &[u8]) -> Result<CodecId, DecompressError> {
-    peek(bytes).map(|info| info.codec)
+/// The magic, version and error labels of one frame kind built on the
+/// 14-byte head (`AESC` container frames and `AESM` model frames).
+struct FrameKind {
+    magic: [u8; 4],
+    version: u8,
+    /// What the input ended inside of: the magic, the rest of the head, the
+    /// payload.
+    cut: [&'static str; 3],
+    /// The error for bytes after the declared payload.
+    trailing: &'static str,
+}
+
+const CONTAINER_FRAME: FrameKind = FrameKind {
+    magic: CONTAINER_MAGIC,
+    version: CONTAINER_VERSION,
+    cut: ["container magic", "container frame", "container payload"],
+    trailing: "trailing bytes after container payload",
+};
+
+const MODEL_FRAME: FrameKind = FrameKind {
+    magic: MODEL_MAGIC,
+    version: MODEL_FRAME_VERSION,
+    cut: ["model frame magic", "model frame", "model frame payload"],
+    trailing: "trailing bytes after model frame payload",
+};
+
+/// Decode the 14-byte head every `AESC` and `AESM` frame opens with (magic,
+/// version, codec id, declared payload length) from the start of `bytes` —
+/// the one decoder of that layout, behind [`read_frame`],
+/// [`read_model_frame`], [`peek`] and the stream parser.
+fn decode_frame_head(kind: &FrameKind, bytes: &[u8]) -> Result<(CodecId, u64), DecompressError> {
+    let magic = bytes
+        .get(..4)
+        .ok_or(DecompressError::Truncated(kind.cut[0]))?;
+    if magic != kind.magic {
+        return Err(DecompressError::BadMagic);
+    }
+    let head = bytes
+        .get(..FRAME_LEN)
+        .ok_or(DecompressError::Truncated(kind.cut[1]))?;
+    if head[4] != kind.version {
+        return Err(DecompressError::UnsupportedVersion(head[4]));
+    }
+    let codec = CodecId::from_byte(head[5]).ok_or(DecompressError::UnknownCodec(head[5]))?;
+    let mut len = [0u8; 8];
+    len.copy_from_slice(&head[6..FRAME_LEN]);
+    Ok((codec, u64::from_le_bytes(len)))
+}
+
+/// Decode a complete frame of `kind`, whose declared payload length must
+/// match the rest of the input exactly.
+fn read_whole_frame<'a>(
+    kind: &FrameKind,
+    bytes: &'a [u8],
+) -> Result<(CodecId, &'a [u8]), DecompressError> {
+    let (codec, declared) = decode_frame_head(kind, bytes)?;
+    let payload = bytes.get(FRAME_LEN..).unwrap_or(&[]);
+    let actual = payload.len() as u64;
+    if declared > actual {
+        return Err(DecompressError::Truncated(kind.cut[2]));
+    }
+    if declared < actual {
+        return Err(DecompressError::Inconsistent(kind.trailing));
+    }
+    Ok((codec, payload))
 }
 
 /// Magic bytes opening the AE-SZ codec's current *payload* (the bytes inside
@@ -269,31 +306,13 @@ pub struct FrameInfo {
 /// id. Requires the fixed [`FRAME_LEN`]-byte header to be present; the
 /// payload may be incomplete or absent.
 ///
-/// This unifies the old `peek_codec` / `aesz_core::peek_model_id` pair into
-/// one dispatch-and-inspection entry point.
 pub fn peek(bytes: &[u8]) -> Result<FrameInfo, DecompressError> {
-    if bytes.len() < CONTAINER_MAGIC.len() {
-        return Err(DecompressError::Truncated("container magic"));
-    }
-    if bytes[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
-        return Err(DecompressError::BadMagic);
-    }
-    if bytes.len() < FRAME_LEN {
-        return Err(DecompressError::Truncated("container frame"));
-    }
-    let version = bytes[4];
-    if version != CONTAINER_VERSION {
-        return Err(DecompressError::UnsupportedVersion(version));
-    }
-    let codec = CodecId::from_byte(bytes[5]).ok_or(DecompressError::UnknownCodec(bytes[5]))?;
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&bytes[6..14]);
-    let payload_len = u64::from_le_bytes(len_bytes);
+    let (codec, payload_len) = decode_frame_head(&CONTAINER_FRAME, bytes)?;
     Ok(FrameInfo {
         codec,
-        version,
+        version: CONTAINER_VERSION,
         payload_len,
-        model_id: peek_payload_model_id(codec, &bytes[FRAME_LEN..]),
+        model_id: peek_payload_model_id(codec, bytes.get(FRAME_LEN..).unwrap_or(&[])),
     })
 }
 
@@ -351,32 +370,7 @@ pub fn write_model_frame(codec: CodecId, payload: &[u8]) -> Vec<u8> {
 /// to and the borrowed model payload. The declared payload length must match
 /// the remaining input exactly.
 pub fn read_model_frame(bytes: &[u8]) -> Result<(CodecId, &[u8]), DecompressError> {
-    if bytes.len() < MODEL_MAGIC.len() {
-        return Err(DecompressError::Truncated("model frame magic"));
-    }
-    if bytes[..MODEL_MAGIC.len()] != MODEL_MAGIC {
-        return Err(DecompressError::BadMagic);
-    }
-    if bytes.len() < MODEL_FRAME_LEN {
-        return Err(DecompressError::Truncated("model frame"));
-    }
-    if bytes[4] != MODEL_FRAME_VERSION {
-        return Err(DecompressError::UnsupportedVersion(bytes[4]));
-    }
-    let codec = CodecId::from_byte(bytes[5]).ok_or(DecompressError::UnknownCodec(bytes[5]))?;
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&bytes[6..14]);
-    let declared = u64::from_le_bytes(len_bytes);
-    let actual = (bytes.len() - MODEL_FRAME_LEN) as u64;
-    if declared > actual {
-        return Err(DecompressError::Truncated("model frame payload"));
-    }
-    if declared < actual {
-        return Err(DecompressError::Inconsistent(
-            "trailing bytes after model frame payload",
-        ));
-    }
-    Ok((codec, &bytes[MODEL_FRAME_LEN..]))
+    read_whole_frame(&MODEL_FRAME, bytes)
 }
 
 /// A serialized trained model ready to travel with compressed data: the
@@ -499,18 +493,7 @@ impl ArchiveHeader {
     /// appends the 8-byte model-section length, v3 additionally the 8-byte
     /// index capacity).
     pub fn encoded_len(&self) -> usize {
-        8 + 8 * self.dims.rank()
-            + 16
-            + if self.version >= ARCHIVE_VERSION_MODELS {
-                8
-            } else {
-                0
-            }
-            + if self.version >= ARCHIVE_VERSION_APPEND {
-                8
-            } else {
-                0
-            }
+        header_len(self.version, self.dims.rank())
     }
 
     /// Number of index slots physically present after the header: always the
@@ -555,33 +538,17 @@ impl ArchiveHeader {
         }
     }
 
-    /// Parse and validate an archive header from the start of `bytes`.
+    /// Parse and validate an archive header from the start of `bytes`, which
+    /// must hold at least the complete fixed-size header (a prefix of the
+    /// archive is enough).
     ///
     /// Rejects wrong magic/version/dtype, out-of-range ranks, zero or
     /// over-cap extents (total capped at [`MAX_FIELD_ELEMS`]), a zero chunk
     /// edge, and any stored chunk count that disagrees with the grid implied
-    /// by the extents and chunk edge. Requires the whole archive as input so
-    /// a declared model-section length larger than the input is rejected
-    /// here; incremental parsers that only hold a prefix use
-    /// [`ArchiveHeader::read_prefix`] and enforce that bound themselves.
+    /// by the extents and chunk edge. The declared model-section length is
+    /// not compared against the input here; the archive parser in
+    /// [`crate::stream`] checks it once it knows where the input ends.
     pub fn read(bytes: &[u8]) -> Result<ArchiveHeader, DecompressError> {
-        let header = Self::read_prefix(bytes)?;
-        // The model section lives inside the archive, so its length can
-        // never exceed the input; a precise bound (input minus header,
-        // index and frames) is enforced by `read_chunk_index`.
-        if header.model_len as u64 > bytes.len() as u64 {
-            return Err(DecompressError::Truncated("archive model section"));
-        }
-        Ok(header)
-    }
-
-    /// Parse and validate an archive header from a *prefix* of an archive.
-    ///
-    /// Identical to [`ArchiveHeader::read`] except that the declared
-    /// model-section length is not compared against the input length — a
-    /// streaming parser holding only the first bytes cannot know the final
-    /// size yet. `bytes` must still hold the complete fixed-size header.
-    pub fn read_prefix(bytes: &[u8]) -> Result<ArchiveHeader, DecompressError> {
         if bytes.len() < ARCHIVE_MAGIC.len() {
             return Err(DecompressError::Truncated("archive magic"));
         }
@@ -605,20 +572,7 @@ impl ArchiveHeader {
         if bytes[7] != 0 {
             return Err(DecompressError::InvalidHeader("archive reserved byte"));
         }
-        let fixed = 8
-            + 8 * rank
-            + 16
-            + if version >= ARCHIVE_VERSION_MODELS {
-                8
-            } else {
-                0
-            }
-            + if version >= ARCHIVE_VERSION_APPEND {
-                8
-            } else {
-                0
-            };
-        if bytes.len() < fixed {
+        if bytes.len() < header_len(version, rank) {
             return Err(DecompressError::Truncated("archive header"));
         }
         let u64_at = |pos: usize| -> Result<u64, DecompressError> {
@@ -664,9 +618,8 @@ impl ArchiveHeader {
         }
         let index_cap = if version >= ARCHIVE_VERSION_APPEND {
             let cap = u64_at(24 + 8 * rank)?;
-            // The cap sizes the index allocation, so bound it like the
-            // element count; the precise fit against the input is enforced
-            // by `read_chunk_index`.
+            // Bound the cap like the element count; the precise fit against
+            // the input is the parser's check.
             if cap > MAX_FIELD_ELEMS as u64 {
                 return Err(DecompressError::InvalidHeader(
                     "archive index capacity exceeds cap",
@@ -685,7 +638,7 @@ impl ArchiveHeader {
         let model_len = if version >= ARCHIVE_VERSION_MODELS {
             // Checked narrowing only — `bytes` may be just a header prefix
             // here, so the fit against the real archive length is the
-            // caller's check. An `as usize` would wrap 2^32 + k to k on a
+            // parser's check. An `as usize` would wrap 2^32 + k to k on a
             // 32-bit target and mislocate the model-section boundary.
             usize::try_from(u64_at(model_len_at)?).map_err(|_| {
                 DecompressError::InvalidHeader("model section exceeds this platform")
@@ -716,6 +669,15 @@ impl ArchiveHeader {
     }
 }
 
+/// Encoded byte length of an archive header of `version` and `rank`: magic
+/// through chunk count, plus the v2 model-section length and the v3 index
+/// capacity.
+pub(crate) fn header_len(version: u8, rank: usize) -> usize {
+    24 + 8 * rank
+        + 8 * usize::from(version >= ARCHIVE_VERSION_MODELS)
+        + 8 * usize::from(version >= ARCHIVE_VERSION_APPEND)
+}
+
 /// One entry of the archive's chunk index: which codec wrote the chunk and
 /// where its `AESC` frame lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -735,283 +697,10 @@ pub fn write_chunk_entry(out: &mut Vec<u8>, entry: &ChunkEntry) {
     out.extend_from_slice(&entry.len.to_le_bytes());
 }
 
-/// Validate one chunk-index entry against the running tiling cursor and the
-/// data-section end, advancing the cursor past the entry's frame. Shared by
-/// the buffered index reader, the inline-index reconstruction and the
-/// streaming parser so every path rejects the same hostile inputs.
-pub fn validate_chunk_entry(
-    entry: &ChunkEntry,
-    chunk: usize,
-    expected_offset: u64,
-    data_end: u64,
-    model_len: usize,
-) -> Result<u64, DecompressError> {
-    if entry.offset > expected_offset {
-        return Err(DecompressError::BadChunkIndex {
-            chunk,
-            reason: "entry leaves a gap after its predecessor",
-        });
-    }
-    if entry.offset < expected_offset {
-        return Err(DecompressError::BadChunkIndex {
-            chunk,
-            reason: "entry overlaps its predecessor",
-        });
-    }
-    if entry.len < FRAME_LEN as u64 {
-        return Err(DecompressError::BadChunkIndex {
-            chunk,
-            reason: "frame shorter than a container frame",
-        });
-    }
-    let next = entry
-        .offset
-        .checked_add(entry.len)
-        .ok_or(DecompressError::BadChunkIndex {
-            chunk,
-            reason: "frame length overflows the archive",
-        })?;
-    if next > data_end {
-        // With a model section present the entry demonstrably reaches into
-        // (or past) the model tail — a malformed index. Without one, the
-        // input may simply have been cut short.
-        return Err(if model_len > 0 {
-            DecompressError::BadChunkIndex {
-                chunk,
-                reason: "entry points past the data section into the model tail",
-            }
-        } else {
-            DecompressError::Truncated("archive chunk data")
-        });
-    }
-    Ok(next)
-}
-
-/// Parse and validate the chunk index of an archive whose header already
-/// parsed as `header`.
-///
-/// Beyond per-entry decoding, this enforces the tiling invariant: entry 0
-/// starts at the data section, every entry abuts its predecessor (no
-/// overlaps, no gaps), every frame is at least [`FRAME_LEN`] long, no entry
-/// reaches into the model tail, and the last entry ends exactly where the
-/// model section begins (the end of the input for archives embedding
-/// nothing) — so lying offsets or lengths, overlapping or reordered entries,
-/// truncation and trailing garbage are all rejected here. For v3 archives
-/// the reserved capacity slots past the chunk count must be zero-filled, and
-/// an inline v3 archive (capacity 0) has its index reconstructed by walking
-/// the frame headers ([`reconstruct_chunk_index`]).
-pub fn read_chunk_index(
-    bytes: &[u8],
-    header: &ArchiveHeader,
-) -> Result<Vec<ChunkEntry>, DecompressError> {
-    let count = header.chunk_count();
-    if header.index_slots() == 0 && header.version >= ARCHIVE_VERSION_APPEND {
-        return reconstruct_chunk_index(bytes, header);
-    }
-    let index_start = header.encoded_len();
-    // Both bounds are computed from the already-validated header, so this
-    // check (against the real input length) caps every allocation below.
-    let data_start = index_start
-        .checked_add(header.index_len())
-        .ok_or(DecompressError::InvalidHeader("archive index size"))?;
-    if bytes.len() < data_start {
-        return Err(DecompressError::Truncated("archive chunk index"));
-    }
-    // The chunk frames end where the (possibly empty) model section starts.
-    let data_end = bytes.len() - header.model_len.min(bytes.len());
-    if data_end < data_start {
-        return Err(DecompressError::Truncated("archive model section"));
-    }
-    let mut entries = Vec::with_capacity(count);
-    let mut expected_offset = data_start as u64;
-    for i in 0..count {
-        let at = index_start + i * CHUNK_ENTRY_LEN;
-        let raw = bytes
-            .get(at..at + CHUNK_ENTRY_LEN)
-            .ok_or(DecompressError::Truncated("archive chunk index"))?;
-        let entry = decode_chunk_entry(raw)?;
-        expected_offset = validate_chunk_entry(
-            &entry,
-            i,
-            expected_offset,
-            data_end as u64,
-            header.model_len,
-        )?;
-        entries.push(entry);
-    }
-    // Reserved capacity slots (v3) must be zero-filled: a stray byte there
-    // is either corruption or a finalize that never happened.
-    for slot in count..header.index_slots() {
-        let at = index_start + slot * CHUNK_ENTRY_LEN;
-        let raw = bytes
-            .get(at..at + CHUNK_ENTRY_LEN)
-            .ok_or(DecompressError::Truncated("archive chunk index"))?;
-        if raw.iter().any(|&b| b != 0) {
-            return Err(DecompressError::BadChunkIndex {
-                chunk: slot,
-                reason: "reserved index slot is not zero-filled",
-            });
-        }
-    }
-    if expected_offset != data_end as u64 {
-        return Err(DecompressError::Inconsistent(
-            "trailing bytes after the last chunk frame",
-        ));
-    }
-    Ok(entries)
-}
-
-/// Decode one raw 17-byte chunk-index entry (codec id, offset, length).
-pub fn decode_chunk_entry(bytes: &[u8]) -> Result<ChunkEntry, DecompressError> {
-    if bytes.len() < CHUNK_ENTRY_LEN {
-        return Err(DecompressError::Truncated("archive chunk index"));
-    }
-    let codec = CodecId::from_byte(bytes[0]).ok_or(DecompressError::UnknownCodec(bytes[0]))?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[1..9]);
-    let offset = u64::from_le_bytes(b);
-    b.copy_from_slice(&bytes[9..17]);
-    let len = u64::from_le_bytes(b);
-    Ok(ChunkEntry { codec, offset, len })
-}
-
-/// Rebuild the chunk index of an **inline** v3 archive (index capacity 0) by
-/// walking the `AESC` frame headers back-to-back from the data start.
-///
-/// Each frame's magic, version and codec byte are validated and its declared
-/// payload length consumed; the walk must land exactly on the model-section
-/// boundary after exactly [`ArchiveHeader::chunk_count`] frames. The result
-/// is indistinguishable from a stored index, so random access over a piped
-/// archive works as soon as the bytes are on disk.
-pub fn reconstruct_chunk_index(
-    bytes: &[u8],
-    header: &ArchiveHeader,
-) -> Result<Vec<ChunkEntry>, DecompressError> {
-    let count = header.chunk_count();
-    let data_start = header.encoded_len();
-    if bytes.len() < data_start {
-        return Err(DecompressError::Truncated("archive header"));
-    }
-    let data_end = bytes.len() - header.model_len.min(bytes.len());
-    if data_end < data_start {
-        return Err(DecompressError::Truncated("archive model section"));
-    }
-    let mut entries = Vec::with_capacity(count);
-    let mut pos = data_start;
-    for i in 0..count {
-        if data_end - pos < FRAME_LEN {
-            return Err(DecompressError::Truncated("archive chunk data"));
-        }
-        let head = bytes
-            .get(pos..pos + FRAME_LEN)
-            .ok_or(DecompressError::Truncated("archive chunk data"))?;
-        if head[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
-            return Err(DecompressError::BadMagic);
-        }
-        if head[4] != CONTAINER_VERSION {
-            return Err(DecompressError::UnsupportedVersion(head[4]));
-        }
-        let codec = CodecId::from_byte(head[5]).ok_or(DecompressError::UnknownCodec(head[5]))?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&head[6..14]);
-        let payload_len = u64::from_le_bytes(b);
-        let len =
-            (FRAME_LEN as u64)
-                .checked_add(payload_len)
-                .ok_or(DecompressError::BadChunkIndex {
-                    chunk: i,
-                    reason: "frame length overflows the archive",
-                })?;
-        let entry = ChunkEntry {
-            codec,
-            offset: pos as u64,
-            len,
-        };
-        let next = validate_chunk_entry(&entry, i, pos as u64, data_end as u64, header.model_len)?;
-        // The validated end offset is bounded by `data_end <= bytes.len()`,
-        // so it always fits back into usize.
-        pos = usize::try_from(next)
-            .map_err(|_| DecompressError::Inconsistent("chunk frame end exceeds this platform"))?;
-        entries.push(entry);
-    }
-    if pos != data_end {
-        return Err(DecompressError::Inconsistent(
-            "trailing bytes after the last chunk frame",
-        ));
-    }
-    Ok(entries)
-}
-
-/// Parse and validate the model section of an archive whose header already
-/// parsed as `header`, returning each embedded model's id and its borrowed
-/// `AESM` frame.
-///
-/// The section must be tiled exactly by `(16-byte id, u64 frame length,
-/// frame)` records; every frame must parse as a valid model frame whose
-/// recomputed payload hash equals the stored id (so a flipped bit anywhere in
-/// a model is caught before the model is trusted), and ids must be unique
-/// (each referenced model is embedded exactly once).
-pub fn read_model_section<'a>(
-    bytes: &'a [u8],
-    header: &ArchiveHeader,
-) -> Result<Vec<(ModelId, &'a [u8])>, DecompressError> {
-    if header.model_len == 0 {
-        return Ok(Vec::new());
-    }
-    let start = bytes
-        .len()
-        .checked_sub(header.model_len)
-        .ok_or(DecompressError::Truncated("archive model section"))?;
-    let section = bytes
-        .get(start..)
-        .ok_or(DecompressError::Truncated("archive model section"))?;
-    parse_model_section(section)
-}
-
-/// Walk a complete model *section* (the last `model_len` bytes of a v2/v3
-/// archive), validating every record — the shared trust boundary behind
-/// [`read_model_section`] and the streaming parser.
-pub fn parse_model_section(section: &[u8]) -> Result<Vec<(ModelId, &[u8])>, DecompressError> {
-    let mut models = Vec::new();
-    let mut pos = 0usize;
-    while pos < section.len() {
-        let head = section
-            .get(pos..pos + MODEL_ID_LEN + 8)
-            .ok_or(DecompressError::Truncated("archive model entry"))?;
-        let id = ModelId::from_prefix(head)
-            .ok_or(DecompressError::Truncated("archive model entry id"))?;
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&head[MODEL_ID_LEN..]);
-        let len = u64::from_le_bytes(len_bytes);
-        pos += MODEL_ID_LEN + 8;
-        if len > (section.len() - pos) as u64 {
-            return Err(DecompressError::Truncated("archive model frame"));
-        }
-        let len =
-            usize::try_from(len).map_err(|_| DecompressError::Truncated("archive model frame"))?;
-        let frame = section
-            .get(pos..pos + len)
-            .ok_or(DecompressError::Truncated("archive model frame"))?;
-        pos += len;
-        let (_, payload) = read_model_frame(frame)?;
-        if ModelId::of(payload) != id {
-            return Err(DecompressError::Inconsistent(
-                "embedded model bytes do not hash to their stored id",
-            ));
-        }
-        if models.iter().any(|&(seen, _)| seen == id) {
-            return Err(DecompressError::Inconsistent(
-                "model embedded more than once",
-            ));
-        }
-        models.push((id, frame));
-    }
-    Ok(models)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::ArchiveReader;
 
     #[test]
     fn frame_roundtrips() {
@@ -1020,9 +709,7 @@ mod tests {
         let (codec, body) = read_frame(&framed).unwrap();
         assert_eq!(codec, CodecId::SzInterp);
         assert_eq!(body, payload);
-        #[allow(deprecated)]
-        let peeked = peek_codec(&framed).unwrap();
-        assert_eq!(peeked, CodecId::SzInterp);
+        assert_eq!(peek(&framed).unwrap().codec, CodecId::SzInterp);
     }
 
     #[test]
@@ -1100,9 +787,9 @@ mod tests {
         assert!(read_frame(&framed).is_err());
 
         // An archive header whose trailing model-section length claims more
-        // bytes than the whole input: `read` must fail before any caller
-        // trusts the length, while `read_prefix` (which by contract does not
-        // validate the tail sections) still parses the fixed prefix.
+        // bytes than the whole input: opening must fail before any caller
+        // trusts the length, while the header decoder (which by contract
+        // does not validate the tail sections) still parses the fixed prefix.
         let mut header = ArchiveHeader::v1(Dims::d1(16), 16);
         header.version = ARCHIVE_VERSION_APPEND;
         let mut bytes = Vec::new();
@@ -1110,10 +797,10 @@ mod tests {
         let model_len_at = bytes.len() - 8;
         bytes[model_len_at..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            ArchiveHeader::read(&bytes),
+            ArchiveReader::open(&bytes),
             Err(DecompressError::Truncated(_)) | Err(DecompressError::InvalidHeader(_))
         ));
-        let prefix = ArchiveHeader::read_prefix(&bytes).unwrap();
+        let prefix = ArchiveHeader::read(&bytes).unwrap();
         assert_eq!(prefix.dims, Dims::d1(16));
         assert_eq!(prefix.model_len as u64, u64::MAX);
     }
@@ -1197,32 +884,30 @@ mod tests {
             EmbeddedModel::new(CodecId::AeA, b"model two"),
         ];
         let bytes = v2_archive(&models);
-        let header = ArchiveHeader::read(&bytes).unwrap();
-        assert_eq!(header.version, ARCHIVE_VERSION_MODELS);
-        assert!(header.model_len > 0);
-        let entries = read_chunk_index(&bytes, &header).unwrap();
-        assert_eq!(entries.len(), 1);
-        let parsed = read_model_section(&bytes, &header).unwrap();
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        assert_eq!(reader.header().version, ARCHIVE_VERSION_MODELS);
+        assert!(reader.header().model_len > 0);
+        assert_eq!(reader.entries().len(), 1);
+        let parsed = reader.models();
         assert_eq!(parsed.len(), 2);
-        for (m, (id, frame)) in models.iter().zip(&parsed) {
+        for (m, (id, frame)) in models.iter().zip(parsed) {
             assert_eq!(*id, m.id);
             assert_eq!(*frame, m.frame.as_slice());
         }
 
         // v2 with an empty model section is valid.
         let empty = v2_archive(&[]);
-        let h = ArchiveHeader::read(&empty).unwrap();
-        assert_eq!(h.model_len, 0);
-        assert!(read_model_section(&empty, &h).unwrap().is_empty());
+        let reader = ArchiveReader::open(&empty).unwrap();
+        assert_eq!(reader.header().model_len, 0);
+        assert!(reader.models().is_empty());
 
         // Every truncation of the archive is rejected by header, index or
         // model-section validation.
         for len in 0..bytes.len() {
-            let slice = &bytes[..len];
-            let ok = ArchiveHeader::read(slice)
-                .and_then(|h| read_chunk_index(slice, &h).map(|_| h))
-                .and_then(|h| read_model_section(slice, &h).map(|_| ()));
-            assert!(ok.is_err(), "truncated v2 archive of {len} bytes parsed");
+            assert!(
+                ArchiveReader::open(&bytes[..len]).is_err(),
+                "truncated v2 archive of {len} bytes parsed"
+            );
         }
     }
 
@@ -1238,21 +923,20 @@ mod tests {
         let last = evil.len() - 1;
         evil[last] ^= 1;
         assert!(matches!(
-            read_model_section(&evil, &header),
+            ArchiveReader::open(&evil),
             Err(DecompressError::Inconsistent(_))
         ));
 
         // A flipped bit in the stored id breaks the hash check too.
         let mut evil = bytes.clone();
         evil[section_start] ^= 1;
-        assert!(read_model_section(&evil, &header).is_err());
+        assert!(ArchiveReader::open(&evil).is_err());
 
         // The same model embedded twice is rejected.
         let twice = v2_archive(&[model.clone(), model.clone()]);
-        let h = ArchiveHeader::read(&twice).unwrap();
         assert_eq!(
-            read_model_section(&twice, &h),
-            Err(DecompressError::Inconsistent(
+            ArchiveReader::open(&twice).err(),
+            Some(DecompressError::Inconsistent(
                 "model embedded more than once"
             ))
         );
@@ -1260,7 +944,7 @@ mod tests {
         // A lying frame length inside the section is truncation.
         let mut evil = bytes.clone();
         evil[section_start + MODEL_ID_LEN] = 0xff;
-        assert!(read_model_section(&evil, &header).is_err());
+        assert!(ArchiveReader::open(&evil).is_err());
     }
 
     #[test]
@@ -1328,29 +1012,27 @@ mod tests {
     fn v3_headers_roundtrip_in_both_regimes() {
         for cap in [0usize, 2, 7] {
             let (bytes, header) = v3_archive(cap);
-            let parsed = ArchiveHeader::read(&bytes).unwrap();
-            assert_eq!(parsed, header);
-            assert_eq!(parsed.index_slots(), cap);
-            let entries = read_chunk_index(&bytes, &parsed).unwrap();
+            let reader = ArchiveReader::open(&bytes).unwrap();
+            assert_eq!(reader.header(), header);
+            assert_eq!(reader.header().index_slots(), cap);
+            let entries = reader.entries();
             assert_eq!(entries.len(), 2);
             assert_eq!(entries[0].codec, CodecId::Zfp);
             assert_eq!(entries[1].codec, CodecId::Sz2);
-            assert_eq!(entries[0].offset as usize, parsed.data_start());
+            assert_eq!(entries[0].offset as usize, header.data_start());
         }
         // Inline and indexed forms agree on the reconstructed entries.
-        let (inline, h0) = v3_archive(0);
-        let (indexed, h2) = v3_archive(2);
-        assert_eq!(
-            read_chunk_index(&inline, &h0)
+        let codecs_and_lens = |bytes: &[u8]| {
+            ArchiveReader::open(bytes)
                 .unwrap()
-                .iter()
-                .map(|e| (e.codec, e.len))
-                .collect::<Vec<_>>(),
-            read_chunk_index(&indexed, &h2)
-                .unwrap()
+                .entries()
                 .iter()
                 .map(|e| (e.codec, e.len))
                 .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            codecs_and_lens(&v3_archive(0).0),
+            codecs_and_lens(&v3_archive(2).0)
         );
     }
 
@@ -1360,8 +1042,8 @@ mod tests {
         let (mut bytes, _) = v3_archive(2);
         bytes[32] = 1; // index_cap u64 at offset 24 + 8·rank = 32 for rank 1
         assert_eq!(
-            ArchiveHeader::read(&bytes),
-            Err(DecompressError::InvalidHeader(
+            ArchiveReader::open(&bytes).err(),
+            Some(DecompressError::InvalidHeader(
                 "archive index capacity smaller than the chunk count"
             ))
         );
@@ -1371,8 +1053,8 @@ mod tests {
         let slot3 = header.encoded_len() + 3 * CHUNK_ENTRY_LEN;
         bytes[slot3 + 5] = 0xAA;
         assert_eq!(
-            read_chunk_index(&bytes, &header),
-            Err(DecompressError::BadChunkIndex {
+            ArchiveReader::open(&bytes).err(),
+            Some(DecompressError::BadChunkIndex {
                 chunk: 3,
                 reason: "reserved index slot is not zero-filled",
             })
@@ -1381,10 +1063,8 @@ mod tests {
         // Every truncation of an inline archive is rejected.
         let (bytes, _) = v3_archive(0);
         for len in 0..bytes.len() {
-            let slice = &bytes[..len];
-            let ok = ArchiveHeader::read(slice).and_then(|h| read_chunk_index(slice, &h));
             assert!(
-                ok.is_err(),
+                ArchiveReader::open(&bytes[..len]).is_err(),
                 "truncated v3 inline archive of {len} bytes parsed"
             );
         }
@@ -1394,6 +1074,7 @@ mod tests {
     fn overlapping_and_tail_crossing_index_entries_are_rejected() {
         let (bytes, header) = v3_archive(2);
         let e0 = header.encoded_len();
+        assert!(ArchiveReader::open(&bytes).is_ok());
 
         // Shrink entry 0's offset: entry 1 then overlaps it... actually
         // entry 0 itself no longer starts at the data section (a gap or
@@ -1401,13 +1082,13 @@ mod tests {
         let mut evil = bytes.clone();
         evil[e0 + 1] = evil[e0 + 1].wrapping_sub(1);
         assert!(matches!(
-            read_chunk_index(&evil, &header),
+            ArchiveReader::open(&evil),
             Err(DecompressError::BadChunkIndex { chunk: 0, .. })
         ));
         let mut evil = bytes.clone();
         evil[e0 + 1] = evil[e0 + 1].wrapping_add(1);
         assert!(matches!(
-            read_chunk_index(&evil, &header),
+            ArchiveReader::open(&evil),
             Err(DecompressError::BadChunkIndex { chunk: 0, .. })
         ));
 
@@ -1415,7 +1096,7 @@ mod tests {
         let mut evil = bytes.clone();
         evil[e0 + 9] = evil[e0 + 9].wrapping_add(1);
         assert!(matches!(
-            read_chunk_index(&evil, &header),
+            ArchiveReader::open(&evil),
             Err(DecompressError::BadChunkIndex { chunk: 1, .. })
         ));
 
@@ -1432,13 +1113,13 @@ mod tests {
         tailed[mlen_at..mlen_at + 8].copy_from_slice(&(section.len() as u64).to_le_bytes());
         let h = ArchiveHeader::read(&tailed).unwrap();
         assert_eq!(h.model_len, section.len());
-        assert!(read_chunk_index(&tailed, &h).is_ok());
+        assert!(ArchiveReader::open(&tailed).is_ok());
         // Now inflate the *last* entry's length so it crosses into the tail.
         let last = h.encoded_len() + CHUNK_ENTRY_LEN;
         tailed[last + 9] = tailed[last + 9].wrapping_add(1);
         assert_eq!(
-            read_chunk_index(&tailed, &h),
-            Err(DecompressError::BadChunkIndex {
+            ArchiveReader::open(&tailed).err(),
+            Some(DecompressError::BadChunkIndex {
                 chunk: 1,
                 reason: "entry points past the data section into the model tail",
             })

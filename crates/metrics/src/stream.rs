@@ -1,48 +1,62 @@
-//! Push-based incremental parsing of `AESC` frames and `AESA` archives.
+//! The one parser of `AESC` frames and `AESA` archives, and its drivers.
 //!
-//! [`StreamDecoder`] is a state machine fed bytes as they arrive — from a
-//! pipe, a socket, a chunked download — and polled for parse events. The
-//! same machine drives both stream shapes: a single [`container`] frame
-//! (detected by its `AESC` magic) and a multi-chunk archive (`AESA`, any
-//! version including the inline v3 layout a seekless writer emits). Every
-//! hostile-input check of the buffered parsers ([`container::read_frame`],
-//! [`ArchiveHeader::read`], [`container::read_chunk_index`],
-//! [`container::read_model_section`]) is applied at the equivalent state
-//! transition, so feeding a malformed input incrementally surfaces the same
-//! error class as handing the whole buffer to the one-shot API.
+//! A sans-I/O state machine is the only code that parses archive structure.
+//! It never reads anything itself: it declares the next section it needs —
+//! the fixed header, one 17-byte index entry, one 14-byte frame head, one
+//! model record, or a chunk payload to step over — and validates each
+//! section its driver hands back. Three thin drivers feed it:
+//!
+//! * [`StreamDecoder`], the push driver: bytes arrive in any granularity
+//!   (a pipe, a socket, a chunked download), are buffered up to one section
+//!   and come out as [`StreamEvent`]s. It also takes single `AESC` frames,
+//!   detected by their magic.
+//! * the whole-slice driver behind
+//!   [`ArchiveReader::open`](crate::archive::ArchiveReader::open), which
+//!   borrows every section from the slice and copies no payload byte;
+//! * the seek driver behind
+//!   [`ArchiveAppender::open`](crate::archive::ArchiveAppender::open),
+//!   which reads headers, index entries, frame heads and model records and
+//!   seeks past every chunk payload.
 //!
 //! ```text
-//!            feed()/poll()
-//!   Detect ──"AESC"──► FrameHeader ──► FramePayload ──────────────┐
-//!     │                                                           ▼
-//!     └──"AESA"──► ArchiveHead ──► Index ──► ChunkHead ─► ChunkBody
-//!                      (v3 cap=0       ▲          │          │
-//!                       skips Index)   └──────────┴──(next)──┘
-//!                                                 │ (all chunks)
-//!                                                 ▼
-//!                              Models ──► Epilogue ──finish()──► done
+//!   Detect ─"AESC"─► FrameHead ─► Payload ─► End
+//!     │
+//!     └─"AESA"─► ArchiveProbe ─► ArchiveHead ─► Index ─► ChunkHead ⇄ Payload
+//!                (the slice and seek drivers    (v3 cap = 0             │
+//!                 start here)                    skips Index)           │ all chunks
+//!                                                                       ▼
+//!                                                   ModelHead ⇄ ModelFrame ─► End
 //! ```
 //!
-//! Buffering is bounded by the largest single section the machine must see
-//! at once — the fixed header, one 17-byte index entry, one chunk frame, or
-//! one model record — never the whole field: consumed bytes are dropped
-//! eagerly and nothing is preallocated from header-declared lengths, so a
-//! lying length cannot force an allocation larger than the bytes actually
-//! fed.
+//! Every hostile-input check lives in the machine, so the three entry points
+//! reject the same inputs with the same errors. Nothing is sized from a
+//! header-declared count or length: the index grows one validated entry at
+//! a time, and the push driver buffers only bytes actually fed.
 //!
-//! Known, deliberate divergence from the buffered path: an index entry that
-//! points past the data section into the model tail is
-//! [`DecompressError::BadChunkIndex`] when the whole archive is in hand, but
-//! a streaming consumer cannot see the end of its input in advance, so the
-//! same corruption surfaces as [`DecompressError::Truncated`] when the bytes
-//! run out early.
+//! Known, deliberate divergence: the slice and seek drivers know the input's
+//! length, and so does the push driver once [`StreamDecoder::finish`] has
+//! been called. From then on the machine knows where the data section ends,
+//! and an index entry that points past it into the model tail is
+//! [`DecompressError::BadChunkIndex`]. A push caller that polls before
+//! `finish` has entries validated without that bound, so the same
+//! corruption surfaces as [`DecompressError::Truncated`] when the bytes run
+//! out early.
 
+use std::io::{Read, Seek, SeekFrom};
+
+use crate::archive::ArchiveReadError;
 use crate::container::{
-    self, validate_chunk_entry, ArchiveHeader, ChunkEntry, CodecId, FrameInfo, ModelId,
-    ARCHIVE_MAGIC, ARCHIVE_VERSION_APPEND, ARCHIVE_VERSION_MODELS, CHUNK_ENTRY_LEN,
-    CONTAINER_MAGIC, CONTAINER_VERSION, FRAME_LEN, MODEL_ID_LEN,
+    self, header_len, ArchiveHeader, ChunkEntry, CodecId, EmbeddedModel, FrameInfo, ModelId,
+    ARCHIVE_MAGIC, CHUNK_ENTRY_LEN, CONTAINER_MAGIC, FRAME_LEN, MODEL_ID_LEN,
 };
 use crate::error::DecompressError;
+
+/// One model record's head: the 16-byte id and the u64 frame length.
+const RECORD_HEAD: usize = MODEL_ID_LEN + 8;
+
+/// Why an archive with bytes between its last chunk frame and its model
+/// section (or its end) is rejected.
+const TRAILING_CHUNKS: &str = "trailing bytes after the last chunk frame";
 
 /// One parse event produced by [`StreamDecoder::poll`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +76,7 @@ pub enum StreamEvent {
     },
     /// A container frame header parsed and validated — for a single `AESC`
     /// input the stream's only frame, for an archive each chunk's frame.
+    /// Only the 14-byte head has been read, so `model_id` is `None`.
     FrameHeader(FrameInfo),
     /// A complete container frame: header plus full payload. `frame` is the
     /// exact bytes a buffered reader would slice, ready for
@@ -70,7 +85,7 @@ pub enum StreamEvent {
         /// Zero-based chunk number (0 for a single-frame stream).
         index: usize,
         /// Codec that owns the chunk (the index entry's codec for indexed
-        /// archives, the frame header's for everything else).
+        /// archives, which the frame header must repeat).
         codec: CodecId,
         /// The complete `AESC` frame.
         frame: Vec<u8>,
@@ -85,77 +100,564 @@ pub enum StreamEvent {
     },
 }
 
-/// What the machine is waiting for next.
-#[derive(Debug)]
-enum State {
-    /// Sniffing the 4-byte magic to pick a mode.
-    Detect,
-    /// Single-frame mode: waiting for the fixed `AESC` header.
-    FrameHeader,
-    /// Single-frame mode: accumulating the declared payload.
-    FramePayload {
-        info: FrameInfo,
-        head: [u8; FRAME_LEN],
-    },
-    /// Archive mode: waiting for the fixed `AESA` header (length depends on
-    /// rank and version, learned from the first 8 bytes).
-    ArchiveHead,
-    /// Archive mode: consuming index slots one 17-byte entry at a time.
-    Index { slot: usize },
-    /// Archive mode: waiting for chunk `index`'s frame header. `expect`
-    /// holds the index entry in indexed mode (frame length known up front),
-    /// `None` in inline mode (length learned from the frame itself).
-    ChunkHead {
-        index: usize,
-        expect: Option<ChunkEntry>,
-    },
-    /// Archive mode: accumulating chunk `index`'s payload.
-    ChunkBody {
+/// What the parser needs next, starting at its offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Need {
+    /// Exactly this many bytes, handed to [`Parser::parse`].
+    Bytes(usize),
+    /// The `len`-byte payload of chunk `index`'s frame, whose head was the
+    /// last section parsed: step over it, then call [`Parser::skip`].
+    Payload {
         index: usize,
         codec: CodecId,
-        head: [u8; FRAME_LEN],
-        payload_len: usize,
+        len: u64,
     },
-    /// Archive mode: consuming the model section record by record.
-    Models { remaining: usize },
-    /// All sections consumed; any further byte is trailing garbage.
-    Epilogue { trailing: &'static str },
-    /// Input complete and validated.
-    Done,
+    /// Every section is consumed; any further byte is trailing garbage
+    /// ([`Parser::trailing`]).
+    End,
 }
 
-/// A push-based incremental decoder for `AESC` frames and `AESA` archives.
+/// One validated section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Parsed {
+    /// The archive's fixed-size header.
+    Header(ArchiveHeader),
+    /// A stored index entry.
+    Entry { index: usize, entry: ChunkEntry },
+    /// A frame head. `entry` is the index entry of an inline archive's
+    /// chunk, reconstructed from its head.
+    FrameHead {
+        info: FrameInfo,
+        entry: Option<(usize, ChunkEntry)>,
+    },
+    /// A model frame whose payload hashes to this id; its bytes are the
+    /// section just parsed.
+    Model(ModelId),
+}
+
+/// What the machine is waiting for.
+#[derive(Debug, Clone, Copy)]
+enum State {
+    /// The 4-byte magic, to pick a mode (push driver only).
+    Detect,
+    /// Single-frame mode: the `AESC` frame head.
+    FrameHead,
+    /// Archive mode: the first 8 header bytes, whose version and rank fix
+    /// the header's length.
+    ArchiveProbe,
+    /// Archive mode: the fixed header of `len` bytes.
+    ArchiveHead { len: usize },
+    /// Archive mode: index slot `slot`.
+    Index { slot: usize },
+    /// Archive mode: chunk `index`'s frame head.
+    ChunkHead { index: usize },
+    /// Chunk `index`'s payload (index 0 for a single frame).
+    Payload {
+        index: usize,
+        codec: CodecId,
+        len: u64,
+    },
+    /// Archive mode: the next model record's head, `left` bytes of the
+    /// model section to go.
+    ModelHead { left: usize },
+    /// Archive mode: the frame of a model record whose head named `id`.
+    ModelFrame {
+        id: ModelId,
+        len: usize,
+        left: usize,
+    },
+    /// Every section consumed.
+    End,
+}
+
+/// The sans-I/O state machine behind every `AESC`/`AESA` parse (see the
+/// module docs).
+#[derive(Debug)]
+struct Parser {
+    state: State,
+    /// Offset of the next unparsed byte from the start of the input.
+    offset: u64,
+    /// Length of the whole input, once the driver knows it.
+    total: Option<u64>,
+    header: Option<ArchiveHeader>,
+    /// Chunk count and index slots of `header`.
+    count: usize,
+    slots: usize,
+    /// Where the chunk frames end, once `total` is known.
+    data_end: Option<u64>,
+    /// Tiling cursor: where the next chunk frame must start.
+    expected: u64,
+    /// The validated chunk index, stored or reconstructed.
+    entries: Vec<ChunkEntry>,
+    /// Ids seen in the model section (duplicate rejection).
+    model_ids: Vec<ModelId>,
+}
+
+impl Parser {
+    /// A parser that picks single-frame or archive mode from the magic.
+    fn new() -> Parser {
+        Parser {
+            state: State::Detect,
+            offset: 0,
+            total: None,
+            header: None,
+            count: 0,
+            slots: 0,
+            data_end: None,
+            expected: 0,
+            entries: Vec::new(),
+            model_ids: Vec::new(),
+        }
+    }
+
+    /// A parser for an `AESA` archive of `total` bytes.
+    fn archive(total: u64) -> Parser {
+        Parser {
+            state: State::ArchiveProbe,
+            total: Some(total),
+            ..Parser::new()
+        }
+    }
+
+    /// The section the machine needs next. The checks that need no bytes
+    /// run here: the input's length against the header, room for an inline
+    /// chunk's frame head before the model section, room for a model
+    /// record.
+    fn next(&mut self) -> Result<Need, DecompressError> {
+        if let (None, Some(total), Some(header)) = (self.data_end, self.total, self.header) {
+            self.data_end = Some(self.data_section_end(&header, total)?);
+        }
+        Ok(match self.state {
+            State::Detect => Need::Bytes(ARCHIVE_MAGIC.len()),
+            State::FrameHead => Need::Bytes(FRAME_LEN),
+            State::ArchiveProbe => Need::Bytes(8),
+            State::ArchiveHead { len } => Need::Bytes(len),
+            State::Index { .. } => Need::Bytes(CHUNK_ENTRY_LEN),
+            State::ChunkHead { .. } => {
+                if self
+                    .data_end
+                    .is_some_and(|end| end.saturating_sub(self.offset) < FRAME_LEN as u64)
+                {
+                    return Err(DecompressError::Truncated("archive chunk data"));
+                }
+                Need::Bytes(FRAME_LEN)
+            }
+            State::Payload { index, codec, len } => Need::Payload { index, codec, len },
+            State::ModelHead { left: 0 } | State::End => {
+                self.state = State::End;
+                Need::End
+            }
+            State::ModelHead { left } if left < RECORD_HEAD => {
+                return Err(DecompressError::Truncated("archive model entry"));
+            }
+            State::ModelHead { .. } => Need::Bytes(RECORD_HEAD),
+            State::ModelFrame { len, .. } => Need::Bytes(len),
+        })
+    }
+
+    /// Validate the section [`next`](Self::next) asked for — exactly the
+    /// bytes at the parser's offset — and move past it.
+    fn parse(&mut self, section: &[u8]) -> Result<Option<Parsed>, DecompressError> {
+        match self.state {
+            State::Detect => {
+                self.state = if section == CONTAINER_MAGIC {
+                    State::FrameHead
+                } else if section == ARCHIVE_MAGIC {
+                    State::ArchiveProbe
+                } else {
+                    return Err(DecompressError::BadMagic);
+                };
+                Ok(None)
+            }
+            State::FrameHead => {
+                let info = container::peek(section)?;
+                self.offset += FRAME_LEN as u64;
+                self.state = State::Payload {
+                    index: 0,
+                    codec: info.codec,
+                    len: info.payload_len,
+                };
+                Ok(Some(Parsed::FrameHead { info, entry: None }))
+            }
+            State::ArchiveProbe => {
+                // Out-of-range versions and ranks are `ArchiveHeader::read`'s
+                // to reject; clamp the rank only to size the wait.
+                let (version, rank) = match section {
+                    [_, _, _, _, version, _, rank, ..] => (*version, usize::from(*rank)),
+                    _ => (0, 1),
+                };
+                self.state = State::ArchiveHead {
+                    len: header_len(version, rank.clamp(1, 3)),
+                };
+                Ok(None)
+            }
+            State::ArchiveHead { .. } => {
+                let header = ArchiveHeader::read(section)?;
+                self.count = header.chunk_count();
+                self.slots = header.index_slots();
+                self.offset += header.encoded_len() as u64;
+                self.expected = self.offset + self.slots as u64 * CHUNK_ENTRY_LEN as u64;
+                self.header = Some(header);
+                self.state = if self.slots > 0 {
+                    State::Index { slot: 0 }
+                } else {
+                    State::ChunkHead { index: 0 }
+                };
+                Ok(Some(Parsed::Header(header)))
+            }
+            State::Index { slot } => {
+                self.offset += CHUNK_ENTRY_LEN as u64;
+                let parsed = if slot < self.count {
+                    let entry = decode_chunk_entry(section)?;
+                    self.push_entry(slot, entry)?;
+                    Some(Parsed::Entry { index: slot, entry })
+                } else if section.iter().any(|&b| b != 0) {
+                    // A stray byte in a reserved slot is either corruption
+                    // or a finalize that never happened.
+                    return Err(DecompressError::BadChunkIndex {
+                        chunk: slot,
+                        reason: "reserved index slot is not zero-filled",
+                    });
+                } else {
+                    None
+                };
+                self.state = if slot + 1 < self.slots {
+                    State::Index { slot: slot + 1 }
+                } else {
+                    self.check_tiling()?;
+                    State::ChunkHead { index: 0 }
+                };
+                Ok(parsed)
+            }
+            State::ChunkHead { index } => {
+                let info = container::peek(section)?;
+                let entry = match self.entries.get(index) {
+                    Some(stored) => {
+                        // The index promised this frame's extent and codec;
+                        // the frame's own head must agree.
+                        let body = stored.len - FRAME_LEN as u64;
+                        if info.payload_len > body {
+                            return Err(DecompressError::Truncated("container payload"));
+                        }
+                        if info.payload_len < body {
+                            return Err(DecompressError::Inconsistent(
+                                "trailing bytes after container payload",
+                            ));
+                        }
+                        if stored.codec != info.codec {
+                            return Err(DecompressError::Inconsistent(
+                                "index entry codec disagrees with the chunk frame",
+                            ));
+                        }
+                        None
+                    }
+                    None => {
+                        // Inline archive: the frame head is the index entry.
+                        // A saturated length still overflows the archive in
+                        // `push_entry` (the frame starts past the header).
+                        let entry = ChunkEntry {
+                            codec: info.codec,
+                            offset: self.offset,
+                            len: (FRAME_LEN as u64).saturating_add(info.payload_len),
+                        };
+                        self.push_entry(index, entry)?;
+                        if index + 1 == self.count {
+                            self.check_tiling()?;
+                        }
+                        Some((index, entry))
+                    }
+                };
+                self.offset += FRAME_LEN as u64;
+                self.state = State::Payload {
+                    index,
+                    codec: info.codec,
+                    len: info.payload_len,
+                };
+                Ok(Some(Parsed::FrameHead { info, entry }))
+            }
+            State::ModelHead { left } => {
+                let id = ModelId::from_prefix(section)
+                    .ok_or(DecompressError::Truncated("archive model entry"))?;
+                let mut len = [0u8; 8];
+                len.copy_from_slice(
+                    section
+                        .get(MODEL_ID_LEN..RECORD_HEAD)
+                        .ok_or(DecompressError::Truncated("archive model entry"))?,
+                );
+                let left = left
+                    .checked_sub(RECORD_HEAD)
+                    .ok_or(DecompressError::Truncated("archive model entry"))?;
+                let len = usize::try_from(u64::from_le_bytes(len))
+                    .ok()
+                    .filter(|&len| len <= left)
+                    .ok_or(DecompressError::Truncated("archive model frame"))?;
+                self.offset += RECORD_HEAD as u64;
+                self.state = State::ModelFrame {
+                    id,
+                    len,
+                    left: left - len,
+                };
+                Ok(None)
+            }
+            State::ModelFrame { id, len, left } => {
+                let (_, payload) = container::read_model_frame(section)?;
+                if ModelId::of(payload) != id {
+                    return Err(DecompressError::Inconsistent(
+                        "embedded model bytes do not hash to their stored id",
+                    ));
+                }
+                if self.model_ids.contains(&id) {
+                    return Err(DecompressError::Inconsistent(
+                        "model embedded more than once",
+                    ));
+                }
+                self.model_ids.push(id);
+                self.offset += len as u64;
+                self.state = State::ModelHead { left };
+                Ok(Some(Parsed::Model(id)))
+            }
+            State::Payload { .. } | State::End => Err(DecompressError::Inconsistent(
+                "internal: no section is due here",
+            )),
+        }
+    }
+
+    /// Move past the payload [`next`](Self::next) asked the driver to step
+    /// over.
+    fn skip(&mut self) {
+        if let State::Payload { index, len, .. } = self.state {
+            self.offset = self.offset.saturating_add(len);
+            self.state = match self.header {
+                None => State::End,
+                Some(_) if index + 1 < self.count => State::ChunkHead { index: index + 1 },
+                Some(header) => State::ModelHead {
+                    left: header.model_len,
+                },
+            };
+        }
+    }
+
+    /// The error for an input that ends before the section
+    /// [`next`](Self::next) asked for; `partial` is what is left of it.
+    fn truncated(&self, partial: &[u8]) -> DecompressError {
+        DecompressError::Truncated(match self.state {
+            State::Detect if !partial.is_empty() && ARCHIVE_MAGIC.starts_with(partial) => {
+                "archive magic"
+            }
+            State::Detect => "container magic",
+            State::FrameHead => "container frame",
+            State::Payload { .. } if self.header.is_none() => "container payload",
+            State::ArchiveProbe | State::ArchiveHead { .. } => {
+                // The header decoder names the missing piece (its magic and
+                // version checks come first).
+                return ArchiveHeader::read(partial)
+                    .err()
+                    .unwrap_or(DecompressError::Truncated("archive header"));
+            }
+            State::Index { .. } => "archive chunk index",
+            State::ChunkHead { .. } | State::Payload { .. } => "archive chunk data",
+            State::ModelHead { .. } | State::ModelFrame { .. } | State::End => {
+                "archive model section"
+            }
+        })
+    }
+
+    /// The error for bytes after the last section.
+    fn trailing(&self) -> DecompressError {
+        DecompressError::Inconsistent(if self.header.is_some() {
+            TRAILING_CHUNKS
+        } else {
+            "trailing bytes after container payload"
+        })
+    }
+
+    /// The header and validated index of a completely parsed archive.
+    fn into_archive(self) -> Result<(ArchiveHeader, Vec<ChunkEntry>), DecompressError> {
+        let header = self
+            .header
+            .ok_or(DecompressError::Truncated("archive header"))?;
+        Ok((header, self.entries))
+    }
+
+    /// Where the chunk frames of a `total`-byte archive end: the model
+    /// section takes the rest, and the header and index must fit before.
+    fn data_section_end(&self, header: &ArchiveHeader, total: u64) -> Result<u64, DecompressError> {
+        let end = total
+            .checked_sub(header.model_len as u64)
+            .ok_or(DecompressError::Truncated("archive model section"))?;
+        let data_start = header.encoded_len() as u64 + self.slots as u64 * CHUNK_ENTRY_LEN as u64;
+        if total < data_start {
+            return Err(DecompressError::Truncated("archive chunk index"));
+        }
+        if end < data_start {
+            return Err(DecompressError::Truncated("archive model section"));
+        }
+        Ok(end)
+    }
+
+    /// Append chunk `index`'s entry to the index once it tiles: it starts
+    /// where its predecessor ended, holds at least a frame head, and ends
+    /// inside the data section.
+    fn push_entry(&mut self, index: usize, entry: ChunkEntry) -> Result<(), DecompressError> {
+        let bad = |reason| DecompressError::BadChunkIndex {
+            chunk: index,
+            reason,
+        };
+        if entry.offset > self.expected {
+            return Err(bad("entry leaves a gap after its predecessor"));
+        }
+        if entry.offset < self.expected {
+            return Err(bad("entry overlaps its predecessor"));
+        }
+        if entry.len < FRAME_LEN as u64 {
+            return Err(bad("frame shorter than a container frame"));
+        }
+        let next = entry
+            .offset
+            .checked_add(entry.len)
+            .ok_or(bad("frame length overflows the archive"))?;
+        if next > self.data_end.unwrap_or(u64::MAX) {
+            // With a model section present the entry demonstrably reaches
+            // into (or past) the model tail — a malformed index. Without
+            // one, the input may simply have been cut short.
+            return Err(match self.header {
+                Some(h) if h.model_len > 0 => {
+                    bad("entry points past the data section into the model tail")
+                }
+                _ => DecompressError::Truncated("archive chunk data"),
+            });
+        }
+        self.expected = next;
+        self.entries.push(entry);
+        Ok(())
+    }
+
+    /// Once every entry is known, and with it the input's length, the
+    /// frames must end exactly where the model section begins.
+    fn check_tiling(&self) -> Result<(), DecompressError> {
+        match self.data_end {
+            Some(end) if end != self.expected => {
+                Err(DecompressError::Inconsistent(TRAILING_CHUNKS))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Decode one raw 17-byte chunk-index entry (codec id, offset, length).
+fn decode_chunk_entry(raw: &[u8]) -> Result<ChunkEntry, DecompressError> {
+    if raw.len() < CHUNK_ENTRY_LEN {
+        return Err(DecompressError::Truncated("archive chunk index"));
+    }
+    let codec = CodecId::from_byte(raw[0]).ok_or(DecompressError::UnknownCodec(raw[0]))?;
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&raw[1..9]);
+    let offset = u64::from_le_bytes(b);
+    b.copy_from_slice(&raw[9..17]);
+    let len = u64::from_le_bytes(b);
+    Ok(ChunkEntry { codec, offset, len })
+}
+
+/// A completely parsed archive: its header, validated index and embedded
+/// models.
+pub(crate) type ParsedArchive<M> = (ArchiveHeader, Vec<ChunkEntry>, Vec<M>);
+
+/// The whole-slice driver: parse the complete archive `bytes`, borrowing
+/// every section from it. Each model comes as its id and `AESM` frame.
+pub(crate) fn read_archive(
+    bytes: &[u8],
+) -> Result<ParsedArchive<(ModelId, &[u8])>, DecompressError> {
+    let mut parser = Parser::archive(bytes.len() as u64);
+    let mut models = Vec::new();
+    loop {
+        let rest = usize::try_from(parser.offset)
+            .ok()
+            .and_then(|at| bytes.get(at..))
+            .unwrap_or(&[]);
+        match parser.next()? {
+            Need::Bytes(n) => {
+                let section = rest.get(..n).ok_or_else(|| parser.truncated(rest))?;
+                if let Some(Parsed::Model(id)) = parser.parse(section)? {
+                    models.push((id, section));
+                }
+            }
+            Need::Payload { len, .. } if len > rest.len() as u64 => {
+                return Err(parser.truncated(rest));
+            }
+            Need::Payload { .. } => parser.skip(),
+            Need::End if rest.is_empty() => {
+                let (header, entries) = parser.into_archive()?;
+                return Ok((header, entries, models));
+            }
+            Need::End => return Err(parser.trailing()),
+        }
+    }
+}
+
+/// The seek driver: parse the `len`-byte archive starting at `base` in
+/// `file`, reading each section and seeking past every chunk payload.
+pub(crate) fn seek_archive<F: Read + Seek>(
+    file: &mut F,
+    base: u64,
+    len: u64,
+) -> Result<ParsedArchive<EmbeddedModel>, ArchiveReadError> {
+    let mut parser = Parser::archive(len);
+    let mut models = Vec::new();
+    let mut section = Vec::new();
+    loop {
+        let rest = len.saturating_sub(parser.offset);
+        match parser.next()? {
+            Need::Bytes(n) => {
+                // Read what the file still holds of the section.
+                section.resize(n.min(usize::try_from(rest).unwrap_or(usize::MAX)), 0);
+                file.seek(SeekFrom::Start(base + parser.offset))?;
+                file.read_exact(&mut section)?;
+                if section.len() < n {
+                    return Err(parser.truncated(&section).into());
+                }
+                if let Some(Parsed::Model(id)) = parser.parse(&section)? {
+                    models.push(EmbeddedModel {
+                        id,
+                        frame: section.clone(),
+                    });
+                }
+            }
+            Need::Payload { len, .. } if len > rest => return Err(parser.truncated(&[]).into()),
+            Need::Payload { .. } => parser.skip(),
+            Need::End if rest == 0 => {
+                let (header, entries) = parser.into_archive()?;
+                return Ok((header, entries, models));
+            }
+            Need::End => return Err(parser.trailing().into()),
+        }
+    }
+}
+
+/// The push driver: a decoder for `AESC` frames and `AESA` archives that is
+/// fed bytes as they arrive.
 ///
-/// Feed bytes with [`feed`](Self::feed) as they arrive, drain events with
+/// Feed bytes with [`feed`](Self::feed), drain events with
 /// [`poll`](Self::poll), and signal end-of-input with
 /// [`finish`](Self::finish) (truncation can only be diagnosed once the
 /// caller declares the input over). After an error, every subsequent poll
 /// repeats the same error — a failed stream cannot be resumed.
 #[derive(Debug)]
 pub struct StreamDecoder {
-    /// Unconsumed input. `pos` is the read cursor; consumed bytes are
-    /// compacted away so residency tracks the current section, not the
-    /// stream.
+    parser: Parser,
+    /// Unconsumed input from `pos` on. Consumed bytes are compacted away so
+    /// residency tracks the current section, not the stream.
     buf: Vec<u8>,
     pos: usize,
-    /// Absolute stream offset of `buf[pos]` — the tiling cursor the archive
-    /// index is validated against.
-    offset: u64,
-    state: State,
-    /// Parsed archive header (archive mode only).
-    header: Option<ArchiveHeader>,
-    /// Tiling cursor for index validation.
-    expected_offset: u64,
-    /// Validated index entries awaiting their chunk frames (indexed mode).
-    entries: Vec<ChunkEntry>,
-    /// Ids seen in the model section (duplicate rejection).
-    model_ids: Vec<ModelId>,
-    /// An event produced alongside the previous poll's return value (a
-    /// state transition can surface at most two events: the reconstructed
-    /// index entry of an inline chunk plus its frame header).
+    /// Head of the frame whose payload is being buffered.
+    head: [u8; FRAME_LEN],
+    /// An event produced alongside the previous poll's return value (an
+    /// inline chunk's reconstructed index entry comes with its frame
+    /// header).
     pending: Option<StreamEvent>,
     /// Caller declared end-of-input.
     eof: bool,
+    /// The whole input parsed cleanly.
+    done: bool,
     /// Sticky failure: every poll after an error repeats it.
     failed: Option<DecompressError>,
     /// High-water mark of `buf.len()` (observability for residency tests).
@@ -173,16 +675,13 @@ impl StreamDecoder {
     /// magic.
     pub fn new() -> StreamDecoder {
         StreamDecoder {
+            parser: Parser::new(),
             buf: Vec::new(),
             pos: 0,
-            offset: 0,
-            state: State::Detect,
-            header: None,
-            expected_offset: 0,
-            entries: Vec::new(),
-            model_ids: Vec::new(),
+            head: [0; FRAME_LEN],
             pending: None,
             eof: false,
+            done: false,
             failed: None,
             peak_buffered: 0,
         }
@@ -201,9 +700,11 @@ impl StreamDecoder {
     }
 
     /// Declare the input complete. Idempotent; bytes must not be fed
-    /// afterwards (they would be reported as trailing garbage).
+    /// afterwards (they would be reported as trailing garbage). Once the
+    /// input's length is known, the parser checks the index against it.
     pub fn finish(&mut self) {
         self.eof = true;
+        self.parser.total = Some(self.parser.offset + self.buffered_len() as u64);
     }
 
     /// Bytes currently buffered and not yet consumed.
@@ -219,32 +720,13 @@ impl StreamDecoder {
     /// The parsed archive header, once [`StreamEvent::ArchiveHeader`] has
     /// been emitted.
     pub fn archive_header(&self) -> Option<&ArchiveHeader> {
-        self.header.as_ref()
+        self.parser.header.as_ref()
     }
 
     /// True once the whole input parsed cleanly: [`finish`](Self::finish)
     /// was called, every section was consumed and no error occurred.
     pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
-    }
-
-    fn avail(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Vec<u8> {
-        // lint:allow(R2): every caller checks `avail() >= n` in the same
-        // state transition before taking; the machine never consumes
-        // unbuffered bytes
-        let out = self.buf[self.pos..self.pos + n].to_vec();
-        self.pos += n;
-        self.offset += n as u64;
-        out
-    }
-
-    fn fail(&mut self, e: DecompressError) -> DecompressError {
-        self.failed = Some(e.clone());
-        e
+        self.done
     }
 
     /// Advance the machine. `Ok(Some(event))` hands out the next parse
@@ -258,397 +740,72 @@ impl StreamDecoder {
         if let Some(ev) = self.pending.take() {
             return Ok(Some(ev));
         }
-        match self.step() {
-            Ok(ev) => Ok(ev),
-            Err(e) => Err(self.fail(e)),
-        }
+        self.step().inspect_err(|e| self.failed = Some(e.clone()))
     }
 
-    /// Drive one state transition. Loops internally over transitions that
-    /// produce no event (e.g. skipping the index in inline mode).
+    /// Feed the parser buffered sections until one yields an event or the
+    /// buffer runs dry.
     fn step(&mut self) -> Result<Option<StreamEvent>, DecompressError> {
         loop {
-            match &self.state {
-                State::Detect => {
-                    if self.avail() < ARCHIVE_MAGIC.len() {
-                        if self.eof {
-                            let seen = self.buf.get(self.pos..).unwrap_or(&[]);
-                            return Err(if ARCHIVE_MAGIC.starts_with(seen) && !seen.is_empty() {
-                                DecompressError::Truncated("archive magic")
-                            } else {
-                                DecompressError::Truncated("container magic")
-                            });
-                        }
-                        return Ok(None);
-                    }
-                    let magic = self.buf.get(self.pos..self.pos + 4).unwrap_or(&[]);
-                    if magic == CONTAINER_MAGIC {
-                        self.state = State::FrameHeader;
-                    } else if magic == ARCHIVE_MAGIC {
-                        self.state = State::ArchiveHead;
-                    } else {
-                        return Err(DecompressError::BadMagic);
-                    }
-                }
-                State::FrameHeader => {
-                    if self.avail() < FRAME_LEN {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("container frame"));
-                        }
-                        return Ok(None);
-                    }
-                    let info = container::peek(self.buf.get(self.pos..).unwrap_or(&[]))?;
-                    let mut head = [0u8; FRAME_LEN];
-                    head.copy_from_slice(&self.take(FRAME_LEN));
-                    self.state = State::FramePayload { info, head };
-                    return Ok(Some(StreamEvent::FrameHeader(info)));
-                }
-                State::FramePayload { info, head } => {
-                    // u64 → usize must be checked: on a 32-bit target a
-                    // declared length of 2^32 + k would otherwise wrap to k.
-                    let need = usize::try_from(info.payload_len).map_err(|_| {
-                        DecompressError::InvalidHeader("container payload exceeds this platform")
-                    })?;
-                    if self.avail() < need {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("container payload"));
-                        }
-                        return Ok(None);
-                    }
-                    let (info, head) = (*info, *head);
-                    let mut frame = head.to_vec();
-                    frame.extend_from_slice(&self.take(need));
-                    self.state = State::Epilogue {
-                        trailing: "trailing bytes after container payload",
-                    };
-                    return Ok(Some(StreamEvent::ChunkFrame {
-                        index: 0,
-                        codec: info.codec,
-                        frame,
-                    }));
-                }
-                State::ArchiveHead => {
-                    // The fixed header's length depends on rank and version,
-                    // both in the first 8 bytes.
-                    if self.avail() < 8 {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("archive header"));
-                        }
-                        return Ok(None);
-                    }
-                    let probe = self.buf.get(self.pos..).unwrap_or(&[]);
-                    let version = probe[4];
-                    let rank = usize::from(probe[6]);
-                    // Out-of-range version/rank are caught by `read_prefix`
-                    // below with the right error; clamp only to size the
-                    // wait.
-                    let fixed = 8
-                        + 8 * rank.clamp(1, 3)
-                        + 16
-                        + if version >= ARCHIVE_VERSION_MODELS {
-                            8
-                        } else {
-                            0
-                        }
-                        + if version >= ARCHIVE_VERSION_APPEND {
-                            8
-                        } else {
-                            0
-                        };
-                    if self.avail() < fixed {
-                        if self.eof {
-                            // Let the buffered parser name the missing piece
-                            // (magic/version checks come first there too).
-                            return Err(ArchiveHeader::read_prefix(
-                                self.buf.get(self.pos..).unwrap_or(&[]),
-                            )
-                            .err()
-                            .unwrap_or(DecompressError::Truncated("archive header")));
-                        }
-                        return Ok(None);
-                    }
-                    let header =
-                        ArchiveHeader::read_prefix(self.buf.get(self.pos..).unwrap_or(&[]))?;
-                    self.take(header.encoded_len());
-                    self.expected_offset = (header.encoded_len() + header.index_len()) as u64;
-                    let indexed = header.index_slots() > 0;
-                    self.header = Some(header);
-                    self.state = if indexed {
-                        State::Index { slot: 0 }
-                    } else {
-                        State::ChunkHead {
-                            index: 0,
-                            expect: None,
-                        }
-                    };
-                    return Ok(Some(StreamEvent::ArchiveHeader(header)));
-                }
-                State::Index { slot } => {
-                    let slot = *slot;
-                    let Some(header) = self.header else {
-                        return Err(DecompressError::Inconsistent(
-                            "internal: Index state without an archive header",
-                        ));
-                    };
-                    if slot == header.index_slots() {
-                        self.state = State::ChunkHead {
-                            index: 0,
-                            expect: self.entries.first().copied(),
-                        };
-                        continue;
-                    }
-                    if self.avail() < CHUNK_ENTRY_LEN {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("archive chunk index"));
-                        }
-                        return Ok(None);
-                    }
-                    let raw = self.take(CHUNK_ENTRY_LEN);
-                    if slot >= header.chunk_count() {
-                        // Reserved capacity slot: must be zero-filled.
-                        if raw.iter().any(|&b| b != 0) {
-                            return Err(DecompressError::BadChunkIndex {
-                                chunk: slot,
-                                reason: "reserved index slot is not zero-filled",
-                            });
-                        }
-                        self.state = State::Index { slot: slot + 1 };
-                        continue;
-                    }
-                    let entry = container::decode_chunk_entry(&raw)?;
-                    // The stream's end is unknown here, so the
-                    // "points past the data section" check is deferred to
-                    // EOF (it surfaces as Truncated); everything else is
-                    // identical to the buffered index reader.
-                    self.expected_offset = validate_chunk_entry(
-                        &entry,
-                        slot,
-                        self.expected_offset,
-                        u64::MAX,
-                        header.model_len,
-                    )?;
-                    self.entries.push(entry);
-                    self.state = State::Index { slot: slot + 1 };
-                    return Ok(Some(StreamEvent::IndexEntry { index: slot, entry }));
-                }
-                State::ChunkHead { index, expect } => {
-                    let (index, expect) = (*index, *expect);
-                    let Some(header) = self.header else {
-                        return Err(DecompressError::Inconsistent(
-                            "internal: ChunkHead state without an archive header",
-                        ));
-                    };
-                    if self.avail() < FRAME_LEN {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("archive chunk data"));
-                        }
-                        return Ok(None);
-                    }
-                    let head_slice = self
-                        .buf
-                        .get(self.pos..self.pos + FRAME_LEN)
-                        .ok_or(DecompressError::Truncated("archive chunk data"))?;
-                    if head_slice[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
-                        return Err(DecompressError::BadMagic);
-                    }
-                    if head_slice[4] != CONTAINER_VERSION {
-                        return Err(DecompressError::UnsupportedVersion(head_slice[4]));
-                    }
-                    let codec_byte = head_slice[5];
-                    let frame_codec = CodecId::from_byte(codec_byte)
-                        .ok_or(DecompressError::UnknownCodec(codec_byte))?;
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&head_slice[6..14]);
-                    let payload_len = u64::from_le_bytes(b);
-                    let codec = match expect {
-                        Some(entry) => {
-                            // The index promised this frame's exact extent;
-                            // the frame's own declared length must agree
-                            // (the buffered path reports the same pair of
-                            // errors when `read_frame` slices by the entry).
-                            let body = entry.len - FRAME_LEN as u64;
-                            if payload_len > body {
-                                return Err(DecompressError::Truncated("container payload"));
-                            }
-                            if payload_len < body {
-                                return Err(DecompressError::Inconsistent(
-                                    "trailing bytes after container payload",
-                                ));
-                            }
-                            // A codec the index claims but the frame denies
-                            // fails the buffered path at decode time (the
-                            // forked compressor rejects the foreign frame);
-                            // the parser can see the lie right here.
-                            if entry.codec != frame_codec {
-                                return Err(DecompressError::Inconsistent(
-                                    "index entry codec disagrees with the chunk frame",
-                                ));
-                            }
-                            entry.codec
-                        }
-                        None => frame_codec,
-                    };
-                    if payload_len > u64::MAX - FRAME_LEN as u64 {
-                        return Err(DecompressError::BadChunkIndex {
-                            chunk: index,
-                            reason: "frame length overflows the archive",
-                        });
-                    }
-                    let mut head = [0u8; FRAME_LEN];
-                    let frame_offset = self.offset;
-                    head.copy_from_slice(&self.take(FRAME_LEN));
-                    let info = FrameInfo {
-                        codec: frame_codec,
-                        version: CONTAINER_VERSION,
-                        payload_len,
-                        model_id: None,
-                    };
-                    self.state = State::ChunkBody {
-                        index,
-                        codec,
-                        head,
-                        payload_len: usize::try_from(payload_len).map_err(|_| {
-                            DecompressError::InvalidHeader(
-                                "container payload exceeds this platform",
-                            )
-                        })?,
-                    };
-                    if expect.is_none() {
-                        // Inline mode: the reconstructed index entry is only
-                        // knowable now. Emit it before the frame header so
-                        // consumers see the same event order as an indexed
-                        // archive (entry, then frame).
-                        let entry = ChunkEntry {
-                            codec: frame_codec,
-                            offset: frame_offset,
-                            len: FRAME_LEN as u64 + payload_len,
-                        };
-                        self.expected_offset = validate_chunk_entry(
-                            &entry,
-                            index,
-                            self.expected_offset,
-                            u64::MAX,
-                            header.model_len,
-                        )?;
-                        self.entries.push(entry);
-                        self.pending = Some(StreamEvent::FrameHeader(info));
-                        return Ok(Some(StreamEvent::IndexEntry { index, entry }));
-                    }
-                    return Ok(Some(StreamEvent::FrameHeader(info)));
-                }
-                State::ChunkBody {
-                    index,
-                    codec,
-                    head,
-                    payload_len,
-                } => {
-                    let (index, codec, head, payload_len) = (*index, *codec, *head, *payload_len);
-                    if self.avail() < payload_len {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("archive chunk data"));
-                        }
-                        return Ok(None);
-                    }
-                    let Some(header) = self.header else {
-                        return Err(DecompressError::Inconsistent(
-                            "internal: ChunkBody state without an archive header",
-                        ));
-                    };
-                    let mut frame = head.to_vec();
-                    frame.extend_from_slice(&self.take(payload_len));
-                    let next = index + 1;
-                    self.state = if next < header.chunk_count() {
-                        State::ChunkHead {
-                            index: next,
-                            expect: if header.index_slots() > 0 {
-                                self.entries.get(next).copied()
-                            } else {
-                                None
-                            },
-                        }
-                    } else if header.model_len > 0 {
-                        State::Models {
-                            remaining: header.model_len,
-                        }
-                    } else {
-                        State::Epilogue {
-                            trailing: "trailing bytes after the last chunk frame",
-                        }
-                    };
-                    return Ok(Some(StreamEvent::ChunkFrame {
-                        index,
-                        codec,
-                        frame,
-                    }));
-                }
-                State::Models { remaining } => {
-                    let remaining = *remaining;
-                    if remaining == 0 {
-                        self.state = State::Epilogue {
-                            trailing: "trailing bytes after the last chunk frame",
-                        };
-                        continue;
-                    }
-                    const RECORD_HEAD: usize = MODEL_ID_LEN + 8;
-                    if remaining < RECORD_HEAD {
-                        return Err(DecompressError::Truncated("archive model entry"));
-                    }
-                    if self.avail() < RECORD_HEAD {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("archive model section"));
-                        }
-                        return Ok(None);
-                    }
-                    let head = self
-                        .buf
-                        .get(self.pos..self.pos + RECORD_HEAD)
-                        .ok_or(DecompressError::Truncated("archive model section"))?;
-                    let id = ModelId::from_prefix(head)
-                        .ok_or(DecompressError::Truncated("archive model entry"))?;
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&head[MODEL_ID_LEN..]);
-                    let len = u64::from_le_bytes(b);
-                    if len > (remaining - RECORD_HEAD) as u64 {
-                        return Err(DecompressError::Truncated("archive model frame"));
-                    }
-                    let len = usize::try_from(len)
-                        .map_err(|_| DecompressError::Truncated("archive model frame"))?;
-                    if self.avail() < RECORD_HEAD + len {
-                        if self.eof {
-                            return Err(DecompressError::Truncated("archive model section"));
-                        }
-                        return Ok(None);
-                    }
-                    self.take(RECORD_HEAD);
-                    let frame = self.take(len);
-                    let (_, payload) = container::read_model_frame(&frame)?;
-                    if ModelId::of(payload) != id {
-                        return Err(DecompressError::Inconsistent(
-                            "embedded model bytes do not hash to their stored id",
-                        ));
-                    }
-                    if self.model_ids.contains(&id) {
-                        return Err(DecompressError::Inconsistent(
-                            "model embedded more than once",
-                        ));
-                    }
-                    self.model_ids.push(id);
-                    self.state = State::Models {
-                        remaining: remaining - RECORD_HEAD - len,
-                    };
-                    return Ok(Some(StreamEvent::Model { id, frame }));
-                }
-                State::Epilogue { trailing } => {
-                    if self.avail() > 0 {
-                        return Err(DecompressError::Inconsistent(trailing));
-                    }
-                    if self.eof {
-                        self.state = State::Done;
-                        continue;
-                    }
+            let avail = self.buf.get(self.pos..).unwrap_or(&[]);
+            let need = self.parser.next()?;
+            let wanted = match need {
+                Need::Bytes(n) => n,
+                // u64 → usize must be checked: on a 32-bit target a declared
+                // length of 2^32 + k would otherwise wrap to k.
+                Need::Payload { len, .. } => usize::try_from(len).map_err(|_| {
+                    DecompressError::InvalidHeader("container payload exceeds this platform")
+                })?,
+                Need::End if avail.is_empty() => {
+                    self.done = self.eof;
                     return Ok(None);
                 }
-                State::Done => return Ok(None),
+                Need::End => return Err(self.parser.trailing()),
+            };
+            let Some(section) = avail.get(..wanted) else {
+                return if self.eof {
+                    Err(self.parser.truncated(avail))
+                } else {
+                    Ok(None)
+                };
+            };
+            let start = self.parser.offset;
+            let event = match need {
+                Need::Payload { index, codec, .. } => {
+                    self.parser.skip();
+                    Some(StreamEvent::ChunkFrame {
+                        index,
+                        codec,
+                        frame: [self.head.as_slice(), section].concat(),
+                    })
+                }
+                _ => match self.parser.parse(section)? {
+                    None => None,
+                    Some(Parsed::Header(header)) => Some(StreamEvent::ArchiveHeader(header)),
+                    Some(Parsed::Entry { index, entry }) => {
+                        Some(StreamEvent::IndexEntry { index, entry })
+                    }
+                    Some(Parsed::FrameHead { info, entry }) => {
+                        self.head.copy_from_slice(section);
+                        match entry {
+                            // Inline archive: the reconstructed entry comes
+                            // first, as in an indexed archive.
+                            Some((index, entry)) => {
+                                self.pending = Some(StreamEvent::FrameHeader(info));
+                                Some(StreamEvent::IndexEntry { index, entry })
+                            }
+                            None => Some(StreamEvent::FrameHeader(info)),
+                        }
+                    }
+                    Some(Parsed::Model(id)) => Some(StreamEvent::Model {
+                        id,
+                        frame: section.to_vec(),
+                    }),
+                },
+            };
+            self.pos += usize::try_from(self.parser.offset - start).unwrap_or(wanted);
+            if event.is_some() {
+                return Ok(event);
             }
         }
     }
@@ -657,8 +814,13 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{write_chunk_entry, write_frame, EmbeddedModel, ARCHIVE_VERSION};
+    use crate::archive::{ArchiveAppender, ArchiveReadError, ArchiveReader};
+    use crate::container::{
+        peek, write_chunk_entry, write_frame, ARCHIVE_VERSION, ARCHIVE_VERSION_APPEND,
+        ARCHIVE_VERSION_MODELS,
+    };
     use aesz_tensor::Dims;
+    use std::io::Cursor;
 
     /// Feed `bytes` in `step`-sized increments, collecting every event.
     fn run(bytes: &[u8], step: usize) -> Result<Vec<StreamEvent>, DecompressError> {
@@ -739,31 +901,61 @@ mod tests {
         );
     }
 
-    /// A synthetic v1 archive with two raw chunks over `d1(8)`/chunk 4.
-    fn v1_archive() -> Vec<u8> {
+    /// A synthetic archive of two raw chunks over `d1(8)`/chunk 4: the
+    /// given `version`, `index_cap` slots (v3 only, 0 = inline) and
+    /// `models` in its tail (v2/v3 only).
+    fn archive(version: u8, index_cap: usize, models: &[EmbeddedModel]) -> Vec<u8> {
         let frames = [
-            write_frame(CodecId::Zfp, b"chunk zero"),
-            write_frame(CodecId::Sz2, b"chunk one!"),
+            (CodecId::Zfp, write_frame(CodecId::Zfp, b"chunk zero")),
+            (CodecId::Sz2, write_frame(CodecId::Sz2, b"chunk one!")),
         ];
-        let header = ArchiveHeader::v1(Dims::d1(8), 4);
+        let mut section = Vec::new();
+        for m in models {
+            section.extend_from_slice(m.id.as_bytes());
+            section.extend_from_slice(&(m.frame.len() as u64).to_le_bytes());
+            section.extend_from_slice(&m.frame);
+        }
+        let header = ArchiveHeader {
+            dims: Dims::d1(8),
+            chunk: 4,
+            version,
+            model_len: section.len(),
+            index_cap,
+        };
         let mut bytes = Vec::new();
         header.write(&mut bytes);
         let mut offset = header.data_start() as u64;
-        for (f, codec) in frames.iter().zip([CodecId::Zfp, CodecId::Sz2]) {
+        for (codec, f) in frames.iter().take(header.index_slots()) {
+            let len = f.len() as u64;
             write_chunk_entry(
                 &mut bytes,
                 &ChunkEntry {
-                    codec,
+                    codec: *codec,
                     offset,
-                    len: f.len() as u64,
+                    len,
                 },
             );
-            offset += f.len() as u64;
+            offset += len;
         }
-        for f in &frames {
+        bytes.resize(header.data_start(), 0);
+        for (_, f) in &frames {
             bytes.extend_from_slice(f);
         }
+        bytes.extend_from_slice(&section);
         bytes
+    }
+
+    fn v1_archive() -> Vec<u8> {
+        archive(ARCHIVE_VERSION, 0, &[])
+    }
+
+    /// The same two chunks as an inline v3 archive with a one-model tail.
+    fn v3_inline_archive_with_model() -> (Vec<u8>, EmbeddedModel) {
+        let model = EmbeddedModel::new(CodecId::AeSz, b"tail weights");
+        (
+            archive(ARCHIVE_VERSION_APPEND, 0, std::slice::from_ref(&model)),
+            model,
+        )
     }
 
     #[test]
@@ -780,33 +972,6 @@ mod tests {
             run(&evil, 1).unwrap_err(),
             DecompressError::Inconsistent("index entry codec disagrees with the chunk frame")
         );
-    }
-
-    /// The same two chunks as an inline v3 archive with a one-model tail.
-    fn v3_inline_archive_with_model() -> (Vec<u8>, EmbeddedModel) {
-        let frames = [
-            write_frame(CodecId::Zfp, b"chunk zero"),
-            write_frame(CodecId::Sz2, b"chunk one!"),
-        ];
-        let model = EmbeddedModel::new(CodecId::AeSz, b"tail weights");
-        let mut section = Vec::new();
-        section.extend_from_slice(model.id.as_bytes());
-        section.extend_from_slice(&(model.frame.len() as u64).to_le_bytes());
-        section.extend_from_slice(&model.frame);
-        let header = ArchiveHeader {
-            dims: Dims::d1(8),
-            chunk: 4,
-            version: ARCHIVE_VERSION_APPEND,
-            model_len: section.len(),
-            index_cap: 0,
-        };
-        let mut bytes = Vec::new();
-        header.write(&mut bytes);
-        for f in &frames {
-            bytes.extend_from_slice(f);
-        }
-        bytes.extend_from_slice(&section);
-        (bytes, model)
     }
 
     #[test]
@@ -829,9 +994,8 @@ mod tests {
             .collect();
         assert_eq!(frames, vec![(0, CodecId::Zfp), (1, CodecId::Sz2)]);
 
-        // The reconstructed entries match the buffered index reader.
-        let header = ArchiveHeader::read(&bytes).unwrap();
-        let buffered = container::read_chunk_index(&bytes, &header).unwrap();
+        // The streamed entries match the slice driver's index.
+        let reader = ArchiveReader::open(&bytes).unwrap();
         let streamed: Vec<_> = whole
             .iter()
             .filter_map(|e| match e {
@@ -839,7 +1003,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(streamed, buffered);
+        assert_eq!(streamed, reader.entries());
     }
 
     #[test]
@@ -965,6 +1129,169 @@ mod tests {
             dec.peak_buffered()
         );
         assert!(dec.peak_buffered() < bytes.len());
+    }
+
+    /// The error each driver reports for `bytes`: the slice driver, the
+    /// push driver fed every byte and `finish` before polling, and (for v3
+    /// inputs) the seek driver.
+    fn driver_errors(bytes: &[u8]) -> Vec<Option<DecompressError>> {
+        let mut pushed = StreamDecoder::new();
+        pushed.feed(bytes);
+        pushed.finish();
+        let pushed = loop {
+            match pushed.poll() {
+                Ok(Some(_)) => {}
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        let mut errors = vec![ArchiveReader::open(bytes).err(), pushed];
+        if bytes.get(4) == Some(&ARCHIVE_VERSION_APPEND) {
+            errors.push(match ArchiveAppender::open(Cursor::new(bytes.to_vec())) {
+                Ok(_) => None,
+                Err(ArchiveReadError::Archive(e)) => Some(e),
+                Err(other) => panic!("seek driver failed outside the parser: {other}"),
+            });
+        }
+        errors
+    }
+
+    /// Offset of index entry `i`'s byte `field` (0 codec, 1 offset, 9
+    /// length), if the archive has an index.
+    fn entry_byte(h: &ArchiveHeader, i: usize, field: usize) -> Option<usize> {
+        (h.index_slots() > i).then(|| h.encoded_len() + i * CHUNK_ENTRY_LEN + field)
+    }
+
+    /// A corruption of a clean archive (`None` where it does not apply)
+    /// and the error every driver must report for it.
+    type Corruption = fn(&[u8], &ArchiveHeader) -> Option<(Vec<u8>, DecompressError)>;
+
+    const INTO_TAIL: DecompressError = DecompressError::BadChunkIndex {
+        chunk: 1,
+        reason: "entry points past the data section into the model tail",
+    };
+
+    #[test]
+    fn every_driver_reports_the_same_error_for_each_corruption() {
+        let model = EmbeddedModel::new(CodecId::AeSz, b"tail weights");
+        let models = std::slice::from_ref(&model);
+        let kinds = [
+            ("v1", archive(ARCHIVE_VERSION, 0, &[])),
+            ("v2", archive(ARCHIVE_VERSION_MODELS, 0, models)),
+            ("indexed v3", archive(ARCHIVE_VERSION_APPEND, 4, models)),
+            ("inline v3", archive(ARCHIVE_VERSION_APPEND, 0, models)),
+        ];
+        let cases: [(&str, Corruption); 8] = [
+            ("a gap in the index tiling", |bytes, h| {
+                let mut evil = bytes.to_vec();
+                evil[entry_byte(h, 1, 1)?] += 1;
+                Some((
+                    evil,
+                    DecompressError::BadChunkIndex {
+                        chunk: 1,
+                        reason: "entry leaves a gap after its predecessor",
+                    },
+                ))
+            }),
+            ("an overlap in the index tiling", |bytes, h| {
+                let mut evil = bytes.to_vec();
+                evil[entry_byte(h, 1, 1)?] -= 1;
+                Some((
+                    evil,
+                    DecompressError::BadChunkIndex {
+                        chunk: 1,
+                        reason: "entry overlaps its predecessor",
+                    },
+                ))
+            }),
+            ("a non-zero reserved slot", |bytes, h| {
+                let mut evil = bytes.to_vec();
+                evil[entry_byte(h, h.chunk_count(), 5)?] = 0xAA;
+                Some((
+                    evil,
+                    DecompressError::BadChunkIndex {
+                        chunk: 2,
+                        reason: "reserved index slot is not zero-filled",
+                    },
+                ))
+            }),
+            ("an entry reaching into the model tail", |bytes, h| {
+                if h.model_len == 0 {
+                    return None;
+                }
+                let mut evil = bytes.to_vec();
+                // Lengthen chunk 1 by one byte: its index entry, or its
+                // frame head in an inline archive.
+                let at = entry_byte(h, 1, 9).unwrap_or_else(|| {
+                    let first = peek(&bytes[h.data_start()..]).unwrap();
+                    h.data_start() + FRAME_LEN + first.payload_len as usize + 6
+                });
+                evil[at] += 1;
+                Some((evil, INTO_TAIL))
+            }),
+            ("a flipped model byte", |bytes, h| {
+                if h.model_len == 0 {
+                    return None;
+                }
+                let mut evil = bytes.to_vec();
+                let last = evil.len() - 1;
+                evil[last] ^= 1;
+                Some((
+                    evil,
+                    DecompressError::Inconsistent(
+                        "embedded model bytes do not hash to their stored id",
+                    ),
+                ))
+            }),
+            ("a duplicate model", |bytes, h| {
+                if h.model_len == 0 {
+                    return None;
+                }
+                let section = &bytes[bytes.len() - h.model_len..];
+                let mut evil = [bytes, section].concat();
+                let len_at = h.encoded_len() - 8;
+                evil[len_at..len_at + 8].copy_from_slice(&(2 * section.len() as u64).to_le_bytes());
+                Some((
+                    evil,
+                    DecompressError::Inconsistent("model embedded more than once"),
+                ))
+            }),
+            ("a trailing byte", |bytes, _| {
+                Some((
+                    [bytes, &[0]].concat(),
+                    DecompressError::Inconsistent(TRAILING_CHUNKS),
+                ))
+            }),
+            ("a truncation", |bytes, h| {
+                let cut = bytes[..bytes.len() - 1].to_vec();
+                // The last chunk now ends past the data section.
+                Some((
+                    cut,
+                    if h.model_len > 0 {
+                        INTO_TAIL
+                    } else {
+                        DecompressError::Truncated("archive chunk data")
+                    },
+                ))
+            }),
+        ];
+        for (kind, bytes) in &kinds {
+            let header = ArchiveHeader::read(bytes).unwrap();
+            let clean = driver_errors(bytes);
+            assert!(clean.iter().all(Option::is_none), "clean {kind}: {clean:?}");
+            for (case, corrupt) in &cases {
+                let Some((evil, expected)) = corrupt(bytes, &header) else {
+                    continue;
+                };
+                for error in driver_errors(&evil) {
+                    assert_eq!(
+                        error.as_ref(),
+                        Some(&expected),
+                        "{case} in a {kind} archive"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

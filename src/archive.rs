@@ -210,9 +210,11 @@ pub fn decompress(
 }
 
 /// Random-access decode of the single chunk `index`: returns its placement
-/// in the field and its reconstructed values. Only that chunk's frame is
-/// read and decoded (plus, for a learned chunk, its model — embedded or from
-/// the registry's store).
+/// in the field and its reconstructed values. Only that chunk's payload is
+/// decoded (plus, for a learned chunk, its model — embedded or from the
+/// registry's store), but opening the archive checks every chunk's 14-byte
+/// frame head against its index entry, so a damaged frame head anywhere in
+/// the archive fails this call as [`ArchiveReadError::Archive`].
 pub fn decompress_chunk(
     registry: &Registry,
     bytes: &[u8],

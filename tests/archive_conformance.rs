@@ -5,12 +5,16 @@
 //! index offsets flipped, chunk counts lied about — must produce an `Err`,
 //! never a panic and never an input-independent allocation.
 
+use std::io::Cursor;
+
 use aesz_repro::archive::{
-    compress_field, compress_field_with, decompress, decompress_chunk, ArchiveOptions,
-    ArchiveReader,
+    compress_field, compress_field_with, decompress, decompress_chunk, ArchiveAppender,
+    ArchiveOptions, ArchiveReadError, ArchiveReader,
 };
-use aesz_repro::metrics::container::{ArchiveHeader, CHUNK_ENTRY_LEN, FRAME_LEN};
-use aesz_repro::metrics::{CodecId, ErrorBound};
+use aesz_repro::metrics::container::{
+    ArchiveHeader, ARCHIVE_VERSION_APPEND, CHUNK_ENTRY_LEN, FRAME_LEN,
+};
+use aesz_repro::metrics::{CodecId, DecompressError, ErrorBound};
 use aesz_repro::tensor::BlockSpec;
 use aesz_repro::{Dims, Field, Registry};
 use proptest::prelude::*;
@@ -262,6 +266,39 @@ fn lying_headers_and_flipped_index_offsets_are_rejected() {
     let mut evil = bytes.clone();
     evil[entry(0)] = 200;
     assert_rejected(evil, "codec id 200");
+}
+
+/// A 48-byte inline v3 archive that declares 2³¹ one-element chunks and
+/// holds no frame is a truncated stream to every entry point: none of them
+/// may size an allocation from the declared chunk count.
+#[test]
+fn a_frameless_header_declaring_two_billion_chunks_is_truncated() {
+    let header = ArchiveHeader {
+        dims: Dims::d1(1 << 31),
+        chunk: 1,
+        version: ARCHIVE_VERSION_APPEND,
+        model_len: 0,
+        index_cap: 0,
+    };
+    let mut bytes = Vec::new();
+    header.write(&mut bytes);
+    assert_eq!(bytes.len(), 48);
+    let truncated = DecompressError::Truncated("archive chunk data");
+
+    assert_eq!(ArchiveReader::open(&bytes).err(), Some(truncated.clone()));
+    let registry = Registry::with_defaults();
+    assert!(matches!(
+        decompress(&registry, &bytes, 2),
+        Err(ArchiveReadError::Archive(ref e)) if *e == truncated
+    ));
+    assert!(matches!(
+        decompress_chunk(&registry, &bytes, 0),
+        Err(ArchiveReadError::Archive(ref e)) if *e == truncated
+    ));
+    assert!(matches!(
+        ArchiveAppender::open(Cursor::new(bytes)),
+        Err(ArchiveReadError::Archive(ref e)) if *e == truncated
+    ));
 }
 
 proptest! {
