@@ -62,15 +62,13 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::time::Instant;
 
 use aesz_repro::archive::{
-    write_archive, write_archive_embedding, write_archive_stream, ArchiveAppender, ArchiveDecoders,
-    ArchiveOptions, ArchiveReader, ChunkSink, ChunkSource,
+    write_archive, write_archive_embedding, write_archive_stream, ArchiveAppender, ArchiveOptions,
+    ArchiveReader, ChunkSink, ChunkSource,
 };
-use aesz_repro::baselines::{AeA, AeB};
-use aesz_repro::core::training::{train_swae_for_field, TrainingOptions};
-use aesz_repro::core::AeSz;
 use aesz_repro::datagen::Application;
 use aesz_repro::metrics::protocol as wire;
-use aesz_repro::model_store::build_compressor;
+use aesz_repro::model_store::{build_compressor, train_compressor, TrainSettings};
+use aesz_repro::resolve::ModelResolver;
 use aesz_repro::tensor::BlockSpec;
 use aesz_repro::{
     CodecId, Compressor, Dims, EmbeddedModel, ErrorBound, Field, ModelStore, Registry,
@@ -317,103 +315,22 @@ fn load_model_file(path: &str) -> Result<(EmbeddedModel, Box<dyn Compressor>), S
 }
 
 /// Training knobs shared by `aesz train` and `compress --train`.
-struct TrainKnobs {
-    epochs: Option<usize>,
-    block: Option<usize>,
-    latent: Option<usize>,
-    channels: Option<Vec<usize>>,
-    max_blocks: Option<usize>,
-    train_seed: u64,
-}
-
-impl TrainKnobs {
-    fn take(args: &mut Vec<String>) -> Result<TrainKnobs, String> {
-        Ok(TrainKnobs {
-            epochs: match take_opt(args, "--epochs")? {
-                Some(s) => Some(parse_usize(&s, "epochs")?),
-                None => None,
-            },
-            block: match take_opt(args, "--block")? {
-                Some(s) => Some(parse_usize(&s, "block")?),
-                None => None,
-            },
-            latent: match take_opt(args, "--latent")? {
-                Some(s) => Some(parse_usize(&s, "latent")?),
-                None => None,
-            },
-            channels: match take_opt(args, "--channels")? {
-                Some(s) => Some(parse_channels(&s)?),
-                None => None,
-            },
-            max_blocks: match take_opt(args, "--max-blocks")? {
-                Some(s) => Some(parse_usize(&s, "max-blocks")?),
-                None => None,
-            },
-            train_seed: match take_opt(args, "--train-seed")? {
-                Some(s) => parse_usize(&s, "train-seed")? as u64,
-                None => 2021,
-            },
-        })
-    }
-}
-
-/// Train a learned codec on `field` (the paper's offline stage), returning
-/// the trained compressor and its content-addressed model.
-fn train_codec(
-    codec: CodecId,
-    field: &Field,
-    knobs: &TrainKnobs,
-) -> Result<(EmbeddedModel, Box<dyn Compressor>), String> {
-    let fields = std::slice::from_ref(field);
-    let built: Box<dyn Compressor> = match codec {
-        CodecId::AeSz => {
-            let rank = field.dims().rank();
-            if rank < 2 {
-                return Err("aesz training needs a 2D or 3D field".into());
-            }
-            let mut opts = TrainingOptions::default_for_rank(rank);
-            if let Some(e) = knobs.epochs {
-                opts.epochs = e;
-            }
-            if let Some(b) = knobs.block {
-                opts.block_size = b;
-            }
-            if let Some(l) = knobs.latent {
-                opts.latent_dim = l;
-            }
-            if let Some(c) = &knobs.channels {
-                opts.channels = c.clone();
-            }
-            if let Some(m) = knobs.max_blocks {
-                opts.max_blocks = m;
-            }
-            opts.seed = knobs.train_seed;
-            Box::new(AeSz::from_model(train_swae_for_field(fields, &opts)))
-        }
-        CodecId::AeA => {
-            let mut ae = AeA::new(knobs.train_seed);
-            ae.train(fields, knobs.epochs.unwrap_or(3), knobs.train_seed);
-            Box::new(ae)
-        }
-        CodecId::AeB => {
-            if field.dims().rank() != 3 {
-                return Err("aeb training needs a 3D field".into());
-            }
-            let mut ae = AeB::new(knobs.train_seed);
-            ae.train(fields, knobs.epochs.unwrap_or(3), knobs.train_seed);
-            Box::new(ae)
-        }
-        other => {
-            return Err(format!(
-                "codec {} takes no model; only aesz, aea and aeb train",
-                other.name()
-            ))
-        }
+fn take_train_settings(args: &mut Vec<String>) -> Result<TrainSettings, String> {
+    let mut take_usize = |name: &str| match take_opt(args, name)? {
+        Some(s) => parse_usize(&s, name.trim_start_matches('-')).map(Some),
+        None => Ok(None),
     };
-    let model = built
-        .embedded_model()
-        .expect("freshly trained codecs carry a model");
-    Ok((model, built))
+    Ok(TrainSettings {
+        epochs: take_usize("--epochs")?,
+        block: take_usize("--block")?,
+        latent: take_usize("--latent")?,
+        max_blocks: take_usize("--max-blocks")?,
+        seed: take_usize("--train-seed")?.map_or(2021, |s| s as u64),
+        channels: match take_opt(args, "--channels")? {
+            Some(s) => Some(parse_channels(&s)?),
+            None => None,
+        },
+    })
 }
 
 // ------------------------------------------------------------- file chunk IO
@@ -851,7 +768,7 @@ fn cmd_train(mut args: Vec<String>) -> Result<(), String> {
         Some(s) => parse_usize(&s, "seed")? as u64,
         None => 0,
     };
-    let knobs = TrainKnobs::take(&mut args)?;
+    let knobs = take_train_settings(&mut args)?;
     finish_args(args)?;
 
     let field = match (&input, &app) {
@@ -864,7 +781,7 @@ fn cmd_train(mut args: Vec<String>) -> Result<(), String> {
         }
     };
     let t0 = Instant::now();
-    let (model, _) = train_codec(codec, &field, &knobs)?;
+    let (model, _) = train_compressor(codec, &field, &knobs)?;
     let secs = t0.elapsed().as_secs_f64();
     std::fs::write(&output, &model.frame).map_err(|e| format!("write {output}: {e}"))?;
     emit!(
@@ -909,7 +826,7 @@ fn cmd_compress(mut args: Vec<String>) -> Result<(), String> {
     let train = take_flag(&mut args, "--train");
     let embed_model = take_flag(&mut args, "--embed-model");
     let model_path = take_opt(&mut args, "--model")?;
-    let knobs = TrainKnobs::take(&mut args)?;
+    let knobs = take_train_settings(&mut args)?;
     finish_args(args)?;
 
     let piped_in = input == "-";
@@ -955,7 +872,7 @@ fn cmd_compress(mut args: Vec<String>) -> Result<(), String> {
         // being compressed, then (optionally) ship the model as a sidecar.
         let field = read_field(&input, dims)?;
         let t0 = Instant::now();
-        let (model, built) = train_codec(codec, &field, &knobs)?;
+        let (model, built) = train_compressor(codec, &field, &knobs)?;
         status!(
             piped_out,
             "trained {} model {} in {:.2} s",
@@ -1058,11 +975,11 @@ fn cmd_compress(mut args: Vec<String>) -> Result<(), String> {
             max_abs: 0.0,
             count: 0,
         };
-        let decoders = ArchiveDecoders::resolve(&registry, &reader);
+        let mut resolver = ModelResolver::for_archive(&registry, &reader);
         reader
             .decode_into(
                 opts.window_chunks(),
-                &mut |i, id| decoders.fork_for(&reader, i, id),
+                &mut |i, id| resolver.chunk_decoder(&reader, i, id),
                 &mut check,
             )
             .map_err(|e| e.to_string())?;
@@ -1122,10 +1039,11 @@ fn cmd_decompress(mut args: Vec<String>) -> Result<(), String> {
             .unwrap_or("?");
         status!(piped_out, "archive embeds {codec} model {id}");
     }
-    // Per-chunk model resolution: embedded section first (hash-verified at
-    // open), then the registry's store (the sidecar above) — so the learned
-    // chunks decode in this fresh process.
-    let decoders = ArchiveDecoders::resolve(&registry, &reader);
+    // Per-chunk model resolution: the archive's embedded models, then the
+    // registry's store (the sidecar above) — so the learned chunks decode
+    // in this fresh process.
+    let mut resolver = ModelResolver::for_archive(&registry, &reader);
+    let mut decoders = |i, id| resolver.chunk_decoder(&reader, i, id);
     let dims = reader.dims();
     if piped_out {
         let mut sink = BandSink::new(
@@ -1134,21 +1052,13 @@ fn cmd_decompress(mut args: Vec<String>) -> Result<(), String> {
             reader.header().chunk,
         );
         reader
-            .decode_into(
-                window,
-                &mut |i, id| decoders.fork_for(&reader, i, id),
-                &mut sink,
-            )
+            .decode_into(window, &mut decoders, &mut sink)
             .map_err(|e| e.to_string())?;
         sink.finish().map_err(|e| format!("write stdout: {e}"))?;
     } else {
         let mut sink = RawFileSink::create(&output, dims)?;
         reader
-            .decode_into(
-                window,
-                &mut |i, id| decoders.fork_for(&reader, i, id),
-                &mut sink,
-            )
+            .decode_into(window, &mut decoders, &mut sink)
             .map_err(|e| e.to_string())?;
         sink.file.flush().map_err(|e| e.to_string())?;
     }
@@ -1173,8 +1083,8 @@ fn cmd_decompress(mut args: Vec<String>) -> Result<(), String> {
         let mut written = RawFileSource::open(&output, dims)?;
         for i in 0..reader.chunk_count() {
             let entry = reader.entries()[i];
-            let mut codec = decoders
-                .fork_for(&reader, i, entry.codec)
+            let mut codec = resolver
+                .chunk_decoder(&reader, i, entry.codec)
                 .map_err(|e| format!("chunk {i}: {e}"))?;
             let chunk = reader
                 .decode_chunk(i, codec.as_mut())

@@ -4,15 +4,17 @@
 //! [`handle_decompress_stream`] is the streaming path `conn` uses for
 //! `Decompress` bodies, feeding socket slabs straight through
 //! [`StreamFieldDecoder`] so the compressed input is never resident whole.
+//! Training goes through the library's one dispatch
+//! ([`train_compressor`]), so a remote `Train` and `aesz train` build the
+//! same model bit for bit.
 
 use std::io::Read;
 
 use crate::state::ServerState;
-use aesz_repro::core::training::{train_swae_for_field, TrainingOptions};
+use aesz_repro::archive::ArchiveReadError;
 use aesz_repro::metrics::protocol::{ErrorCode, ModelEntry, Request, Response, TrainKnobs};
-use aesz_repro::{
-    CodecId, Compressor, DecompressError, Field, ModelStore, StreamFieldDecoder, StreamOutput,
-};
+use aesz_repro::model_store::{train_compressor, TrainSettings};
+use aesz_repro::{CodecId, DecompressError, Field, ModelStore, StreamFieldDecoder};
 
 /// Map a decode/dispatch failure onto the wire error code.
 pub fn error_code_for(e: &DecompressError) -> ErrorCode {
@@ -81,9 +83,10 @@ pub fn handle_buffered(
     }
 }
 
-/// Serve a `Decompress` body directly from the socket: slabs feed the
-/// incremental decoder, so per-connection residency is one slab plus the
-/// decoder's own bounded buffer — never the whole compressed body.
+/// Serve a `Decompress` body directly from the socket through the
+/// library's stream-to-field loop ([`StreamFieldDecoder::read_field`]), so
+/// per-connection residency is one slab plus the decoder's own bounded
+/// buffer — never the whole compressed body.
 ///
 /// No registry lock is held across the socket reads: the decoder accesses
 /// the shared registry through [`aesz_repro::RegistryAccess`], which scopes
@@ -92,84 +95,26 @@ pub fn handle_buffered(
 /// request's write blocks — which would otherwise queue every new reader
 /// behind it and stall all workers.
 pub fn handle_decompress_stream(state: &ServerState, input: &mut dyn Read) -> Response {
-    let max_elems = state.config.max_field_elems;
     let mut decoder = StreamFieldDecoder::new(&state.registry);
-    let mut sink: Option<Field> = None;
-    let mut first_codec: Option<CodecId> = None;
-    let mut primed = false;
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = match input.read(&mut buf) {
-            Ok(n) => n,
-            Err(e) => return error(ErrorCode::Internal, format!("body read failed: {e}")),
-        };
-        if n == 0 {
-            decoder.finish();
-        } else {
-            let Some(fed) = buf.get(..n) else {
-                return error(ErrorCode::Internal, "reader overran its buffer");
-            };
-            if !primed {
-                primed = true;
-                // Single-frame streams reveal their codec up front; for
-                // archives (different magic) this stays None and the
-                // per-codec counter is not attributed.
-                first_codec = aesz_repro::metrics::container::peek(fed)
-                    .ok()
-                    .map(|info| info.codec);
+    let decoded = decoder.read_field(input, state.config.max_field_elems);
+    state.count_stream_models(
+        decoder.registry_model_hits(),
+        decoder.resolved_models() as u64,
+    );
+    match decoded {
+        Ok(field) => {
+            // A single frame names its codec in the parsed frame head; an
+            // archive is not attributed to one codec.
+            if let Some(codec) = decoder.frame_codec() {
+                state.count_decompress(codec);
             }
-            decoder.feed(fed);
+            Response::DecompressOk { field }
         }
-        loop {
-            let out = match decoder.poll() {
-                Ok(out) => out,
-                Err(e) => return error(error_code_for(&e), e.to_string()),
-            };
-            let Some(out) = out else { break };
-            match out {
-                StreamOutput::Header(h) => {
-                    if h.dims.len() > max_elems {
-                        return error(
-                            ErrorCode::TooLarge,
-                            "reconstruction exceeds the element cap",
-                        );
-                    }
-                    sink = Some(Field::zeros(h.dims));
-                }
-                StreamOutput::Chunk(spec, chunk) => match sink.as_mut() {
-                    Some(field) => field.write_block_valid(&spec, chunk.as_slice()),
-                    None => {
-                        return error(
-                            ErrorCode::Malformed,
-                            "chunk emitted before the archive header",
-                        )
-                    }
-                },
-                StreamOutput::Field(field) => {
-                    if field.len() > max_elems {
-                        return error(
-                            ErrorCode::TooLarge,
-                            "reconstruction exceeds the element cap",
-                        );
-                    }
-                    sink = Some(field);
-                }
-            }
+        Err(ArchiveReadError::Io(e)) => {
+            error(ErrorCode::Internal, format!("body read failed: {e}"))
         }
-        if n == 0 {
-            state.count_stream_models(
-                decoder.registry_model_hits(),
-                decoder.resolved_models() as u64,
-            );
-            return match sink {
-                Some(field) => {
-                    if let Some(codec) = first_codec {
-                        state.count_decompress(codec);
-                    }
-                    Response::DecompressOk { field }
-                }
-                None => error(ErrorCode::Malformed, "empty decompress body"),
-            };
+        Err(ArchiveReadError::Archive(e) | ArchiveReadError::Chunk { error: e, .. }) => {
+            error(error_code_for(&e), e.to_string())
         }
     }
 }
@@ -203,12 +148,19 @@ fn train(state: &ServerState, codec: CodecId, knobs: TrainKnobs, field: &Field) 
     if let Err((code, msg)) = check_train_knobs(&knobs, state) {
         return error(code, msg);
     }
-    let built = match build_trained(codec, &knobs, field) {
-        Ok(b) => b,
-        Err((code, msg)) => return error(code, msg),
+    // Zero means "codec default" on the wire.
+    let knob = |v: u32| usize::try_from(v).ok().filter(|&v| v != 0);
+    let settings = TrainSettings {
+        epochs: knob(knobs.epochs),
+        block: knob(knobs.block),
+        latent: knob(knobs.latent),
+        channels: None,
+        max_blocks: knob(knobs.max_blocks),
+        seed: knobs.seed,
     };
-    let Some(model) = built.embedded_model() else {
-        return error(ErrorCode::Internal, "trained codec produced no model");
+    let (model, built) = match train_compressor(codec, field, &settings) {
+        Ok(trained) => trained,
+        Err(msg) => return error(ErrorCode::Unsupported, msg),
     };
     // Resident immediately: later decompress requests hit the registered
     // instance without a store round-trip.
@@ -223,81 +175,6 @@ fn train(state: &ServerState, codec: CodecId, knobs: TrainKnobs, field: &Field) 
     Response::TrainOk {
         id: model.id,
         frame: model.frame.clone(),
-    }
-}
-
-/// Mirror of the CLI's training dispatch (`aesz train`): same codecs, same
-/// rank checks, same defaulting — a knob of 0 means "codec default".
-fn build_trained(
-    codec: CodecId,
-    knobs: &TrainKnobs,
-    field: &Field,
-) -> Result<Box<dyn Compressor>, (ErrorCode, String)> {
-    use aesz_repro::baselines::{AeA, AeB};
-    use aesz_repro::AeSz;
-
-    let fields = std::slice::from_ref(field);
-    let default_epochs = 3usize;
-    match codec {
-        CodecId::AeSz => {
-            let rank = field.dims().rank();
-            if rank < 2 {
-                return Err((
-                    ErrorCode::Unsupported,
-                    "aesz training needs a 2D or 3D field".into(),
-                ));
-            }
-            let mut opts = TrainingOptions::default_for_rank(rank);
-            if knobs.epochs != 0 {
-                opts.epochs = knobs.epochs as usize;
-            }
-            if knobs.block != 0 {
-                opts.block_size = knobs.block as usize;
-            }
-            if knobs.latent != 0 {
-                opts.latent_dim = knobs.latent as usize;
-            }
-            if knobs.max_blocks != 0 {
-                opts.max_blocks = knobs.max_blocks as usize;
-            }
-            opts.seed = knobs.seed;
-            Ok(Box::new(AeSz::from_model(train_swae_for_field(
-                fields, &opts,
-            ))))
-        }
-        CodecId::AeA => {
-            let mut ae = AeA::new(knobs.seed);
-            let epochs = if knobs.epochs == 0 {
-                default_epochs
-            } else {
-                knobs.epochs as usize
-            };
-            ae.train(fields, epochs, knobs.seed);
-            Ok(Box::new(ae))
-        }
-        CodecId::AeB => {
-            if field.dims().rank() != 3 {
-                return Err((
-                    ErrorCode::Unsupported,
-                    "aeb training needs a 3D field".into(),
-                ));
-            }
-            let mut ae = AeB::new(knobs.seed);
-            let epochs = if knobs.epochs == 0 {
-                default_epochs
-            } else {
-                knobs.epochs as usize
-            };
-            ae.train(fields, epochs, knobs.seed);
-            Ok(Box::new(ae))
-        }
-        other => Err((
-            ErrorCode::Unsupported,
-            format!(
-                "codec {} takes no model; only aesz, aea and aeb train",
-                other.name()
-            ),
-        )),
     }
 }
 

@@ -117,6 +117,58 @@ fn eight_concurrent_clients_match_the_local_path_bit_for_bit() {
 }
 
 #[test]
+fn trickled_single_frame_decompresses_are_counted() {
+    use std::io::{Read, Write};
+
+    let (addr, state, stop) = spawn_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    });
+    let registry = Registry::with_defaults();
+    let mut zfp = registry.fork(CodecId::Zfp).expect("zfp registered");
+    let stream = zfp
+        .compress(&test_field(5), ErrorBound::abs(1e-3))
+        .expect("local compress");
+
+    // Sent whole…
+    let mut client = RemoteClient::connect(&addr).expect("connect");
+    let got = client
+        .request(&wire::Request::Decompress {
+            bytes: stream.clone(),
+        })
+        .expect("decompress request");
+    assert!(matches!(got, wire::Response::DecompressOk { .. }));
+
+    // …then trickled: the first 16 body bytes one per 60 ms, so the
+    // daemon's first socket read holds less than the 14-byte frame head.
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    let header = wire::header_bytes(wire::MsgType::Decompress, stream.len() as u64);
+    raw.write_all(&header).expect("send header");
+    for byte in &stream[..16] {
+        raw.write_all(std::slice::from_ref(byte))
+            .expect("send byte");
+        raw.flush().expect("flush");
+        std::thread::sleep(std::time::Duration::from_millis(60));
+    }
+    raw.write_all(&stream[16..]).expect("send the rest");
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("response then close");
+    let (resp, _) =
+        wire::decode_response(&reply, &wire::Limits::default()).expect("typed response");
+    assert!(
+        matches!(resp, wire::Response::DecompressOk { .. }),
+        "expected DecompressOk, got {resp:?}"
+    );
+
+    let zfp_slot = wire::ServerStats::codec_slot(CodecId::Zfp);
+    assert_eq!(state.snapshot().decompress_by_codec[zfp_slot], 2);
+    drop(client);
+    stop();
+}
+
+#[test]
 fn train_is_deterministic_resident_and_saved_as_a_sidecar() {
     let dir = std::env::temp_dir().join(format!("aesz-serve-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -27,13 +27,10 @@ pub use aesz_metrics::archive::{
 };
 pub use aesz_metrics::container::{ArchiveHeader, ChunkEntry};
 
-use crate::model_store::build_compressor;
 use crate::registry::Registry;
-use aesz_metrics::{
-    CodecId, CompressError, Compressor, DecompressError, EmbeddedModel, ErrorBound, ModelId,
-};
+use crate::resolve::ModelResolver;
+use aesz_metrics::{CodecId, CompressError, DecompressError, ErrorBound};
 use aesz_tensor::{BlockSpec, Field};
-use std::collections::HashMap;
 
 /// Compress `field` into a multi-chunk archive, every chunk through the
 /// registered codec `codec`. Returns the archive bytes and the writer's
@@ -88,113 +85,15 @@ pub fn compress_field_embedding(
     })
 }
 
-/// Read the model id stamped into a chunk frame's payload, for the learned
-/// codecs that stamp one. Traditional codecs and pre-model streams yield
-/// `None`, as does a frame whose codec disagrees with its index entry.
-fn peek_stream_model_id(codec: CodecId, frame: &[u8]) -> Option<ModelId> {
-    aesz_metrics::container::peek(frame)
-        .ok()
-        .filter(|info| info.codec == codec)?
-        .model_id
-}
-
-/// Per-archive trained-model resolution: one built compressor prototype per
-/// distinct `(codec, model id)` pair the archive's chunks reference, so an
-/// archive whose chunks of one codec were encoded by *different* trained
-/// models (all embedded, or all in the store) still decodes — dispatch is
-/// per chunk, not per codec.
-///
-/// Models resolve from the archive's embedded model section (v2,
-/// hash-verified at open) first, then from the registry's [`ModelStore`]
-/// (in-memory registrations and sidecar files); ids the registered instance
-/// already holds need no prototype (the plain registry fork serves them),
-/// and unresolvable ids are left to the codec itself, which reports the
-/// dedicated [`DecompressError::MissingModel`] at decode time.
-///
-/// [`ModelStore`]: crate::model_store::ModelStore
-pub struct ArchiveDecoders<'a> {
-    registry: &'a Registry,
-    /// One entry per distinct `(codec, model id)` the chunks reference —
-    /// `None` records a resolution that failed (model absent or corrupt),
-    /// so a missing model costs one lookup, not one per chunk.
-    resolved: HashMap<(CodecId, ModelId), Option<Box<dyn Compressor>>>,
-}
-
-impl<'a> ArchiveDecoders<'a> {
-    /// Resolve every distinct `(codec, model id)` pair referenced by
-    /// `reader`'s chunks (each model is looked up, verified and built once,
-    /// however many chunks share it).
-    pub fn resolve(registry: &'a Registry, reader: &ArchiveReader) -> Self {
-        let mut resolved = HashMap::new();
-        for (i, entry) in reader.entries().iter().enumerate() {
-            let codec = entry.codec;
-            if !matches!(codec, CodecId::AeSz | CodecId::AeA | CodecId::AeB) {
-                continue;
-            }
-            let Some(frame) = reader.chunk_frame(i) else {
-                continue;
-            };
-            let Some(model_id) = peek_stream_model_id(codec, frame) else {
-                continue;
-            };
-            let key = (codec, model_id);
-            if resolved.contains_key(&key) {
-                continue;
-            }
-            // The registered instance may already hold this model (cached-id
-            // comparison — no serialization).
-            if registry.get(codec).and_then(|c| c.embedded_model_id()) == Some(model_id) {
-                continue;
-            }
-            let model = match reader.model_frame(model_id) {
-                // Embedded frames were hash-verified when the reader opened.
-                Some(mf) => EmbeddedModel::from_frame(mf).ok().map(|(m, _)| m),
-                None => registry
-                    .model_store()
-                    .lookup(model_id)
-                    .filter(|m| m.codec() == codec),
-            };
-            // Failed resolutions are cached too (as None): the codec itself
-            // reports MissingModel per chunk, and re-probing sidecar
-            // directories for every chunk of an absent model would be
-            // O(chunks × model bytes).
-            resolved.insert(key, model.and_then(|m| build_compressor(&m).ok()));
-        }
-        ArchiveDecoders { registry, resolved }
-    }
-
-    /// The decoder for chunk `index` of `reader` (codec `id` per its index
-    /// entry): a fork of the chunk's resolved trained prototype when one was
-    /// built, the plain registry instance otherwise — the factory shape
-    /// [`ArchiveReader::decode_into`] consumes.
-    pub fn fork_for(
-        &self,
-        reader: &ArchiveReader,
-        index: usize,
-        id: CodecId,
-    ) -> Result<Box<dyn Compressor>, DecompressError> {
-        if let Some(frame) = reader.chunk_frame(index) {
-            if let Some(model_id) = peek_stream_model_id(id, frame) {
-                if let Some(Some(proto)) = self.resolved.get(&(id, model_id)) {
-                    return Ok(proto.fork());
-                }
-            }
-        }
-        self.registry
-            .fork(id)
-            .ok_or(DecompressError::UnknownCodec(id as u8))
-    }
-}
-
 /// Decode a whole archive into an in-memory field, dispatching every chunk
 /// to the registered codec its index entry names, in rayon-parallel windows
 /// of `window` chunks. Returns the field and the codec that decoded each
 /// chunk (index order).
 ///
-/// Learned chunks resolve their trained models automatically (per chunk, by
-/// the model id stamped in the chunk's stream — see [`ArchiveDecoders`]) and
-/// fail with [`DecompressError::MissingModel`] when neither the archive nor
-/// the registry's store has the model a stream names.
+/// Learned chunks resolve their trained models per chunk, by the model id
+/// stamped in the chunk's stream ([`ModelResolver`]: the registered
+/// instance, the archive's embedded models, then the registry's store), and
+/// fail with [`DecompressError::MissingModel`] when none of them has it.
 pub fn decompress(
     registry: &Registry,
     bytes: &[u8],
@@ -202,9 +101,9 @@ pub fn decompress(
 ) -> Result<(Field, Vec<CodecId>), ArchiveReadError> {
     let reader = ArchiveReader::open(bytes)?;
     let codecs: Vec<CodecId> = reader.entries().iter().map(|e| e.codec).collect();
-    let decoders = ArchiveDecoders::resolve(registry, &reader);
+    let mut resolver = ModelResolver::for_archive(registry, &reader);
     let field = reader.decode_all(window, &mut |index, id| {
-        decoders.fork_for(&reader, index, id)
+        resolver.chunk_decoder(&reader, index, id)
     })?;
     Ok((field, codecs))
 }
@@ -221,56 +120,22 @@ pub fn decompress_chunk(
     index: usize,
 ) -> Result<(BlockSpec, Field), ArchiveReadError> {
     let reader = ArchiveReader::open(bytes)?;
-    let entry = *reader
+    let (entry, spec) = reader
         .entries()
         .get(index)
+        .zip(reader.chunk_spec(index))
         .ok_or(ArchiveReadError::Archive(DecompressError::Inconsistent(
             "chunk index out of range",
         )))?;
-    // Resolve just this chunk's model (if any), not the whole archive's.
-    let mut codec = resolve_one(registry, &reader, index, entry.codec).map_or_else(
-        || {
-            registry.fork(entry.codec).ok_or(ArchiveReadError::Archive(
-                DecompressError::UnknownCodec(entry.codec as u8),
-            ))
-        },
-        Ok,
-    )?;
-    let spec = reader.chunk_spec(index).ok_or(ArchiveReadError::Archive(
-        DecompressError::Inconsistent("chunk index out of range"),
-    ))?;
-    let field = reader
-        .decode_chunk(index, codec.as_mut())
-        .map_err(|error| ArchiveReadError::Chunk {
-            chunk: index,
-            error,
-        })?;
-    Ok((spec, field))
-}
-
-/// Build the trained compressor chunk `index`'s stream names, if its model
-/// can be found and the registered instance does not already hold it.
-fn resolve_one(
-    registry: &Registry,
-    reader: &ArchiveReader,
-    index: usize,
-    codec: CodecId,
-) -> Option<Box<dyn Compressor>> {
-    if !matches!(codec, CodecId::AeSz | CodecId::AeA | CodecId::AeB) {
-        return None;
-    }
-    let model_id = peek_stream_model_id(codec, reader.chunk_frame(index)?)?;
-    if registry.get(codec).and_then(|c| c.embedded_model_id()) == Some(model_id) {
-        return None;
-    }
-    let model = match reader.model_frame(model_id) {
-        Some(mf) => EmbeddedModel::from_frame(mf).ok()?.0,
-        None => registry
-            .model_store()
-            .lookup(model_id)
-            .filter(|m| m.codec() == codec)?,
+    let chunk = |error| ArchiveReadError::Chunk {
+        chunk: index,
+        error,
     };
-    build_compressor(&model).ok()
+    let mut codec = ModelResolver::for_archive(registry, &reader)
+        .chunk_decoder(&reader, index, entry.codec)
+        .map_err(chunk)?;
+    let field = reader.decode_chunk(index, codec.as_mut()).map_err(chunk)?;
+    Ok((spec, field))
 }
 
 #[cfg(test)]

@@ -4,11 +4,12 @@
 //! integration tests can `use aesz_repro::...` without naming each crate,
 //! and hosts the [`registry`] module (the codec [`Registry`] over all seven
 //! compressors and the [`decompress_any`] dispatch entry point), the
-//! [`model_store`] module (content-addressed storage and lazy resolution of
-//! trained models — the train → ship → resolve lifecycle), and the
-//! [`archive`] module (registry-driven chunked streaming archives with
-//! per-chunk codec choice, random-access decode, and embedded-model
-//! resolution).
+//! [`model_store`] module (content-addressed storage of trained models and
+//! the one training dispatch — the train → ship → resolve lifecycle), the
+//! [`resolve`] module (the one decode-time `(codec, ModelId)` → trained
+//! decoder policy every decode path shares), and the [`archive`] module
+//! (registry-driven chunked streaming archives with per-chunk codec choice,
+//! random-access decode, and embedded-model resolution).
 
 #![forbid(unsafe_code)]
 
@@ -35,6 +36,15 @@ pub mod model_store;
     clippy::unimplemented
 )]
 pub mod registry;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+pub mod resolve;
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -11,25 +11,34 @@
 //!   [`ModelStore::insert_frame`] hold `AESM` frames keyed by [`ModelId`];
 //! * **sidecar files** — [`ModelStore::add_sidecar_dir`] points at
 //!   directories of `<model-id-hex>.aesm` files
-//!   ([`ModelStore::save_sidecar`] writes them), looked up lazily on miss;
-//! * **embedded archive sections** — the `AESA` v2 model section is loaded
-//!   into the store by the archive entry points of [`crate::archive`].
+//!   ([`ModelStore::save_sidecar`] writes them), looked up lazily on miss.
+//!
+//! An archive's embedded model section never enters the store: the decode
+//! paths offer it to their per-session
+//! [`ModelResolver`](crate::resolve::ModelResolver), which builds an
+//! embedded model on first use and asks the store only for models the
+//! archive does not carry.
 //!
 //! Every byte entering the store is verified: the frame must parse and the
 //! payload must hash to the id it is filed under, so a corrupted or renamed
 //! model file is rejected instead of silently decoding garbage.
 //! [`ModelStore::build`] turns a stored frame into a trained compressor for
-//! the frame's codec — the `ModelId → trained compressor` resolution the
-//! registry performs when a stream reports [`DecompressError::MissingModel`].
+//! the frame's codec — the `ModelId → trained compressor` step
+//! [`Registry::decompress_any`](crate::Registry::decompress_any) performs
+//! when a stream reports [`DecompressError::MissingModel`].
+//! [`train_compressor`] is the other end of the lifecycle: the one training
+//! dispatch behind `aesz train`, `aesz compress --train` and the daemon.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use aesz_baselines::{AeA, AeB};
+use aesz_core::training::{train_swae_for_field, TrainingOptions};
 use aesz_core::AeSz;
 use aesz_metrics::container::read_model_frame;
 use aesz_metrics::{CodecId, Compressor, DecompressError, EmbeddedModel, ModelId};
 use aesz_nn::serialize::{load_model, ModelError};
+use aesz_tensor::Field;
 
 /// Why a model file or frame could not enter the store.
 #[derive(Debug)]
@@ -291,6 +300,78 @@ pub fn build_compressor(model: &EmbeddedModel) -> Result<Box<dyn Compressor>, De
             "model frame names a codec that takes no model",
         )),
     }
+}
+
+/// Training knobs for [`train_compressor`]; `None` keeps the codec's
+/// default. AE-A and AE-B read only `epochs` (default 3) and `seed`.
+#[derive(Debug, Clone, Default)]
+pub struct TrainSettings {
+    /// Passes over the training blocks.
+    pub epochs: Option<usize>,
+    /// AE-SZ block edge.
+    pub block: Option<usize>,
+    /// AE-SZ latent size.
+    pub latent: Option<usize>,
+    /// AE-SZ encoder channel widths.
+    pub channels: Option<Vec<usize>>,
+    /// AE-SZ cap on sampled training blocks.
+    pub max_blocks: Option<usize>,
+    /// Initialisation and sampling seed.
+    pub seed: u64,
+}
+
+/// Train a learned codec on `field` (the paper's offline stage), returning
+/// its content-addressed model and the trained compressor. Errors are
+/// user-facing texts: a field of the wrong rank, or a codec that takes no
+/// model.
+pub fn train_compressor(
+    codec: CodecId,
+    field: &Field,
+    settings: &TrainSettings,
+) -> Result<(EmbeddedModel, Box<dyn Compressor>), String> {
+    let fields = std::slice::from_ref(field);
+    let epochs = settings.epochs.unwrap_or(3);
+    let built: Box<dyn Compressor> = match codec {
+        CodecId::AeSz => {
+            let rank = field.dims().rank();
+            if rank < 2 {
+                return Err("aesz training needs a 2D or 3D field".into());
+            }
+            let mut opts = TrainingOptions::default_for_rank(rank);
+            opts.epochs = settings.epochs.unwrap_or(opts.epochs);
+            opts.block_size = settings.block.unwrap_or(opts.block_size);
+            opts.latent_dim = settings.latent.unwrap_or(opts.latent_dim);
+            opts.max_blocks = settings.max_blocks.unwrap_or(opts.max_blocks);
+            if let Some(channels) = &settings.channels {
+                opts.channels = channels.clone();
+            }
+            opts.seed = settings.seed;
+            Box::new(AeSz::from_model(train_swae_for_field(fields, &opts)))
+        }
+        CodecId::AeA => {
+            let mut ae = AeA::new(settings.seed);
+            ae.train(fields, epochs, settings.seed);
+            Box::new(ae)
+        }
+        CodecId::AeB if field.dims().rank() != 3 => {
+            return Err("aeb training needs a 3D field".into());
+        }
+        CodecId::AeB => {
+            let mut ae = AeB::new(settings.seed);
+            ae.train(fields, epochs, settings.seed);
+            Box::new(ae)
+        }
+        other => {
+            return Err(format!(
+                "codec {} takes no model; only aesz, aea and aeb train",
+                other.name()
+            ))
+        }
+    };
+    let model = built
+        .embedded_model()
+        .ok_or("trained codec produced no model")?;
+    Ok((model, built))
 }
 
 fn model_error_to_decompress(e: ModelError) -> DecompressError {

@@ -9,7 +9,7 @@
 //!
 //! The learned codecs (AE-SZ, AE-A, AE-B) need the *same trained model* the
 //! encoder used. Their streams carry that model's content-addressed
-//! [`ModelId`](aesz_metrics::ModelId), and the registry is backed by a
+//! [`ModelId`], and the registry is backed by a
 //! [`ModelStore`]: when a dispatched codec rejects a stream with
 //! [`DecompressError::MissingModel`], [`Registry::decompress_any`] resolves
 //! the id through the store (in-memory registrations, sidecar `.aesm`
@@ -21,7 +21,7 @@
 //! bytes.
 
 use crate::model_store::ModelStore;
-use aesz_metrics::{CodecId, Compressor, DecompressError};
+use aesz_metrics::{CodecId, Compressor, DecompressError, EmbeddedModel, ModelId};
 use aesz_tensor::Field;
 
 /// One decoder/encoder per codec id, dispatchable by container frame, backed
@@ -161,24 +161,35 @@ impl Registry {
         };
         match codec.decompress(bytes) {
             Ok(field) => Ok((field, id)),
-            Err(DecompressError::MissingModel { codec, model_id }) => {
-                // Lazy resolution: the stream told us exactly which trained
-                // model it needs; build it from the store and retry once.
-                let mut built = self.store.build(codec, model_id)?;
-                let retried = built.decompress(bytes);
-                // Registering the resolved instance evicts the current one —
-                // which may be a directly-registered trained model the store
-                // has never seen. Salvage its serialized form first, so
-                // earlier streams stay resolvable instead of becoming
-                // permanently undecodable in this process.
-                if let Some(evicted) = self.get(id).and_then(|c| c.embedded_model()) {
-                    self.store.insert(evicted);
-                }
-                self.register(built);
-                retried.map(|field| (field, id)).map_err(wrap)
-            }
+            // Lazy resolution: the stream told us exactly which trained
+            // model it needs; promote it from the store and retry once.
+            Err(DecompressError::MissingModel { codec, model_id }) => self
+                .promote(codec, model_id)?
+                .decompress(bytes)
+                .map(|field| (field, id))
+                .map_err(wrap),
             Err(e) => Err(wrap(e)),
         }
+    }
+
+    /// Build model `model_id` for `codec` from the store and register it,
+    /// returning the registered instance. Registering evicts the current
+    /// instance — which may hold a directly-registered trained model the
+    /// store has never seen — so its serialized form is salvaged into the
+    /// store first: earlier streams stay resolvable instead of becoming
+    /// permanently undecodable in this process.
+    fn promote(
+        &mut self,
+        codec: CodecId,
+        model_id: ModelId,
+    ) -> Result<&mut (dyn Compressor + 'static), DecompressError> {
+        let built = self.store.build(codec, model_id)?;
+        if let Some(evicted) = self.get(codec).and_then(|c| c.embedded_model()) {
+            self.store.insert(evicted);
+        }
+        self.register(built);
+        self.get_mut(codec)
+            .ok_or(DecompressError::UnknownCodec(codec as u8))
     }
 }
 
@@ -188,13 +199,16 @@ impl Default for Registry {
     }
 }
 
-/// The read-only registry surface the streaming decoder needs, abstracted
-/// so a lock-guarded registry can scope each acquisition to one call.
+/// The read-only registry surface decode-time model resolution needs,
+/// abstracted so a lock-guarded registry can scope each acquisition to one
+/// call.
 ///
-/// [`StreamFieldDecoder`](crate::stream::StreamFieldDecoder) runs against
-/// `&dyn RegistryAccess` while its caller blocks on transport reads between
-/// polls. For a plain [`Registry`] the methods are direct calls; for
-/// [`SharedRegistry`] each takes the read lock for just that call — so a
+/// [`ModelResolver`](crate::resolve::ModelResolver) runs against
+/// `&dyn RegistryAccess` — inside a
+/// [`StreamFieldDecoder`](crate::stream::StreamFieldDecoder) whose caller
+/// blocks on transport reads between polls. For a plain [`Registry`] the
+/// methods are direct calls; for [`SharedRegistry`] each takes the read
+/// lock for just that call — so a
 /// slow or hostile byte source can never hold the lock across I/O, and a
 /// writer waiting behind it can never wedge every other reader (std's
 /// `RwLock` queues new readers behind a blocked writer).
@@ -204,12 +218,9 @@ pub trait RegistryAccess {
     fn fork_codec(&self, id: CodecId) -> Option<Box<dyn Compressor>>;
     /// The trained-model id embedded in the instance registered for
     /// `codec`, if any.
-    fn registered_model_id(&self, codec: CodecId) -> Option<aesz_metrics::ModelId>;
+    fn registered_model_id(&self, codec: CodecId) -> Option<ModelId>;
     /// Verified model lookup in the backing store (memory, then sidecars).
-    fn lookup_model(
-        &self,
-        id: aesz_metrics::ModelId,
-    ) -> Option<aesz_metrics::container::EmbeddedModel>;
+    fn lookup_model(&self, id: ModelId) -> Option<EmbeddedModel>;
 }
 
 impl RegistryAccess for Registry {
@@ -217,14 +228,11 @@ impl RegistryAccess for Registry {
         self.fork(id)
     }
 
-    fn registered_model_id(&self, codec: CodecId) -> Option<aesz_metrics::ModelId> {
+    fn registered_model_id(&self, codec: CodecId) -> Option<ModelId> {
         self.get(codec).and_then(|c| c.embedded_model_id())
     }
 
-    fn lookup_model(
-        &self,
-        id: aesz_metrics::ModelId,
-    ) -> Option<aesz_metrics::container::EmbeddedModel> {
+    fn lookup_model(&self, id: ModelId) -> Option<EmbeddedModel> {
         self.model_store().lookup(id)
     }
 }
@@ -234,14 +242,11 @@ impl RegistryAccess for SharedRegistry {
         self.read().fork(id)
     }
 
-    fn registered_model_id(&self, codec: CodecId) -> Option<aesz_metrics::ModelId> {
-        self.read().get(codec).and_then(|c| c.embedded_model_id())
+    fn registered_model_id(&self, codec: CodecId) -> Option<ModelId> {
+        self.read().registered_model_id(codec)
     }
 
-    fn lookup_model(
-        &self,
-        id: aesz_metrics::ModelId,
-    ) -> Option<aesz_metrics::container::EmbeddedModel> {
+    fn lookup_model(&self, id: ModelId) -> Option<EmbeddedModel> {
         self.read().model_store().lookup(id)
     }
 }
@@ -310,7 +315,7 @@ impl SharedRegistry {
     pub fn insert_model_frame(
         &self,
         frame: &[u8],
-    ) -> Result<aesz_metrics::ModelId, crate::model_store::ModelStoreError> {
+    ) -> Result<ModelId, crate::model_store::ModelStoreError> {
         self.write().model_store_mut().insert_frame(frame)
     }
 
@@ -357,7 +362,7 @@ impl SharedRegistry {
     /// means a registered stateless codec. Long-lived forks compare this
     /// against the id they were forked at to learn whether they are stale
     /// (a `Train` re-registering a learned codec changes the id).
-    pub fn registered_codec_state(&self, id: CodecId) -> Option<Option<aesz_metrics::ModelId>> {
+    pub fn registered_codec_state(&self, id: CodecId) -> Option<Option<ModelId>> {
         self.read().get(id).map(|c| c.embedded_model_id())
     }
 
@@ -402,7 +407,7 @@ impl SharedRegistry {
     fn resolve(
         &self,
         codec: CodecId,
-        model_id: aesz_metrics::ModelId,
+        model_id: ModelId,
     ) -> Result<Box<dyn Compressor>, DecompressError> {
         let mut guard = self.write();
         // Double-check under the write lock: a racing thread may have
@@ -413,15 +418,9 @@ impl SharedRegistry {
                 .fork(codec)
                 .ok_or(DecompressError::UnknownCodec(codec as u8));
         }
-        let built = guard.model_store_mut().build(codec, model_id)?;
+        let fork = guard.promote(codec, model_id)?.fork();
         self.resolutions
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Salvage the evicted registered model (see Registry::decompress_any).
-        if let Some(evicted) = guard.get(codec).and_then(|c| c.embedded_model()) {
-            guard.model_store_mut().insert(evicted);
-        }
-        let fork = built.fork();
-        guard.register(built);
         Ok(fork)
     }
 

@@ -2,37 +2,42 @@
 //!
 //! [`aesz_metrics::stream::StreamDecoder`] owns the byte-level state machine
 //! (feed bytes in any granularity, get validated parse events out); this
-//! module binds it to the codec [`Registry`], turning those events into
-//! decoded fields:
+//! module binds it to the codec [`Registry`](crate::Registry), turning
+//! those events into decoded fields:
 //!
 //! * [`StreamFieldDecoder`] — the push-based core: [`feed`] arbitrary byte
 //!   slices (a socket, a pipe, a file tail), [`poll`] decoded output —
 //!   archive geometry, decoded chunks with their placement, or a whole field
 //!   for single-frame streams. Resident memory is bounded by one chunk
 //!   frame plus the decoder's internal buffer, never the archive.
-//! * [`decompress_reader`] — the pull convenience over any [`std::io::Read`]:
-//!   drives a [`StreamFieldDecoder`] with a fixed read buffer and assembles
-//!   the chunks into an in-memory field.
+//! * [`StreamFieldDecoder::read_field`] — the pull loop over any
+//!   [`std::io::Read`]: feeds fixed-size slabs and assembles the chunks into
+//!   an in-memory field under an element cap. [`decompress_reader`],
+//!   [`decompress_reader_limited`] and the `aesz serve` daemon all run it.
 //!
-//! Trained-model resolution works like the buffered
-//! [`decompress`](crate::archive::decompress), with one twist inherent to
-//! streaming: an archive's embedded model section arrives *after* its
-//! chunks. A learned chunk whose model is not yet resolvable (not in the
-//! registry, not in its [`ModelStore`](crate::model_store::ModelStore)) is
-//! deferred — its compressed frame is parked, costing compressed (not raw)
-//! bytes — and decoded the moment the tail supplies the model. Chunks whose
-//! model never shows up fail with the dedicated
-//! [`DecompressError::MissingModel`] when the stream ends.
+//! Trained models resolve through the same [`ModelResolver`] as the
+//! buffered [`decompress`](crate::archive::decompress), with one twist
+//! inherent to streaming: an archive's embedded model section arrives
+//! *after* its chunks. A learned chunk whose model misses (not registered,
+//! not offered yet, not in the registry's
+//! [`ModelStore`](crate::model_store::ModelStore)) is parked — costing
+//! compressed (not raw) bytes — and decoded the moment the tail offers the
+//! model. A miss is cached for the stream, so a model entering the store
+//! mid-stream is not picked up by it. A chunk still parked when the stream
+//! ends goes to the registry's instance, like a miss on the buffered paths:
+//! it fails with the dedicated [`DecompressError::MissingModel`] unless its
+//! codec needs no network for it.
 //!
 //! [`feed`]: StreamFieldDecoder::feed
 //! [`poll`]: StreamFieldDecoder::poll
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use crate::archive::ArchiveReadError;
-use crate::model_store::build_compressor;
-use crate::registry::{Registry, RegistryAccess};
-use aesz_metrics::container::{ArchiveHeader, CodecId, EmbeddedModel, ModelId};
+use crate::registry::RegistryAccess;
+use crate::resolve::{frame_model_id, ModelResolver};
+use aesz_metrics::container::{ArchiveHeader, CodecId, ModelId};
 use aesz_metrics::stream::{StreamDecoder, StreamEvent};
 use aesz_metrics::{Compressor, DecompressError};
 use aesz_tensor::{BlockSpec, Field};
@@ -52,12 +57,13 @@ pub enum StreamOutput {
     Field(Field),
 }
 
-/// A learned chunk frame parked until its trained model arrives.
-struct Deferred {
+/// One complete container frame (an archive chunk or the single frame)
+/// and the trained model it names.
+struct Frame {
     index: usize,
     codec: CodecId,
-    model_id: ModelId,
-    frame: Vec<u8>,
+    model_id: Option<ModelId>,
+    bytes: Vec<u8>,
 }
 
 /// Push-based incremental decoder: bytes in ([`feed`]), decoded fields and
@@ -87,38 +93,35 @@ struct Deferred {
 /// [`feed`]: StreamFieldDecoder::feed
 /// [`poll`]: StreamFieldDecoder::poll
 pub struct StreamFieldDecoder<'r> {
-    /// Registry access is per-call ([`RegistryAccess`]): with a
-    /// [`SharedRegistry`](crate::SharedRegistry) behind this reference, no
+    /// Registry access is per call ([`RegistryAccess`]): with a
+    /// [`SharedRegistry`](crate::SharedRegistry) behind the resolver, no
     /// lock is ever held between [`poll`](StreamFieldDecoder::poll) calls —
     /// a caller may block on transport I/O without starving writers.
-    registry: &'r dyn RegistryAccess,
+    resolver: ModelResolver<'r>,
     inner: StreamDecoder,
     header: Option<ArchiveHeader>,
+    /// The codec of a single-frame stream, from its parsed frame head.
+    frame_codec: Option<CodecId>,
     /// Decoded-but-not-yet-polled output (a model arriving in the tail can
     /// unblock several deferred chunks at once).
     ready: VecDeque<StreamOutput>,
-    deferred: Vec<Deferred>,
-    /// Trained prototypes built for this stream, one per distinct
-    /// `(codec, model id)` — forked per chunk like the buffered reader.
-    protos: HashMap<(CodecId, ModelId), Box<dyn Compressor>>,
-    /// Learned chunks served directly by the registered instance (the
-    /// model-cache-hit half of the daemon's stats).
-    registry_hits: u64,
+    /// Frames parked on a missing model, in index order.
+    deferred: VecDeque<Frame>,
 }
 
 impl<'r> StreamFieldDecoder<'r> {
     /// A decoder dispatching to `registry`'s codecs and model store — a
-    /// plain [`Registry`] or anything else implementing [`RegistryAccess`]
-    /// (a [`SharedRegistry`](crate::SharedRegistry) for concurrent callers).
+    /// plain [`Registry`](crate::Registry) or anything else implementing
+    /// [`RegistryAccess`] (a [`SharedRegistry`](crate::SharedRegistry) for
+    /// concurrent callers).
     pub fn new<R: RegistryAccess>(registry: &'r R) -> Self {
         StreamFieldDecoder {
-            registry,
+            resolver: ModelResolver::new(registry),
             inner: StreamDecoder::new(),
             header: None,
+            frame_codec: None,
             ready: VecDeque::new(),
-            deferred: Vec::new(),
-            protos: HashMap::new(),
-            registry_hits: 0,
+            deferred: VecDeque::new(),
         }
     }
 
@@ -142,6 +145,12 @@ impl<'r> StreamFieldDecoder<'r> {
         self.header.as_ref()
     }
 
+    /// The codec of a single-frame stream, once its 14-byte frame head has
+    /// been parsed (`None` before that, and forever for archives).
+    pub fn frame_codec(&self) -> Option<CodecId> {
+        self.frame_codec
+    }
+
     /// High-water mark of the parser's internal byte buffer — the witness
     /// that residency is bounded by one section, not the stream.
     pub fn peak_buffered(&self) -> usize {
@@ -151,13 +160,13 @@ impl<'r> StreamFieldDecoder<'r> {
     /// Distinct trained models this stream made resident (built from the
     /// registry's store or the archive's embedded model tail).
     pub fn resolved_models(&self) -> usize {
-        self.protos.len()
+        self.resolver.models_built()
     }
 
     /// Learned chunks decoded by the already-registered trained instance —
     /// no store lookup, no prototype build.
     pub fn registry_model_hits(&self) -> u64 {
-        self.registry_hits
+        self.resolver.registry_hits()
     }
 
     /// Next decoded output, `Ok(None)` when more input (or
@@ -170,22 +179,25 @@ impl<'r> StreamFieldDecoder<'r> {
                 return Ok(Some(out));
             }
             let Some(event) = self.inner.poll()? else {
-                // End of a well-formed stream: any chunk still deferred
-                // references a model neither the archive nor the store has.
-                if self.inner.is_done() {
-                    if let Some(miss) = self.deferred.pop() {
-                        return Err(DecompressError::MissingModel {
-                            codec: miss.codec,
-                            model_id: miss.model_id,
-                        });
-                    }
+                // End of a well-formed stream: no model the archive offered
+                // unblocked these chunks, so the registry's instance gets
+                // them (see the module docs).
+                if !self.inner.is_done() {
+                    return Ok(None);
                 }
-                return Ok(None);
+                let Some(frame) = self.deferred.pop_front() else {
+                    return Ok(None);
+                };
+                let decoder = self.resolver.fork(frame.codec)?;
+                return self.decode(decoder, &frame).map(Some);
             };
             match event {
                 StreamEvent::ArchiveHeader(h) => {
                     self.header = Some(h);
                     return Ok(Some(StreamOutput::Header(h)));
+                }
+                StreamEvent::FrameHeader(info) if self.header.is_none() => {
+                    self.frame_codec = Some(info.codec);
                 }
                 StreamEvent::IndexEntry { .. } | StreamEvent::FrameHeader(_) => {}
                 StreamEvent::ChunkFrame {
@@ -193,143 +205,125 @@ impl<'r> StreamFieldDecoder<'r> {
                     codec,
                     frame,
                 } => {
-                    if let Some(out) = self.decode_or_defer(index, codec, frame)? {
+                    let frame = Frame {
+                        index,
+                        codec,
+                        model_id: frame_model_id(codec, &frame),
+                        bytes: frame,
+                    };
+                    if let Some(out) = self.decode_or_park(frame)? {
                         return Ok(Some(out));
                     }
                 }
                 StreamEvent::Model { id, frame } => {
-                    // Hash-verified by the parser; a malformed model frame
-                    // still fails here rather than poisoning the prototypes.
-                    let (model, codec) = EmbeddedModel::from_frame(&frame)?;
-                    if let Ok(proto) = build_compressor(&model) {
-                        self.protos.insert((codec, id), proto);
-                    }
-                    // Un-defer every chunk this model unblocks, preserving
-                    // index order among them.
-                    let mut still = Vec::with_capacity(self.deferred.len());
-                    for d in std::mem::take(&mut self.deferred) {
-                        if d.model_id == id {
-                            let out = self.decode_or_defer(d.index, d.codec, d.frame)?;
-                            debug_assert!(
-                                out.is_none() || !matches!(out, Some(StreamOutput::Header(_)))
-                            );
-                            if let Some(out) = out {
-                                self.ready.push_back(out);
-                            }
-                        } else {
-                            still.push(d);
+                    self.resolver.offer(id, Cow::Owned(frame));
+                    // Retry every chunk parked on this model, in index order.
+                    for frame in std::mem::take(&mut self.deferred) {
+                        if frame.model_id != Some(id) {
+                            self.deferred.push_back(frame);
+                        } else if let Some(out) = self.decode_or_park(frame)? {
+                            self.ready.push_back(out);
                         }
                     }
-                    // `decode_or_defer` may have re-parked a chunk just now
-                    // (an unbuildable model, or a model whose codec is not
-                    // the chunk's): merge those back, never clobber them.
-                    still.append(&mut self.deferred);
-                    self.deferred = still;
                 }
             }
         }
     }
 
-    /// Decode chunk `index` now if its codec (and, for learned streams, its
-    /// trained model) is available; park it until the model tail otherwise.
-    fn decode_or_defer(
-        &mut self,
-        index: usize,
-        codec: CodecId,
-        frame: Vec<u8>,
-    ) -> Result<Option<StreamOutput>, DecompressError> {
-        let model_id = aesz_metrics::container::peek(&frame)
-            .ok()
-            .and_then(|info| info.model_id);
-        let mut decoder = match model_id {
-            Some(id) if self.needs_resolution(codec, id) => {
-                match self.resolve(codec, id) {
-                    Some(proto) => proto,
-                    // Not resolvable yet — the archive's model tail is still
-                    // to come. Park the compressed frame.
-                    None => {
-                        self.deferred.push(Deferred {
-                            index,
-                            codec,
-                            model_id: id,
-                            frame,
-                        });
-                        return Ok(None);
-                    }
+    /// Decode `frame` now, unless the model it names misses: park it then.
+    fn decode_or_park(&mut self, frame: Frame) -> Result<Option<StreamOutput>, DecompressError> {
+        let decoder = match frame.model_id {
+            None => self.resolver.fork(frame.codec)?,
+            Some(id) => match self.resolver.resolve(frame.codec, id) {
+                Some(decoder) => decoder,
+                None => {
+                    self.deferred.push_back(frame);
+                    return Ok(None);
                 }
-            }
-            Some(_) => {
-                // The registered instance already holds this exact model.
-                self.registry_hits += 1;
-                self.registry
-                    .fork_codec(codec)
-                    .ok_or(DecompressError::UnknownCodec(codec as u8))?
-            }
-            None => self
-                .registry
-                .fork_codec(codec)
-                .ok_or(DecompressError::UnknownCodec(codec as u8))?,
-        };
-        let wrap = |error: DecompressError| match error {
-            miss @ DecompressError::MissingModel { .. } => miss,
-            error => DecompressError::CodecFailed {
-                codec,
-                error: Box::new(error),
             },
         };
-        let field = match decoder.decompress(&frame) {
-            Ok(field) => field,
-            Err(miss @ DecompressError::MissingModel { .. }) => {
-                let Some(id) = model_id else {
-                    return Err(miss);
-                };
-                // With a shared registry each access above takes its own
-                // short lock, so the instance `needs_resolution` vouched for
-                // can be replaced before the fork. Models that were ever
-                // resident are salvaged into the store, so a store retry
-                // usually recovers; otherwise the chunk parks until the
-                // archive's model tail arrives (or fails at finish).
-                match self.resolve(codec, id) {
-                    Some(mut proto) => proto.decompress(&frame).map_err(wrap)?,
-                    None => {
-                        self.deferred.push(Deferred {
-                            index,
-                            codec,
-                            model_id: id,
-                            frame,
-                        });
-                        return Ok(None);
+        self.decode(decoder, &frame).map(Some)
+    }
+
+    /// Decode `frame` and place it.
+    fn decode(
+        &self,
+        mut decoder: Box<dyn Compressor>,
+        frame: &Frame,
+    ) -> Result<StreamOutput, DecompressError> {
+        let field = decoder
+            .decompress(&frame.bytes)
+            .map_err(|error| match error {
+                miss @ DecompressError::MissingModel { .. } => miss,
+                error => DecompressError::CodecFailed {
+                    codec: frame.codec,
+                    error: Box::new(error),
+                },
+            })?;
+        Ok(match self.header {
+            Some(h) => StreamOutput::Chunk(BlockSpec::of(h.dims, h.chunk, frame.index), field),
+            None => StreamOutput::Field(field),
+        })
+    }
+
+    /// Drive this decoder over `input` to its end, reading fixed-size slabs,
+    /// and assemble the reconstruction. Streams whose declared geometry
+    /// (archive header dims, or a single frame's decoded field) exceeds
+    /// `max_elems` elements fail with [`DecompressError::Unsupported`] — for
+    /// archives *before* the destination field is allocated.
+    pub fn read_field(
+        &mut self,
+        input: &mut dyn std::io::Read,
+        max_elems: usize,
+    ) -> Result<Field, ArchiveReadError> {
+        let over = || {
+            ArchiveReadError::Archive(DecompressError::Unsupported(
+                "reconstruction exceeds the element cap",
+            ))
+        };
+        let mut sink: Option<Field> = None;
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            let n = input.read(&mut buf)?;
+            if n == 0 {
+                self.finish();
+            } else {
+                // A conforming `Read` never returns more than the buffer
+                // holds; a broken one must not become an out-of-bounds slice.
+                self.feed(buf.get(..n).ok_or(ArchiveReadError::Archive(
+                    DecompressError::Inconsistent("reader returned more bytes than requested"),
+                ))?);
+            }
+            while let Some(out) = self.poll().map_err(ArchiveReadError::Archive)? {
+                match out {
+                    StreamOutput::Header(h) => {
+                        if h.dims.len() > max_elems {
+                            return Err(over());
+                        }
+                        sink = Some(Field::zeros(h.dims));
+                    }
+                    StreamOutput::Chunk(spec, chunk) => match sink.as_mut() {
+                        Some(field) => field.write_block_valid(&spec, chunk.as_slice()),
+                        None => {
+                            return Err(ArchiveReadError::Archive(DecompressError::Inconsistent(
+                                "chunk emitted before the archive header",
+                            )))
+                        }
+                    },
+                    StreamOutput::Field(field) => {
+                        if field.len() > max_elems {
+                            return Err(over());
+                        }
+                        sink = Some(field);
                     }
                 }
             }
-            Err(error) => return Err(wrap(error)),
-        };
-        Ok(Some(match self.header {
-            Some(h) => StreamOutput::Chunk(BlockSpec::of(h.dims, h.chunk, index), field),
-            None => StreamOutput::Field(field),
-        }))
-    }
-
-    /// Does decoding a `codec` stream naming model `id` need a prototype
-    /// beyond the registered instance?
-    fn needs_resolution(&self, codec: CodecId, id: ModelId) -> bool {
-        self.registry.registered_model_id(codec) != Some(id)
-    }
-
-    /// A decoder holding model `id`: a fork of an already-built prototype,
-    /// or one freshly built from the registry's model store.
-    fn resolve(&mut self, codec: CodecId, id: ModelId) -> Option<Box<dyn Compressor>> {
-        if let Some(proto) = self.protos.get(&(codec, id)) {
-            return Some(proto.fork());
+            if n == 0 {
+                return sink.ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
+                    "empty stream",
+                )));
+            }
         }
-        let model = self
-            .registry
-            .lookup_model(id)
-            .filter(|m| m.codec() == codec)?;
-        let proto = build_compressor(&model).ok()?;
-        let fork = proto.fork();
-        self.protos.insert((codec, id), proto);
-        Some(fork)
     }
 }
 
@@ -337,82 +331,29 @@ impl<'r> StreamFieldDecoder<'r> {
 /// [`std::io::Read`] into an in-memory field, reading in fixed-size slabs —
 /// the pull-shaped convenience over [`StreamFieldDecoder`]. The *input* is
 /// never buffered whole; the reconstruction of course is.
-pub fn decompress_reader(
-    registry: &Registry,
+pub fn decompress_reader<R: RegistryAccess>(
+    registry: &R,
     input: &mut dyn std::io::Read,
 ) -> Result<Field, ArchiveReadError> {
     decompress_reader_limited(registry, input, usize::MAX)
 }
 
-/// [`decompress_reader`] with a reconstruction cap: streams whose declared
-/// geometry (archive header dims, or a single frame's decoded field) exceeds
-/// `max_elems` elements fail with [`DecompressError::Unsupported`] — for
-/// archives *before* the destination field is allocated. This is the entry
-/// point a server uses on untrusted sockets, so a hostile header cannot
-/// drive resident memory.
-pub fn decompress_reader_limited(
-    registry: &Registry,
+/// [`decompress_reader`] with a reconstruction cap
+/// ([`StreamFieldDecoder::read_field`]) — the entry point for untrusted
+/// sockets, so a hostile header cannot drive resident memory.
+pub fn decompress_reader_limited<R: RegistryAccess>(
+    registry: &R,
     input: &mut dyn std::io::Read,
     max_elems: usize,
 ) -> Result<Field, ArchiveReadError> {
-    let over = || {
-        ArchiveReadError::Archive(DecompressError::Unsupported(
-            "reconstruction exceeds the element cap",
-        ))
-    };
-    let mut decoder = StreamFieldDecoder::new(registry);
-    let mut sink: Option<Field> = None;
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = input.read(&mut buf)?;
-        if n == 0 {
-            decoder.finish();
-        } else {
-            // A conforming `Read` never returns more than the buffer holds;
-            // a broken one must not become an out-of-bounds slice.
-            let fed =
-                buf.get(..n)
-                    .ok_or(ArchiveReadError::Archive(DecompressError::Inconsistent(
-                        "reader returned more bytes than requested",
-                    )))?;
-            decoder.feed(fed);
-        }
-        while let Some(out) = decoder.poll().map_err(ArchiveReadError::Archive)? {
-            match out {
-                StreamOutput::Header(h) => {
-                    if h.dims.len() > max_elems {
-                        return Err(over());
-                    }
-                    sink = Some(Field::zeros(h.dims));
-                }
-                StreamOutput::Chunk(spec, chunk) => match sink.as_mut() {
-                    Some(field) => field.write_block_valid(&spec, chunk.as_slice()),
-                    None => {
-                        return Err(ArchiveReadError::Archive(DecompressError::Inconsistent(
-                            "chunk emitted before the archive header",
-                        )))
-                    }
-                },
-                StreamOutput::Field(field) => {
-                    if field.len() > max_elems {
-                        return Err(over());
-                    }
-                    sink = Some(field);
-                }
-            }
-        }
-        if n == 0 {
-            return sink.ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
-                "empty stream",
-            )));
-        }
-    }
+    StreamFieldDecoder::new(registry).read_field(input, max_elems)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::archive::{compress_field_with, ArchiveOptions};
+    use crate::Registry;
     use aesz_metrics::{CodecId, ErrorBound};
     use aesz_tensor::Dims;
 

@@ -13,13 +13,14 @@ use aesz_repro::archive::{
     compress_field_embedding, compress_field_with, decompress, decompress_chunk, ArchiveOptions,
     ArchiveReader,
 };
-use aesz_repro::baselines::AeA;
+use aesz_repro::baselines::{AeA, AeB};
 use aesz_repro::core::training::{train_swae_for_field, TrainingOptions};
 use aesz_repro::core::AeSz;
 use aesz_repro::metrics::archive::ArchiveReadError;
 use aesz_repro::model_store::ModelStore;
 use aesz_repro::{
-    CodecId, Compressor, DecompressError, ErrorBound, Field, PredictorPolicy, Registry,
+    decompress_reader, CodecId, Compressor, DecompressError, Dims, ErrorBound, Field,
+    PredictorPolicy, Registry,
 };
 
 mod common;
@@ -260,4 +261,89 @@ fn ae_a_streams_travel_through_sidecars_too() {
     let (recon, id) = fresh.decompress_any(&stream).expect("resolved");
     assert_eq!(id, CodecId::AeA);
     assert_eq!(recon.as_slice(), reference.as_slice());
+}
+
+/// The error a decode path's [`ArchiveReadError`] wraps.
+fn inner(error: ArchiveReadError) -> DecompressError {
+    match error {
+        ArchiveReadError::Archive(e) | ArchiveReadError::Chunk { error: e, .. } => e,
+        ArchiveReadError::Io(e) => panic!("in-memory decode failed with I/O error {e}"),
+    }
+}
+
+#[test]
+fn every_decode_path_resolves_each_model_source_alike() {
+    // An AE-B that trains nothing is still a usable trained instance.
+    let aeb = AeB::from_model_bytes(&AeB::new(0).to_model_bytes()).expect("model bytes");
+    let model = Compressor::embedded_model(&aeb).expect("a usable AE-B carries its model");
+    let field = aesz_repro::datagen::Application::Rtm.generate(Dims::d3(32, 16, 16), 50);
+    let mut trainer = Registry::with_defaults();
+    trainer.register(Box::new(aeb));
+    let opts = ArchiveOptions::new().chunk(16).window(2);
+    let bound = ErrorBound::rel(1e-2);
+    let (plain, stats) =
+        compress_field_with(&trainer, &field, bound, &opts, |_| CodecId::AeB).expect("plain");
+    let (embedded, _) = compress_field_embedding(&trainer, &field, bound, &opts, |_| CodecId::AeB)
+        .expect("embedding write");
+    let (reference, _) = decompress(&trainer, &plain, 2).expect("trainer decode");
+
+    // The same archive with its AESM frame relabelled AE-SZ: the id hashes
+    // only the payload, so the archive still opens.
+    let mut relabelled = embedded.clone();
+    let at = {
+        let reader = ArchiveReader::open(&embedded).expect("embedded archive");
+        let (_, frame) = reader.models()[0];
+        frame.as_ptr() as usize - embedded.as_ptr() as usize
+    };
+    assert_eq!(relabelled[at + 5], CodecId::AeB as u8);
+    relabelled[at + 5] = CodecId::AeSz as u8;
+    ArchiveReader::open(&relabelled).expect("relabelled archive opens");
+
+    let dir = std::env::temp_dir().join(format!("aesz_parity_{}", model.id));
+    std::fs::create_dir_all(&dir).unwrap();
+    ModelStore::save_sidecar(&dir, &model).unwrap();
+    let mut sidecar = Registry::with_defaults();
+    sidecar.model_store_mut().add_sidecar_dir(&dir);
+    let fresh = Registry::with_defaults();
+
+    let missing = DecompressError::MissingModel {
+        codec: CodecId::AeB,
+        model_id: model.id,
+    };
+    let cases = [
+        ("registered", &trainer, &plain, Ok(&reference)),
+        ("store only", &sidecar, &plain, Ok(&reference)),
+        ("embedded only", &fresh, &embedded, Ok(&reference)),
+        ("absent", &fresh, &plain, Err(&missing)),
+        ("relabelled", &fresh, &relabelled, Err(&missing)),
+    ];
+    for (source, registry, bytes, want) in cases {
+        let buffered = decompress(registry, bytes, 2).map(|(f, _)| f);
+        let random = (0..stats.chunks).try_fold(Field::zeros(field.dims()), |mut f, i| {
+            let (spec, chunk) = decompress_chunk(registry, bytes, i)?;
+            f.write_block_valid(&spec, chunk.as_slice());
+            Ok(f)
+        });
+        let pushed = decompress_reader(registry, &mut &bytes[..]);
+        for (path, got) in [
+            ("decompress", buffered),
+            ("decompress_chunk", random),
+            ("decompress_reader", pushed),
+        ] {
+            match (got.map_err(inner), want) {
+                (Ok(got), Ok(want)) => assert!(
+                    got.dims() == want.dims()
+                        && got
+                            .as_slice()
+                            .iter()
+                            .zip(want.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{source} via {path}: field diverged"
+                ),
+                (Err(got), Err(want)) => assert_eq!(&got, want, "{source} via {path}"),
+                (got, want) => panic!("{source} via {path}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
