@@ -31,9 +31,10 @@
 //!
 //! `compress` and `decompress` accept `-` for `--input` / `--output` and
 //! then run truly streaming: stdin is consumed band by band (one chunk-row
-//! of the field at a time), stdout receives the inline (unindexed) archive
-//! layout that needs no seeking, and resident memory stays bounded by one
-//! band plus one window of chunks — never the field:
+//! of the field at a time), stdout receives the same inline archive a file
+//! would (the one layout every writer emits, which never seeks), and
+//! resident memory stays bounded by one band plus one window of chunks —
+//! never the field:
 //!
 //! ```text
 //! aesz gen --app cesm --dims 2048x2048 --output - \
@@ -43,10 +44,10 @@
 //!
 //! Piped compression requires `--abs` (a pipe cannot be re-scanned for the
 //! value range a `--rel` bound resolves against), and `--embed-model`
-//! requires a seekable output. `append` extends an existing version-3
-//! archive in place along its slowest axis without rewriting existing
-//! payload bytes (write it with `--reserve` to leave index capacity, or
-//! pipe through `compress --output -` for the capacity-free inline layout).
+//! requires a seekable output. `append` extends an archive in place along
+//! its slowest axis without rewriting existing payload bytes; any archive
+//! `compress` writes, to a file or a pipe, takes appends without a
+//! capacity limit.
 //!
 //! # Compression as a service
 //!
@@ -62,8 +63,8 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::time::Instant;
 
 use aesz_repro::archive::{
-    write_archive, write_archive_embedding, write_archive_stream, ArchiveAppender, ArchiveOptions,
-    ArchiveReader, ChunkSink, ChunkSource,
+    write_archive_embedding, write_archive_stream, ArchiveAppender, ArchiveOptions, ArchiveReader,
+    ChunkSink, ChunkSource,
 };
 use aesz_repro::datagen::Application;
 use aesz_repro::metrics::protocol as wire;
@@ -82,9 +83,8 @@ const USAGE: &str = "usage:
                   [--codec aesz|aea|aeb] [--epochs N] [--block N] [--latent N]
                   [--channels 8,16] [--max-blocks N] [--train-seed N] [--seed N]
   aesz compress   --input FILE|- --dims DIMS --codec NAME --rel E | --abs E
-                  --output FILE|- [--chunk N] [--window N] [--reserve N]
-                  [--verify] [--model FILE] [--train] [--embed-model]
-                  [--epochs N]
+                  --output FILE|- [--chunk N] [--window N] [--verify]
+                  [--model FILE] [--train] [--embed-model] [--epochs N]
   aesz decompress --input FILE|- --output FILE|- [--window N] [--model FILE]
                   [--verify]
   aesz append     --archive FILE --input FILE|- --dims DIMS --codec NAME
@@ -111,10 +111,10 @@ given via --model. With --train, --model names where to SAVE the model.
 apps for gen/train: cesm, cesm-freqsh, exafel, nyx, nyx-temp, nyx-dm,
 hurricane-u, hurricane-qvapor, rtm.
 `-` streams stdin/stdout with memory bounded by one chunk band: piped
-compression needs --abs (a pipe cannot be re-scanned for the value range)
-and a piped archive uses the inline (unindexed) layout. --reserve N leaves
-empty index slots so `aesz append` can extend the archive in place; append
-takes the appended slab's DIMS (matching every axis but the slowest).
+compression needs --abs (a pipe cannot be re-scanned for the value range).
+File and piped archives share one layout (AESA v3, no index table), which
+`aesz append` extends in place without a capacity limit; append takes the
+appended slab's DIMS (matching every axis but the slowest).
 `serve` keeps trained models resident across requests; `remote` exits 75
 (EX_TEMPFAIL) on a Busy backpressure rejection so callers back off.";
 
@@ -819,9 +819,6 @@ fn cmd_compress(mut args: Vec<String>) -> Result<(), String> {
     if let Some(s) = take_opt(&mut args, "--window")? {
         opts = opts.window(parse_usize(&s, "window")?);
     }
-    if let Some(s) = take_opt(&mut args, "--reserve")? {
-        opts = opts.reserve(parse_usize(&s, "reserve")?);
-    }
     let verify = take_flag(&mut args, "--verify");
     let train = take_flag(&mut args, "--train");
     let embed_model = take_flag(&mut args, "--embed-model");
@@ -855,13 +852,6 @@ fn cmd_compress(mut args: Vec<String>) -> Result<(), String> {
         return Err(
             "--embed-model back-patches the archive header, which needs a \
                     seekable output; write a file to embed models"
-                .into(),
-        );
-    }
-    if piped_out && opts.reserved_chunks() > 0 {
-        return Err(
-            "--reserve sizes an index table, but a piped output uses the inline \
-                    (unindexed) layout; write a file to reserve slots"
                 .into(),
         );
     }
@@ -916,24 +906,20 @@ fn cmd_compress(mut args: Vec<String>) -> Result<(), String> {
         &mut file_source
     };
     let stats = if piped_out {
-        // No seeking on a pipe: emit the inline layout, which needs neither
-        // an index back-patch nor a header rewrite.
         let mut sink = BufWriter::new(std::io::stdout().lock());
-        let stats = write_archive_stream(source, bound, &opts, &mut codecs, &mut sink)
-            .map_err(|e| e.to_string())?;
-        sink.flush().map_err(|e| e.to_string())?;
-        stats
+        write_archive_stream(source, bound, &opts, &mut codecs, &mut sink)
+            .and_then(|stats| Ok(sink.flush().map(|()| stats)?))
     } else {
-        let mut sink = File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
-        let stats = if embed_model {
+        let file = File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
+        let mut sink = BufWriter::new(file);
+        if embed_model {
             write_archive_embedding(source, bound, &opts, &mut codecs, &mut sink)
         } else {
-            write_archive(source, bound, &opts, &mut codecs, &mut sink)
+            write_archive_stream(source, bound, &opts, &mut codecs, &mut sink)
         }
-        .map_err(|e| e.to_string())?;
-        sink.flush().map_err(|e| e.to_string())?;
-        stats
-    };
+        .and_then(|stats| Ok(sink.flush().map(|()| stats)?))
+    }
+    .map_err(|e| e.to_string())?;
     let secs = t0.elapsed().as_secs_f64();
 
     status!(

@@ -99,7 +99,7 @@ pub fn sha256(bytes: &[u8]) -> [u8; 32] {
 ///
 /// The id is part of the wire formats that carry model provenance (the
 /// AE-SZ `AESZ0003` stream header, the AE-A/AE-B payload headers, the `AESM`
-/// model frame and the `AESA` v2 archive model section), so its derivation
+/// model frame and the `AESA` archive model section), so its derivation
 /// must never change. Displayed as 32 lowercase hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelId([u8; 16]);

@@ -4,22 +4,27 @@
 //! A whole-field [`Compressor`] stream (one `AESC` frame) forces both sides
 //! to materialize the entire dataset. The archive format
 //! (magic `AESA`, laid out in [`crate::container`]) instead splits the field
-//! into a grid of chunks, compresses every chunk into its own complete
-//! `AESC` frame — possibly through a *different* codec per chunk — and keeps
-//! a codec-id + offset index up front, so:
+//! into a grid of chunks and compresses every chunk into its own complete
+//! `AESC` frame — possibly through a *different* codec per chunk. Every
+//! writer ([`write_archive_stream`], and [`write_archive_embedding`] when the
+//! trained models ride along) emits the inline layout: a header, then the
+//! frames back to back, with no index table. So:
 //!
-//! * **bounded memory** — [`write_archive`] pulls chunks from a
-//!   [`ChunkSource`] and [`ArchiveReader::decode_into`] pushes them into a
-//!   [`ChunkSink`] in windows of [`ArchiveOptions::window`] chunks; the peak
-//!   resident raw payload is one window, never the whole field (the
-//!   compressed archive itself is buffered only on the reader side, where it
-//!   arrives as the input);
+//! * **bounded memory** — the writer pulls chunks from a [`ChunkSource`] and
+//!   [`ArchiveReader::decode_into`] pushes them into a [`ChunkSink`] in
+//!   windows of [`ArchiveOptions::window`] chunks; the peak resident raw
+//!   payload is one window, never the whole field (the compressed archive
+//!   itself is buffered only on the reader side, where it arrives as the
+//!   input);
 //! * **parallelism** — the chunks of a window are compressed/decompressed
 //!   concurrently, each on its own [`Compressor::fork`]ed instance, so no
 //!   `&mut` compressor is ever shared across threads;
-//! * **random access** — [`ArchiveReader::decode_chunk`] decodes one chunk
-//!   by index straight from its frame without touching the rest of the
-//!   archive.
+//! * **random access** — [`ArchiveReader::open`] walks every chunk's 14-byte
+//!   frame head once, which yields each chunk's codec, offset and length, and
+//!   [`ArchiveReader::decode_chunk`] then decodes one chunk by index straight
+//!   from its frame without touching the rest of the archive;
+//! * **growth** — [`ArchiveAppender`] extends a written archive in place
+//!   along its slowest axis, with no capacity limit.
 //!
 //! Value-range-relative bounds are resolved against the *whole field's*
 //! range (one streaming `min_max` pass over the source) and then applied to
@@ -33,8 +38,8 @@ use rayon::prelude::*;
 use crate::bound::ErrorBound;
 use crate::compressor::Compressor;
 use crate::container::{
-    write_chunk_entry, ArchiveHeader, ChunkEntry, CodecId, EmbeddedModel, ModelId, ARCHIVE_VERSION,
-    ARCHIVE_VERSION_APPEND, ARCHIVE_VERSION_MODELS, CHUNK_ENTRY_LEN, MAX_FIELD_ELEMS,
+    write_chunk_entry, ArchiveHeader, ChunkEntry, CodecId, EmbeddedModel, ModelId,
+    ARCHIVE_VERSION_APPEND,
 };
 use crate::error::{CompressError, DecompressError};
 use crate::stream::{read_archive, seek_archive};
@@ -44,16 +49,14 @@ use aesz_tensor::{BlockSpec, Dims, Field};
 ///
 /// ```
 /// use aesz_metrics::archive::ArchiveOptions;
-/// let opts = ArchiveOptions::new().chunk(32).window(4).reserve(16);
+/// let opts = ArchiveOptions::new().chunk(32).window(4);
 /// assert_eq!(opts.chunk_edge(), 32);
 /// assert_eq!(opts.window_chunks(), 4);
-/// assert_eq!(opts.reserved_chunks(), 16);
 /// ```
 ///
 /// Every builder method is `const fn`, so options can live in `const`
-/// context. The fields are private on purpose: new knobs (like `reserve`,
-/// added for the appender) extend the builder without breaking a single
-/// call site.
+/// context. The fields are private on purpose: a new knob extends the
+/// builder without breaking a single call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchiveOptions {
     /// Nominal chunk edge length (need not divide the extents; edge chunks
@@ -62,19 +65,14 @@ pub struct ArchiveOptions {
     /// Number of chunks processed concurrently per batch — the bound on
     /// resident raw payload and on parallelism.
     window: usize,
-    /// Spare index slots reserved for future appends. Non-zero makes the
-    /// writer emit a version-3 archive whose index capacity is
-    /// `chunk count + reserve`.
-    reserve: usize,
 }
 
 impl ArchiveOptions {
-    /// The default knobs: chunk edge 64, window 8, no reserved slots.
+    /// The default knobs: chunk edge 64, window 8.
     pub const fn new() -> ArchiveOptions {
         ArchiveOptions {
             chunk: 64,
             window: 8,
-            reserve: 0,
         }
     }
 
@@ -91,13 +89,6 @@ impl ArchiveOptions {
         self
     }
 
-    /// Reserve spare index slots for future [`ArchiveAppender`] appends
-    /// (non-zero selects the version-3 layout).
-    pub const fn reserve(mut self, reserve: usize) -> ArchiveOptions {
-        self.reserve = reserve;
-        self
-    }
-
     /// The nominal chunk edge length.
     pub const fn chunk_edge(&self) -> usize {
         self.chunk
@@ -106,11 +97,6 @@ impl ArchiveOptions {
     /// The per-batch concurrency window, in chunks.
     pub const fn window_chunks(&self) -> usize {
         self.window
-    }
-
-    /// Spare index slots reserved for appends.
-    pub const fn reserved_chunks(&self) -> usize {
-        self.reserve
     }
 }
 
@@ -294,14 +280,15 @@ impl std::error::Error for ArchiveReadError {
     }
 }
 
-/// What [`write_archive`] measured while streaming.
+/// What a writer or an [`ArchiveAppender::append`] measured while streaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchiveStats {
     /// Number of chunks written.
     pub chunks: usize,
     /// Raw payload size (field elements × 4 bytes).
     pub raw_bytes: usize,
-    /// Total archive size, header and index included.
+    /// Bytes written: the whole archive (header and model tail included)
+    /// for a writer, the appended frames for an append.
     pub archive_bytes: usize,
     /// Largest raw payload resident at once — the bounded-memory witness:
     /// with `window × chunkᵣᵃⁿᵏ` elements per batch this stays far below
@@ -333,36 +320,42 @@ fn run_jobs<J: Send>(jobs: &mut [J], run: impl Fn(&mut J) + Sync) {
 }
 
 /// Compress a field pulled from `source` into the multi-chunk archive
-/// format, streaming chunk frames into `sink`.
+/// format, streaming the archive into `sink` — a file, a pipe, a socket,
+/// stdout or an in-memory buffer.
+///
+/// This is the one archive writer. It emits the **inline** version-3
+/// layout: a v3 header with index capacity 0, then the chunk frames back to
+/// back in index order, with no index table and nothing to back-patch, so
+/// the sink never seeks. Opening the archive rebuilds the index by walking
+/// the frame heads, so it is random-accessible once the bytes are on disk,
+/// and [`ArchiveAppender`] extends it without a capacity limit.
 ///
 /// `codecs` is called once per chunk (in index order) and must hand back a
 /// *dedicated* compressor instance — typically [`Compressor::fork`] of a
 /// registered codec; different chunks may use different codecs. Chunks are
 /// compressed in rayon-parallel windows of [`ArchiveOptions::window`]; only
-/// one window of raw chunk data is resident at a time. The sink must
-/// support seeking because the chunk index, whose entries are only known
-/// after compression, is back-patched into its reserved slot at the end.
-/// The archive starts at the sink's *current* position (it may be embedded
-/// in a larger stream); index offsets are archive-relative, and the sink is
-/// left positioned just past the archive's last byte.
-pub fn write_archive<W: Write + Seek>(
+/// one window of raw chunk data is resident at a time. The archive starts at
+/// the sink's current position, so it may be embedded in a larger stream.
+pub fn write_archive_stream<W: Write>(
     source: &mut dyn ChunkSource,
     bound: ErrorBound,
     opts: &ArchiveOptions,
     codecs: &mut dyn FnMut(&BlockSpec) -> CompressorFork,
     sink: &mut W,
 ) -> Result<ArchiveStats, ArchiveWriteError> {
-    write_archive_impl(source, bound, opts, codecs, false, sink)
+    write_inline(source, bound, opts, codecs, None, sink)
 }
 
-/// [`write_archive`], but as a version-2 archive that **embeds the trained
-/// models** of the codecs used: every forked codec is asked for its
-/// [`Compressor::embedded_model`], and each distinct model (by [`ModelId`]) is
-/// appended once to the archive's model section, so a reader that never saw
-/// the trainer can resolve the learned chunks from the archive bytes alone.
+/// [`write_archive_stream`] plus the **trained models** of the codecs used:
+/// every forked codec is asked for its [`Compressor::embedded_model`], each
+/// distinct model (by [`ModelId`]) is appended once to the model tail after
+/// the last chunk frame, and the header's model-section length is patched
+/// in place, so a reader that never saw the trainer can resolve the learned
+/// chunks from the archive bytes alone. That one 8-byte patch is why the
+/// sink must seek; the sink is left just past the archive's last byte.
 ///
-/// Model-free codecs contribute nothing; an archive written purely with
-/// traditional codecs gets an empty model section (still version 2).
+/// Model-free codecs contribute nothing: an archive written purely with
+/// traditional codecs is byte-identical to [`write_archive_stream`]'s.
 pub fn write_archive_embedding<W: Write + Seek>(
     source: &mut dyn ChunkSource,
     bound: ErrorBound,
@@ -370,7 +363,20 @@ pub fn write_archive_embedding<W: Write + Seek>(
     codecs: &mut dyn FnMut(&BlockSpec) -> CompressorFork,
     sink: &mut W,
 ) -> Result<ArchiveStats, ArchiveWriteError> {
-    write_archive_impl(source, bound, opts, codecs, true, sink)
+    let base = sink.stream_position()?;
+    let mut models = Vec::new();
+    let mut stats = write_inline(source, bound, opts, codecs, Some(&mut models), sink)?;
+    let model_section = encode_model_section(&models);
+    sink.write_all(&model_section)?;
+    // Which models the chunks reference is only known once every codec has
+    // been forked; their length is the header's last u64.
+    let header = ArchiveHeader::inline(source.dims(), opts.chunk);
+    sink.seek(SeekFrom::Start(base + (header.encoded_len() - 8) as u64))?;
+    sink.write_all(&(model_section.len() as u64).to_le_bytes())?;
+    stats.archive_bytes += model_section.len();
+    stats.model_bytes = model_section.len();
+    sink.seek(SeekFrom::Start(base + stats.archive_bytes as u64))?;
+    Ok(stats)
 }
 
 /// Validate writer knobs and resolve a range-relative bound against the
@@ -517,127 +523,19 @@ fn encode_model_section(models: &[EmbeddedModel]) -> Vec<u8> {
     section
 }
 
-fn write_archive_impl<W: Write + Seek>(
+/// The one layout every writer emits: an inline v3 header, then each chunk
+/// frame as its window finishes. `models` collects the forked codecs'
+/// embedded models when the caller ships them.
+fn write_inline(
     source: &mut dyn ChunkSource,
     bound: ErrorBound,
     opts: &ArchiveOptions,
     codecs: &mut dyn FnMut(&BlockSpec) -> CompressorFork,
-    embed_models: bool,
-    sink: &mut W,
+    models: Option<&mut Vec<EmbeddedModel>>,
+    sink: &mut dyn Write,
 ) -> Result<ArchiveStats, ArchiveWriteError> {
     let (dims, chunk_bound) = resolve_write_request(source, bound, opts.chunk, opts.window)?;
-
-    let mut header = ArchiveHeader {
-        dims,
-        chunk: opts.chunk,
-        version: if opts.reserve > 0 {
-            ARCHIVE_VERSION_APPEND
-        } else if embed_models {
-            ARCHIVE_VERSION_MODELS
-        } else {
-            ARCHIVE_VERSION
-        },
-        // Which models the chunks reference is only known once every codec
-        // has been forked; the length slot is back-patched like the index.
-        model_len: 0,
-        index_cap: 0,
-    };
-    let count = header.chunk_count();
-    if opts.reserve > 0 {
-        header.index_cap = count + opts.reserve;
-    }
-    // The archive may be embedded at any position of a larger stream: every
-    // seek below is relative to where the sink stands now, and the index
-    // offsets are archive-relative (per the format), not stream-absolute.
-    let base = sink.stream_position()?;
-    let mut head = Vec::with_capacity(header.encoded_len());
-    header.write(&mut head);
-    sink.write_all(&head)?;
-    // Reserve the index; its entries are back-patched once every frame
-    // length is known (reserved v3 capacity slots stay zero).
-    sink.write_all(&vec![0u8; header.index_len()])?;
-
-    let mut entries: Vec<ChunkEntry> = Vec::with_capacity(count.min(MAX_FIELD_ELEMS));
-    let mut models: Vec<EmbeddedModel> = Vec::new();
-    let mut offset = header.data_start() as u64;
-    let (raw_bytes, peak_window_raw_bytes) = compress_chunk_frames(
-        source,
-        dims,
-        chunk_bound,
-        opts.chunk,
-        opts.window,
-        codecs,
-        embed_models.then_some(&mut models),
-        &|spec| spec.clone(),
-        &mut |_index, id, frame| {
-            sink.write_all(&frame)?;
-            entries.push(ChunkEntry {
-                codec: id,
-                offset,
-                len: frame.len() as u64,
-            });
-            offset += frame.len() as u64;
-            Ok(())
-        },
-    )?;
-
-    // The model section sits after the last chunk frame; its length goes
-    // into the header slot reserved for it (v2/v3 only).
-    let model_section = encode_model_section(&models);
-    sink.write_all(&model_section)?;
-
-    let mut index_bytes = Vec::with_capacity(entries.len() * CHUNK_ENTRY_LEN);
-    for entry in &entries {
-        write_chunk_entry(&mut index_bytes, entry);
-    }
-    if embed_models {
-        // Back-patch the model-section length (the last u64 of a v2/v3
-        // header).
-        sink.seek(SeekFrom::Start(base + (header.encoded_len() - 8) as u64))?;
-        sink.write_all(&(model_section.len() as u64).to_le_bytes())?;
-    }
-    sink.seek(SeekFrom::Start(base + header.encoded_len() as u64))?;
-    sink.write_all(&index_bytes)?;
-    // Leave the sink where writing stopped (the archive's end), not at the
-    // end of whatever larger stream it may be embedded in.
-    sink.seek(SeekFrom::Start(base + offset + model_section.len() as u64))?;
-
-    Ok(ArchiveStats {
-        chunks: count,
-        raw_bytes,
-        archive_bytes: usize::try_from(offset).unwrap_or(usize::MAX) + model_section.len(),
-        peak_window_raw_bytes,
-        model_bytes: model_section.len(),
-    })
-}
-
-/// [`write_archive`] for sinks that cannot seek — a pipe, a socket, stdout.
-///
-/// Emits the **inline** version-3 layout: a v3 header with index capacity 0
-/// and no index table, chunk frames back-to-back in index order, nothing to
-/// back-patch. The parser reconstructs the index from the frame headers,
-/// so once the bytes land on disk the archive is random-accessible like any
-/// other. Peak resident raw payload is one
-/// [`ArchiveOptions::window_chunks`] window, never the field. Model
-/// embedding is not available on this path (the model-section length lives
-/// in the already-written header); use a seekable sink or ship models as
-/// sidecars.
-pub fn write_archive_stream<W: Write>(
-    source: &mut dyn ChunkSource,
-    bound: ErrorBound,
-    opts: &ArchiveOptions,
-    codecs: &mut dyn FnMut(&BlockSpec) -> CompressorFork,
-    sink: &mut W,
-) -> Result<ArchiveStats, ArchiveWriteError> {
-    let (dims, chunk_bound) = resolve_write_request(source, bound, opts.chunk, opts.window)?;
-
-    let header = ArchiveHeader {
-        dims,
-        chunk: opts.chunk,
-        version: ARCHIVE_VERSION_APPEND,
-        model_len: 0,
-        index_cap: 0,
-    };
+    let header = ArchiveHeader::inline(dims, opts.chunk);
     let mut head = Vec::with_capacity(header.encoded_len());
     header.write(&mut head);
     sink.write_all(&head)?;
@@ -650,7 +548,7 @@ pub fn write_archive_stream<W: Write>(
         opts.chunk,
         opts.window,
         codecs,
-        None,
+        models,
         &|spec| spec.clone(),
         &mut |_index, _id, frame| {
             sink.write_all(&frame)?;
@@ -668,17 +566,17 @@ pub fn write_archive_stream<W: Write>(
     })
 }
 
-/// [`write_archive`] into a fresh in-memory buffer — the convenience path
-/// for fields that are already resident.
+/// [`write_archive_stream`] into a fresh in-memory buffer — the convenience
+/// path for fields that are already resident.
 pub fn write_field_archive(
     field: &Field,
     bound: ErrorBound,
     opts: &ArchiveOptions,
     codecs: &mut dyn FnMut(&BlockSpec) -> CompressorFork,
 ) -> Result<(Vec<u8>, ArchiveStats), ArchiveWriteError> {
-    let mut cursor = Cursor::new(Vec::new());
-    let stats = write_archive(&mut FieldSource(field), bound, opts, codecs, &mut cursor)?;
-    Ok((cursor.into_inner(), stats))
+    let mut out = Vec::new();
+    let stats = write_archive_stream(&mut FieldSource(field), bound, opts, codecs, &mut out)?;
+    Ok((out, stats))
 }
 
 /// [`write_archive_embedding`] into a fresh in-memory buffer.
@@ -704,12 +602,14 @@ pub fn write_field_archive_embedding(
 /// stashed at open and written back — extended with any newly referenced
 /// models — by [`finalize`](ArchiveAppender::finalize), which also
 /// back-patches the header (grown extents, chunk count, model-section
-/// length) and the index (new entries filled into reserved slots for
-/// indexed archives; nothing to patch for inline ones).
+/// length). Random access to the grown archive comes from the same
+/// frame-head walk at open as for any other archive.
 ///
-/// Only version-3 archives are appendable: indexed ones need spare capacity
-/// slots ([`ArchiveOptions::reserve`]), inline ones (index capacity 0, the
-/// [`write_archive_stream`] output) need nothing. The archive must also be
+/// Every archive a writer emits is appendable without a capacity limit: it
+/// is an inline version-3 archive, with no index table to fill. Indexed
+/// version-3 files that older writers left on disk take appends too, until
+/// their spare index slots run out; version-1 and version-2 files take
+/// none. The archive must also be
 /// *open-ended*: its slowest extent must be a multiple of the chunk edge,
 /// otherwise the last slab of existing chunks would change shape when the
 /// axis grows. Appends require an absolute error bound — the whole-field
@@ -740,8 +640,7 @@ impl<F: Read + Write + Seek> ArchiveAppender<F> {
         let (header, entries, models) = seek_archive(&mut file, base, archive_len)?;
         if header.version != ARCHIVE_VERSION_APPEND {
             return Err(ArchiveReadError::Archive(DecompressError::Unsupported(
-                "only version-3 archives are appendable; rewrite with reserved index slots or \
-                 the stream writer",
+                "only version-3 archives are appendable; rewrite the archive with any writer",
             )));
         }
         Ok(ArchiveAppender {
@@ -765,8 +664,9 @@ impl<F: Read + Write + Seek> ArchiveAppender<F> {
         &self.entries
     }
 
-    /// Index slots still free for appended chunks (`usize::MAX` for inline
-    /// archives, which have no index to exhaust).
+    /// Index slots still free for appended chunks: `usize::MAX` for the
+    /// inline archives every writer emits, which have no index to exhaust;
+    /// the spare slots left in an indexed version-3 file.
     pub fn spare_slots(&self) -> usize {
         if self.header.index_slots() == 0 {
             usize::MAX
@@ -846,7 +746,8 @@ impl<F: Read + Write + Seek> ArchiveAppender<F> {
         let added = new_header.chunk_count() - old_count;
         if self.header.index_slots() > 0 && added > self.spare_slots() {
             return Err(ArchiveWriteError::Invalid(
-                "archive index capacity exhausted; rewrite with more reserved slots",
+                "archive index capacity exhausted; rewrite the archive with any writer, whose \
+                 inline layout has no capacity limit",
             ));
         }
 
@@ -892,7 +793,8 @@ impl<F: Read + Write + Seek> ArchiveAppender<F> {
         })
     }
 
-    /// Write the model tail back, fill the index, patch the header, flush,
+    /// Write the model tail back, patch the header (and, in an indexed
+    /// version-3 file, fill the new entries into its spare slots), flush,
     /// and hand the file back. The archive is complete and readable after
     /// this (and only after this — a crash between appends leaves the old
     /// header in place, so the previously committed chunks stay readable
@@ -945,10 +847,14 @@ fn grow_slowest(dims: Dims, extra: usize) -> Dims {
 
 /// Random-access view over a validated archive byte stream.
 ///
-/// [`ArchiveReader::open`] parses and validates the header, the complete
-/// chunk index, every chunk's frame head and the model section before
-/// returning, so every accessor works on trusted geometry; chunk payloads
-/// stay untouched (and untrusted) until decoded.
+/// [`ArchiveReader::open`] parses and validates the header, walks every
+/// chunk's 14-byte frame head and checks the model section before
+/// returning. The walk is what yields each chunk's codec, offset and length
+/// — the index random access runs on — whether or not the archive stores an
+/// index table (the inline layout every writer emits stores none; a stored
+/// table is checked against the walk). Every accessor therefore works on
+/// trusted geometry; chunk payloads stay untouched (and untrusted) until
+/// decoded.
 pub struct ArchiveReader<'a> {
     bytes: &'a [u8],
     header: ArchiveHeader,
@@ -957,11 +863,12 @@ pub struct ArchiveReader<'a> {
 }
 
 impl<'a> ArchiveReader<'a> {
-    /// Parse and validate the header, chunk index, chunk frame heads and
-    /// (v2/v3) model section of `bytes`. Each chunk's 14-byte frame head
-    /// must repeat its index entry's length and codec, so a damaged frame
-    /// head fails here rather than at that chunk's decode. No payload byte
-    /// is read or copied.
+    /// Parse and validate the header, chunk frame heads, stored chunk index
+    /// (if any) and model section of `bytes`. In an indexed archive each
+    /// chunk's 14-byte frame head must repeat its index entry's length and
+    /// codec; in an inline one the frame heads *are* the index. Either way a
+    /// damaged frame head fails here rather than at that chunk's decode. No
+    /// payload byte is read or copied.
     pub fn open(bytes: &'a [u8]) -> Result<Self, DecompressError> {
         let (header, entries, models) = read_archive(bytes)?;
         Ok(ArchiveReader {
@@ -987,12 +894,12 @@ impl<'a> ArchiveReader<'a> {
         self.entries.len()
     }
 
-    /// The validated chunk index.
+    /// The validated chunk index, rebuilt from the frame heads at open.
     pub fn entries(&self) -> &[ChunkEntry] {
         &self.entries
     }
 
-    /// The embedded models of a v2 archive: each referenced model's
+    /// The embedded models of a v2 or v3 archive: each referenced model's
     /// content-addressed id and its complete `AESM` frame (hash-verified at
     /// [`ArchiveReader::open`]). Empty for v1 archives.
     pub fn models(&self) -> &[(ModelId, &'a [u8])] {
@@ -1138,7 +1045,10 @@ impl<'a> ArchiveReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{self, FRAME_LEN};
+    use crate::container::{
+        self, ARCHIVE_VERSION, ARCHIVE_VERSION_MODELS, CHUNK_ENTRY_LEN, FRAME_LEN,
+    };
+    use crate::legacy::{relay, Layout};
 
     /// A stand-in codec storing raw little-endian bytes behind a tiny
     /// dims header (borrowing the ZFP id purely for framing).
@@ -1258,31 +1168,50 @@ mod tests {
         let field = ramp(Dims::d2(10, 11));
         let opts = ArchiveOptions::new().chunk(4).window(2);
         let prefix = b"sixteen byte hdr".to_vec();
-        let mut cursor = Cursor::new(prefix.clone());
-        cursor.set_position(prefix.len() as u64);
-        let stats = write_archive(
-            &mut FieldSource(&field),
-            ErrorBound::abs(1.0),
-            &opts,
-            &mut raw_codec(),
-            &mut cursor,
-        )
-        .expect("embedded write");
-        // The sink is left just past the archive, the prefix is untouched,
-        // and the archive decodes from its own start.
-        assert_eq!(
-            cursor.stream_position().unwrap(),
-            (prefix.len() + stats.archive_bytes) as u64
-        );
-        let bytes = cursor.into_inner();
-        assert_eq!(&bytes[..prefix.len()], prefix.as_slice());
-        let reader = ArchiveReader::open(&bytes[prefix.len()..]).expect("open embedded");
-        let recon = reader.decode_all(2, &mut raw_decoder()).expect("decode");
-        assert_eq!(recon.as_slice(), field.as_slice());
-        // Byte-identical to the same archive written at position 0.
-        let (plain, _) =
-            write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
-        assert_eq!(&bytes[prefix.len()..], plain.as_slice());
+        // Both writers: the seekless one, and the one that patches the
+        // model-section length into the header it wrote earlier.
+        let write_after = |prefix: &[u8], embedding: bool| {
+            let mut cursor = Cursor::new(prefix.to_vec());
+            cursor.set_position(prefix.len() as u64);
+            let source = &mut FieldSource(&field);
+            let bound = ErrorBound::abs(1.0);
+            let stats = if embedding {
+                let mut codecs = |_: &BlockSpec| {
+                    Ok(Box::new(RawWithModel(b"weights".to_vec())) as Box<dyn Compressor>)
+                };
+                write_archive_embedding(source, bound, &opts, &mut codecs, &mut cursor)
+            } else {
+                write_archive_stream(source, bound, &opts, &mut raw_codec(), &mut cursor)
+            }
+            .expect("embedded write");
+            (cursor, stats)
+        };
+        for embedding in [false, true] {
+            let (mut cursor, stats) = write_after(&prefix, embedding);
+            // The sink is left just past the archive, the prefix is
+            // untouched, and the archive decodes from its own start.
+            assert_eq!(
+                cursor.stream_position().unwrap(),
+                (prefix.len() + stats.archive_bytes) as u64
+            );
+            let bytes = cursor.into_inner();
+            assert_eq!(&bytes[..prefix.len()], prefix.as_slice());
+            let archive = &bytes[prefix.len()..];
+            let reader = ArchiveReader::open(archive).expect("open embedded");
+            assert_eq!(reader.models().len(), usize::from(embedding));
+            let recon = reader.decode_all(2, &mut raw_decoder()).expect("decode");
+            assert_eq!(recon.as_slice(), field.as_slice());
+            // Byte-identical to the same archive written at position 0.
+            let (plain, _) = write_after(&[], embedding);
+            assert_eq!(archive, plain.into_inner().as_slice());
+            // The layout this writer used to emit decodes the same field.
+            let old = relay(archive, if embedding { Layout::V2 } else { Layout::V1 });
+            let recon = ArchiveReader::open(&old)
+                .expect("open relaid")
+                .decode_all(2, &mut raw_decoder())
+                .expect("decode relaid");
+            assert_eq!(recon.as_slice(), field.as_slice());
+        }
     }
 
     #[test]
@@ -1317,43 +1246,55 @@ mod tests {
     fn every_truncation_of_an_archive_is_rejected() {
         let field = ramp(Dims::d2(9, 9));
         let opts = ArchiveOptions::new().chunk(4).window(2);
-        let (bytes, _) =
+        let (inline, _) =
             write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
-        for len in 0..bytes.len() {
-            assert!(
-                ArchiveReader::open(&bytes[..len]).is_err(),
-                "truncated archive of {len}/{} bytes opened",
-                bytes.len()
-            );
+        for bytes in [relay(&inline, Layout::V1), inline] {
+            for len in 0..bytes.len() {
+                assert!(
+                    ArchiveReader::open(&bytes[..len]).is_err(),
+                    "truncated archive of {len}/{} bytes opened",
+                    bytes.len()
+                );
+            }
+            let mut padded = bytes.clone();
+            padded.push(0);
+            assert!(ArchiveReader::open(&padded).is_err());
         }
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(ArchiveReader::open(&padded).is_err());
     }
 
     #[test]
     fn header_errors_are_reported_before_chunk_payloads() {
         let field = ramp(Dims::d1(10));
         let opts = ArchiveOptions::new().chunk(4).window(1);
-        let (bytes, _) =
+        let (inline, _) =
             write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
-        // Codec byte of the first index entry → unknown id.
-        let header = ArchiveHeader::read(&bytes).unwrap();
-        let mut evil = bytes.clone();
-        evil[header.encoded_len()] = 200;
-        assert!(matches!(
-            ArchiveReader::open(&evil),
-            Err(DecompressError::UnknownCodec(200))
-        ));
-        // First entry offset off by one → tiling violation.
-        let mut evil = bytes.clone();
-        evil[header.encoded_len() + 1] ^= 1;
-        assert!(ArchiveReader::open(&evil).is_err());
-        // Stored chunk count off by one → inconsistency.
-        let mut evil = bytes.clone();
-        let count_at = header.encoded_len() - 8;
-        evil[count_at] = evil[count_at].wrapping_add(1);
-        assert!(ArchiveReader::open(&evil).is_err());
+        for bytes in [relay(&inline, Layout::V1), inline] {
+            let header = ArchiveHeader::read(&bytes).unwrap();
+            // The first chunk's codec, offset and length: its index entry,
+            // or the head of its frame when there is no index table.
+            let (codec_at, place_at) = if header.index_slots() > 0 {
+                (header.encoded_len(), header.encoded_len() + 1)
+            } else {
+                (header.data_start() + 5, header.data_start() + 6)
+            };
+            // Codec byte → unknown id.
+            let mut evil = bytes.clone();
+            evil[codec_at] = 200;
+            assert!(matches!(
+                ArchiveReader::open(&evil),
+                Err(DecompressError::UnknownCodec(200))
+            ));
+            // First entry offset (or frame length) off by one → tiling
+            // violation.
+            let mut evil = bytes.clone();
+            evil[place_at] ^= 1;
+            assert!(ArchiveReader::open(&evil).is_err());
+            // Stored chunk count off by one → inconsistency.
+            let mut evil = bytes.clone();
+            let count_at = 16 + 8 * header.dims.rank();
+            evil[count_at] = evil[count_at].wrapping_add(1);
+            assert!(ArchiveReader::open(&evil).is_err());
+        }
     }
 
     /// A [`Raw`] with a fake trained model, for the embedding path.
@@ -1391,56 +1332,74 @@ mod tests {
         let mut codecs = move |_spec: &BlockSpec| {
             Ok(Box::new(RawWithModel(weights.clone())) as Box<dyn Compressor>)
         };
-        let (bytes, stats) =
+        let (inline, stats) =
             write_field_archive_embedding(&field, ErrorBound::abs(1.0), &opts, &mut codecs)
                 .expect("embedding write");
-        assert_eq!(stats.archive_bytes, bytes.len());
+        assert_eq!(stats.archive_bytes, inline.len());
         assert!(stats.model_bytes > 0);
-
-        let reader = ArchiveReader::open(&bytes).expect("open v2");
-        assert_eq!(reader.header().version, ARCHIVE_VERSION_MODELS);
-        // Nine chunks forked nine codecs, but the model is embedded once.
-        assert_eq!(reader.models().len(), 1);
-        assert_eq!(reader.models()[0].0, expected.id);
+        let header = ArchiveHeader::read(&inline).unwrap();
         assert_eq!(
-            reader.model_frame(expected.id),
-            Some(expected.frame.as_slice())
+            (header.version, header.index_cap),
+            (ARCHIVE_VERSION_APPEND, 0)
         );
-        assert_eq!(reader.model_frame(ModelId::of(b"other")), None);
-        let recon = reader.decode_all(2, &mut raw_decoder()).expect("decode");
-        assert_eq!(recon.as_slice(), field.as_slice());
+        assert_eq!(header.model_len, stats.model_bytes);
+        let v2 = relay(&inline, Layout::V2);
+        assert_eq!(
+            ArchiveHeader::read(&v2).unwrap().version,
+            ARCHIVE_VERSION_MODELS
+        );
 
-        // Every truncation of the v2 archive is rejected, and a flipped bit
-        // in the embedded model fails the hash check at open.
-        for len in 0..bytes.len() {
-            assert!(ArchiveReader::open(&bytes[..len]).is_err());
+        for bytes in [v2, inline] {
+            let reader = ArchiveReader::open(&bytes).expect("open");
+            // Nine chunks forked nine codecs, but the model is embedded once.
+            assert_eq!(reader.models().len(), 1);
+            assert_eq!(reader.models()[0].0, expected.id);
+            assert_eq!(
+                reader.model_frame(expected.id),
+                Some(expected.frame.as_slice())
+            );
+            assert_eq!(reader.model_frame(ModelId::of(b"other")), None);
+            let recon = reader.decode_all(2, &mut raw_decoder()).expect("decode");
+            assert_eq!(recon.as_slice(), field.as_slice());
+
+            // Every truncation is rejected, and a flipped bit in the
+            // embedded model fails the hash check at open.
+            for len in 0..bytes.len() {
+                assert!(ArchiveReader::open(&bytes[..len]).is_err());
+            }
+            let mut evil = bytes.clone();
+            let last = evil.len() - 1;
+            evil[last] ^= 1;
+            assert!(ArchiveReader::open(&evil).is_err());
         }
-        let mut evil = bytes.clone();
-        let last = evil.len() - 1;
-        evil[last] ^= 1;
-        assert!(ArchiveReader::open(&evil).is_err());
     }
 
     #[test]
-    fn embedding_model_free_codecs_yields_an_empty_v2_section() {
+    fn embedding_model_free_codecs_matches_the_plain_writer() {
         let field = ramp(Dims::d1(10));
         let opts = ArchiveOptions::new().chunk(4).window(2);
-        let (v2, stats) =
+        let (embedded, stats) =
             write_field_archive_embedding(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec())
                 .unwrap();
         assert_eq!(stats.model_bytes, 0);
+        let (plain, s1) =
+            write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
+        assert_eq!(s1.model_bytes, 0);
+        // Nothing to embed: the two writers emit the same bytes.
+        assert_eq!(embedded, plain);
+        assert_eq!(stats, s1);
+        assert!(ArchiveReader::open(&embedded).unwrap().models().is_empty());
+        // A version-2 copy carries an empty model section; its version-1
+        // twin lacks only the model-length slot.
+        let v2 = relay(&embedded, Layout::V2);
         let reader = ArchiveReader::open(&v2).unwrap();
         assert_eq!(reader.header().version, ARCHIVE_VERSION_MODELS);
         assert!(reader.models().is_empty());
-        // The v1 writer is untouched by the feature: same field, same codec,
-        // version byte 1 and no model-length slot.
-        let (v1, s1) =
-            write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
+        let v1 = relay(&plain, Layout::V1);
         assert_eq!(
             ArchiveReader::open(&v1).unwrap().header().version,
             ARCHIVE_VERSION
         );
-        assert_eq!(s1.model_bytes, 0);
         assert_eq!(v1.len() + 8, v2.len());
     }
 
@@ -1463,20 +1422,32 @@ mod tests {
     #[test]
     fn reserved_archives_are_v3_and_still_random_accessible() {
         let field = ramp(Dims::d2(8, 6));
-        let opts = ArchiveOptions::new().chunk(4).window(2).reserve(5);
-        let (bytes, stats) =
+        let opts = ArchiveOptions::new().chunk(4).window(2);
+        let (inline, stats) =
             write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
+        let bytes = relay(&inline, Layout::Indexed { spare: 5 });
         let reader = ArchiveReader::open(&bytes).expect("open v3");
         assert_eq!(reader.header().version, ARCHIVE_VERSION_APPEND);
         assert_eq!(reader.header().index_cap, stats.chunks + 5);
         let recon = reader.decode_all(2, &mut raw_decoder()).unwrap();
         assert_eq!(recon.as_slice(), field.as_slice());
+        // Random access agrees with the inline archive it was relaid from.
+        let written = ArchiveReader::open(&inline).unwrap();
+        for i in 0..stats.chunks {
+            assert_eq!(
+                reader.decode_chunk(i, &mut Raw).unwrap().as_slice(),
+                written.decode_chunk(i, &mut Raw).unwrap().as_slice()
+            );
+        }
         // The reserved slots cost exactly 5 spare index entries plus the
-        // index-capacity header slot, relative to the v1 layout.
-        let v1 = ArchiveOptions::new().chunk(4).window(2);
-        let (plain, _) =
-            write_field_archive(&field, ErrorBound::abs(1.0), &v1, &mut raw_codec()).unwrap();
+        // index-capacity header slot, relative to the v1 layout, and the
+        // whole index table relative to the inline one.
+        let plain = relay(&inline, Layout::V1);
         assert_eq!(bytes.len(), plain.len() + 8 + 8 + 5 * CHUNK_ENTRY_LEN);
+        assert_eq!(
+            bytes.len(),
+            inline.len() + (stats.chunks + 5) * CHUNK_ENTRY_LEN
+        );
         // A flipped byte inside a reserved slot is caught at open.
         let mut evil = bytes.clone();
         evil[reader.header().encoded_len() + stats.chunks * CHUNK_ENTRY_LEN] = 1;
@@ -1520,6 +1491,51 @@ mod tests {
         assert!(ArchiveReader::open(&padded).is_err());
     }
 
+    #[test]
+    fn every_writer_emits_the_inline_layout() {
+        let field = ramp(Dims::d2(9, 7));
+        let opts = ArchiveOptions::new().chunk(4).window(2);
+        let bound = ErrorBound::abs(1.0);
+        let mut models =
+            |_: &BlockSpec| Ok(Box::new(RawWithModel(b"weights".to_vec())) as Box<dyn Compressor>);
+        let mut piped = Vec::new();
+        write_archive_stream(
+            &mut FieldSource(&field),
+            bound,
+            &opts,
+            &mut raw_codec(),
+            &mut piped,
+        )
+        .unwrap();
+        let mut seekable = Cursor::new(Vec::new());
+        write_archive_embedding(
+            &mut FieldSource(&field),
+            bound,
+            &opts,
+            &mut models,
+            &mut seekable,
+        )
+        .unwrap();
+        let written = [
+            piped,
+            seekable.into_inner(),
+            write_field_archive(&field, bound, &opts, &mut raw_codec())
+                .unwrap()
+                .0,
+            write_field_archive_embedding(&field, bound, &opts, &mut models)
+                .unwrap()
+                .0,
+        ];
+        for bytes in written {
+            let header = ArchiveReader::open(&bytes).unwrap().header();
+            assert_eq!(
+                (header.version, header.index_cap),
+                (ARCHIVE_VERSION_APPEND, 0)
+            );
+            assert_eq!(header.data_start(), header.encoded_len());
+        }
+    }
+
     /// `full` split along its slowest axis at `at`: (head field, tail field).
     #[allow(clippy::unreachable)] // no allow-unreachable-in-tests config key
     fn split_slow(full: &Field, at: usize) -> (Field, Field) {
@@ -1541,66 +1557,82 @@ mod tests {
         // The oracle: the concatenated field, written conventionally.
         let full = ramp(Dims::d2(12, 6));
         let (head, tail) = split_slow(&full, 8);
-        let opts = ArchiveOptions::new().chunk(4).window(2).reserve(8);
-        let (base, base_stats) =
+        let opts = ArchiveOptions::new().chunk(4).window(2);
+        let (inline, base_stats) =
             write_field_archive(&head, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
 
-        let mut app = ArchiveAppender::open(Cursor::new(base.clone())).expect("open appender");
-        assert_eq!(app.header().dims, head.dims());
-        assert_eq!(app.spare_slots(), 8);
-        let stats = app
-            .append(
-                &mut FieldSource(&tail),
-                ErrorBound::abs(1.0),
-                2,
-                &mut raw_codec(),
-            )
-            .expect("append");
-        // The 4×6 slab tiles into 1×2 chunks of edge 4.
-        assert_eq!(stats.chunks, 2);
-        assert_eq!(app.spare_slots(), 8 - 2);
-        let bytes = app.finalize().expect("finalize").into_inner();
+        for base in [relay(&inline, Layout::Indexed { spare: 8 }), inline] {
+            // An indexed file has 8 spare slots; the inline layout has no
+            // index to run out of.
+            let indexed = ArchiveHeader::read(&base).unwrap().index_slots() > 0;
+            let spare = |used: usize| if indexed { 8 - used } else { usize::MAX };
+            let mut app = ArchiveAppender::open(Cursor::new(base.clone())).expect("open appender");
+            assert_eq!(app.header().dims, head.dims());
+            assert_eq!(app.spare_slots(), spare(0));
+            let stats = app
+                .append(
+                    &mut FieldSource(&tail),
+                    ErrorBound::abs(1.0),
+                    2,
+                    &mut raw_codec(),
+                )
+                .expect("append");
+            // The 4×6 slab tiles into 1×2 chunks of edge 4.
+            assert_eq!(stats.chunks, 2);
+            assert_eq!(app.spare_slots(), spare(2));
+            let bytes = app.finalize().expect("finalize").into_inner();
 
-        // Existing payload bytes were not rewritten: the whole data section
-        // of the base archive reappears verbatim.
-        let base_header = ArchiveHeader::read(&base).unwrap();
-        let data = base_header.data_start();
-        let base_data_end = base.len() - base_header.model_len;
-        assert_eq!(&bytes[data..base_data_end], &base[data..base_data_end]);
+            // Existing payload bytes were not rewritten: the whole data
+            // section of the base archive reappears verbatim.
+            let base_header = ArchiveHeader::read(&base).unwrap();
+            let data = base_header.data_start();
+            let base_data_end = base.len() - base_header.model_len;
+            assert_eq!(&bytes[data..base_data_end], &base[data..base_data_end]);
 
-        let reader = ArchiveReader::open(&bytes).expect("reopen");
-        assert_eq!(reader.dims(), full.dims());
-        assert_eq!(reader.chunk_count(), base_stats.chunks + stats.chunks);
-        let recon = reader.decode_all(3, &mut raw_decoder()).unwrap();
-        assert_eq!(recon.as_slice(), full.as_slice());
-        for i in 0..reader.chunk_count() {
-            let spec = reader.chunk_spec(i).unwrap();
-            let chunk = reader.decode_chunk(i, &mut Raw).unwrap();
-            assert_eq!(chunk.as_slice(), recon.read_block_valid(&spec).as_slice());
-        }
+            let reader = ArchiveReader::open(&bytes).expect("reopen");
+            assert_eq!(reader.dims(), full.dims());
+            assert_eq!(reader.chunk_count(), base_stats.chunks + stats.chunks);
+            let recon = reader.decode_all(3, &mut raw_decoder()).unwrap();
+            assert_eq!(recon.as_slice(), full.as_slice());
+            for i in 0..reader.chunk_count() {
+                let spec = reader.chunk_spec(i).unwrap();
+                let chunk = reader.decode_chunk(i, &mut Raw).unwrap();
+                assert_eq!(chunk.as_slice(), recon.read_block_valid(&spec).as_slice());
+            }
 
-        // A second append drains the remaining capacity; a third is refused.
-        let mut app = ArchiveAppender::open(Cursor::new(bytes)).unwrap();
-        let more = ramp(Dims::d2(8, 6));
-        app.append(
-            &mut FieldSource(&more),
-            ErrorBound::abs(1.0),
-            2,
-            &mut raw_codec(),
-        )
-        .expect("second append");
-        assert_eq!(app.spare_slots(), 2);
-        assert!(matches!(
+            // A second append drains the indexed file's remaining capacity,
+            // so a third is refused there; the inline archive takes it.
+            let mut app = ArchiveAppender::open(Cursor::new(bytes)).unwrap();
+            let more = ramp(Dims::d2(8, 6));
             app.append(
                 &mut FieldSource(&more),
                 ErrorBound::abs(1.0),
                 2,
                 &mut raw_codec(),
-            ),
-            Err(ArchiveWriteError::Invalid(reason)) if reason.contains("capacity")
-        ));
-        let bytes = app.finalize().unwrap().into_inner();
-        assert_eq!(ArchiveReader::open(&bytes).unwrap().dims(), Dims::d2(20, 6));
+            )
+            .expect("second append");
+            assert_eq!(app.spare_slots(), spare(6));
+            let third = app.append(
+                &mut FieldSource(&more),
+                ErrorBound::abs(1.0),
+                2,
+                &mut raw_codec(),
+            );
+            if indexed {
+                assert!(matches!(
+                    third,
+                    Err(ArchiveWriteError::Invalid(reason)) if reason.contains("capacity")
+                ));
+            } else {
+                assert_eq!(third.expect("no capacity limit").chunks, 4);
+            }
+            let bytes = app.finalize().unwrap().into_inner();
+            let rows = if indexed { 20 } else { 28 };
+            assert_eq!(
+                ArchiveReader::open(&bytes).unwrap().dims(),
+                Dims::d2(rows, 6)
+            );
+        }
     }
 
     #[test]
@@ -1637,149 +1669,150 @@ mod tests {
     fn appends_can_be_embedded_at_a_nonzero_stream_position() {
         let full = ramp(Dims::d1(16));
         let (head, tail) = split_slow(&full, 8);
-        let opts = ArchiveOptions::new().chunk(4).window(1).reserve(4);
-        let (base, _) =
+        let opts = ArchiveOptions::new().chunk(4).window(1);
+        let (inline, _) =
             write_field_archive(&head, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
-        let prefix = b"sixteen byte hdr".to_vec();
-        let mut cursor = Cursor::new([prefix.clone(), base].concat());
-        cursor.set_position(prefix.len() as u64);
-        let mut app = ArchiveAppender::open(cursor).expect("open embedded");
-        app.append(
-            &mut FieldSource(&tail),
-            ErrorBound::abs(1.0),
-            1,
-            &mut raw_codec(),
-        )
-        .unwrap();
-        let bytes = app.finalize().unwrap().into_inner();
-        assert_eq!(&bytes[..prefix.len()], prefix.as_slice());
-        let reader = ArchiveReader::open(&bytes[prefix.len()..]).unwrap();
-        let recon = reader.decode_all(2, &mut raw_decoder()).unwrap();
-        assert_eq!(recon.as_slice(), full.as_slice());
+        for base in [relay(&inline, Layout::Indexed { spare: 4 }), inline] {
+            let prefix = b"sixteen byte hdr".to_vec();
+            let mut cursor = Cursor::new([prefix.clone(), base].concat());
+            cursor.set_position(prefix.len() as u64);
+            let mut app = ArchiveAppender::open(cursor).expect("open embedded");
+            app.append(
+                &mut FieldSource(&tail),
+                ErrorBound::abs(1.0),
+                1,
+                &mut raw_codec(),
+            )
+            .unwrap();
+            let bytes = app.finalize().unwrap().into_inner();
+            assert_eq!(&bytes[..prefix.len()], prefix.as_slice());
+            let reader = ArchiveReader::open(&bytes[prefix.len()..]).unwrap();
+            let recon = reader.decode_all(2, &mut raw_decoder()).unwrap();
+            assert_eq!(recon.as_slice(), full.as_slice());
+        }
     }
 
     #[test]
     fn appender_preserves_and_extends_the_model_tail() {
         let full = ramp(Dims::d2(12, 6));
         let (head, tail) = split_slow(&full, 8);
-        let opts = ArchiveOptions::new().chunk(4).window(2).reserve(8);
+        let opts = ArchiveOptions::new().chunk(4).window(2);
         let weights_a = b"weights alpha".to_vec();
         let weights_b = b"weights beta".to_vec();
         let mut codecs_a = {
             let w = weights_a.clone();
             move |_spec: &BlockSpec| Ok(Box::new(RawWithModel(w.clone())) as Box<dyn Compressor>)
         };
-        let (base, _) = {
-            let mut sink = Cursor::new(Vec::new());
-            write_archive_impl(
-                &mut FieldSource(&head),
+        let (inline, _) =
+            write_field_archive_embedding(&head, ErrorBound::abs(1.0), &opts, &mut codecs_a)
+                .unwrap();
+        // The writer emits inline v3; the embedded tail rides along.
+        let header = ArchiveHeader::read(&inline).unwrap();
+        assert_eq!((header.version, header.index_cap), (3, 0));
+
+        for base in [relay(&inline, Layout::Indexed { spare: 8 }), inline] {
+            assert_eq!(ArchiveHeader::read(&base).unwrap().version, 3);
+            assert_eq!(ArchiveReader::open(&base).unwrap().models().len(), 1);
+
+            let mut app = ArchiveAppender::open(Cursor::new(base)).unwrap();
+            // Appending with one already-embedded model and one new model
+            // must keep the old record and add exactly one.
+            let mut codecs_ab = {
+                let (a, b) = (weights_a.clone(), weights_b.clone());
+                let mut flip = false;
+                move |_spec: &BlockSpec| {
+                    flip = !flip;
+                    let w = if flip { a.clone() } else { b.clone() };
+                    Ok(Box::new(RawWithModel(w)) as Box<dyn Compressor>)
+                }
+            };
+            app.append_embedding(
+                &mut FieldSource(&tail),
                 ErrorBound::abs(1.0),
-                &opts,
-                &mut codecs_a,
-                true,
-                &mut sink,
+                2,
+                &mut codecs_ab,
             )
             .unwrap();
-            (sink.into_inner(), ())
-        };
-        // reserve>0 forces v3; the embedded tail rides along.
-        assert_eq!(ArchiveHeader::read(&base).unwrap().version, 3);
-        assert_eq!(ArchiveReader::open(&base).unwrap().models().len(), 1);
-
-        let mut app = ArchiveAppender::open(Cursor::new(base)).unwrap();
-        // Appending with one already-embedded model and one new model must
-        // keep the old record and add exactly one.
-        let mut codecs_ab = {
-            let (a, b) = (weights_a.clone(), weights_b.clone());
-            let mut flip = false;
-            move |_spec: &BlockSpec| {
-                flip = !flip;
-                let w = if flip { a.clone() } else { b.clone() };
-                Ok(Box::new(RawWithModel(w)) as Box<dyn Compressor>)
-            }
-        };
-        app.append_embedding(
-            &mut FieldSource(&tail),
-            ErrorBound::abs(1.0),
-            2,
-            &mut codecs_ab,
-        )
-        .unwrap();
-        let bytes = app.finalize().unwrap().into_inner();
-        let reader = ArchiveReader::open(&bytes).unwrap();
-        let ids: Vec<ModelId> = reader.models().iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids.len(), 2);
-        assert!(ids.contains(&ModelId::of(&weights_a)));
-        assert!(ids.contains(&ModelId::of(&weights_b)));
-        let recon = reader.decode_all(2, &mut raw_decoder()).unwrap();
-        assert_eq!(recon.as_slice(), full.as_slice());
+            let bytes = app.finalize().unwrap().into_inner();
+            let reader = ArchiveReader::open(&bytes).unwrap();
+            let ids: Vec<ModelId> = reader.models().iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids.len(), 2);
+            assert!(ids.contains(&ModelId::of(&weights_a)));
+            assert!(ids.contains(&ModelId::of(&weights_b)));
+            let recon = reader.decode_all(2, &mut raw_decoder()).unwrap();
+            assert_eq!(recon.as_slice(), full.as_slice());
+        }
     }
 
     #[test]
     fn appender_rejects_what_it_cannot_honour() {
-        // v1 archives are not appendable.
+        // Version-1 and version-2 archives are not appendable.
         let field = ramp(Dims::d2(8, 6));
-        let v1_opts = ArchiveOptions::new().chunk(4).window(2);
-        let (v1, _) =
-            write_field_archive(&field, ErrorBound::abs(1.0), &v1_opts, &mut raw_codec()).unwrap();
-        assert!(matches!(
-            ArchiveAppender::open(Cursor::new(v1)),
-            Err(ArchiveReadError::Archive(DecompressError::Unsupported(_)))
-        ));
+        let opts = ArchiveOptions::new().chunk(4).window(2);
+        let (inline, _) =
+            write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
+        for old in [Layout::V1, Layout::V2] {
+            assert!(matches!(
+                ArchiveAppender::open(Cursor::new(relay(&inline, old))),
+                Err(ArchiveReadError::Archive(DecompressError::Unsupported(_)))
+            ));
+        }
 
         let slab = ramp(Dims::d2(4, 6));
-        let opts = ArchiveOptions::new().chunk(4).window(2).reserve(8);
-        let (base, _) =
-            write_field_archive(&field, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
-
-        // Relative bounds would need the whole-field range — refused.
-        let mut app = ArchiveAppender::open(Cursor::new(base.clone())).unwrap();
-        assert!(matches!(
-            app.append(
-                &mut FieldSource(&slab),
-                ErrorBound::rel(1e-3),
-                2,
-                &mut raw_codec()
-            ),
-            Err(ArchiveWriteError::Invalid(reason)) if reason.contains("absolute")
-        ));
-        // Fast axes must match.
-        let skewed = ramp(Dims::d2(4, 7));
-        assert!(matches!(
-            app.append(
-                &mut FieldSource(&skewed),
-                ErrorBound::abs(1.0),
-                2,
-                &mut raw_codec()
-            ),
-            Err(ArchiveWriteError::Invalid(reason)) if reason.contains("axis")
-        ));
-        // So must the rank.
-        let flat = ramp(Dims::d1(6));
-        assert!(matches!(
-            app.append(
-                &mut FieldSource(&flat),
-                ErrorBound::abs(1.0),
-                2,
-                &mut raw_codec()
-            ),
-            Err(ArchiveWriteError::Invalid(reason)) if reason.contains("rank")
-        ));
-
-        // A slow extent that is not chunk-aligned seals the archive: its
-        // edge chunks would change shape if the axis grew.
         let ragged = ramp(Dims::d2(10, 6));
-        let (sealed, _) =
+        let (ragged, _) =
             write_field_archive(&ragged, ErrorBound::abs(1.0), &opts, &mut raw_codec()).unwrap();
-        let mut app = ArchiveAppender::open(Cursor::new(sealed)).unwrap();
-        assert!(matches!(
-            app.append(
-                &mut FieldSource(&slab),
-                ErrorBound::abs(1.0),
-                2,
-                &mut raw_codec()
-            ),
-            Err(ArchiveWriteError::Invalid(reason)) if reason.contains("sealed")
-        ));
+        let indexed = Layout::Indexed { spare: 8 };
+        for (base, sealed) in [
+            (relay(&inline, indexed), relay(&ragged, indexed)),
+            (inline, ragged),
+        ] {
+            // Relative bounds would need the whole-field range — refused.
+            let mut app = ArchiveAppender::open(Cursor::new(base)).unwrap();
+            assert!(matches!(
+                app.append(
+                    &mut FieldSource(&slab),
+                    ErrorBound::rel(1e-3),
+                    2,
+                    &mut raw_codec()
+                ),
+                Err(ArchiveWriteError::Invalid(reason)) if reason.contains("absolute")
+            ));
+            // Fast axes must match.
+            let skewed = ramp(Dims::d2(4, 7));
+            assert!(matches!(
+                app.append(
+                    &mut FieldSource(&skewed),
+                    ErrorBound::abs(1.0),
+                    2,
+                    &mut raw_codec()
+                ),
+                Err(ArchiveWriteError::Invalid(reason)) if reason.contains("axis")
+            ));
+            // So must the rank.
+            let flat = ramp(Dims::d1(6));
+            assert!(matches!(
+                app.append(
+                    &mut FieldSource(&flat),
+                    ErrorBound::abs(1.0),
+                    2,
+                    &mut raw_codec()
+                ),
+                Err(ArchiveWriteError::Invalid(reason)) if reason.contains("rank")
+            ));
+
+            // A slow extent that is not chunk-aligned seals the archive: its
+            // edge chunks would change shape if the axis grew.
+            let mut app = ArchiveAppender::open(Cursor::new(sealed)).unwrap();
+            assert!(matches!(
+                app.append(
+                    &mut FieldSource(&slab),
+                    ErrorBound::abs(1.0),
+                    2,
+                    &mut raw_codec()
+                ),
+                Err(ArchiveWriteError::Invalid(reason)) if reason.contains("sealed")
+            ));
+        }
     }
 }

@@ -24,53 +24,75 @@
 //! On top of the single-payload frame, this module defines the wire format
 //! of the **streaming archive** ([`crate::archive`]): a field split into a
 //! grid of chunks, each chunk compressed independently into one complete
-//! `AESC` frame, with a per-chunk codec id + offset index up front so single
-//! chunks can be decoded without touching the rest of the archive:
+//! `AESC` frame. Every writer emits one layout, **inline version 3**
+//! ([`ArchiveHeader::inline`]): the header, the chunk frames back to back in
+//! index order, and a tail of embedded models (possibly empty):
 //!
 //! ```text
 //! offset      size  field
 //! 0           4     magic  b"AESA"
-//! 4           1     archive version (currently 1)
+//! 4           1     archive version (3, ARCHIVE_VERSION_APPEND)
 //! 5           1     dtype (1 = f32 little-endian)
 //! 6           1     rank r (1..=3)
 //! 7           1     reserved, must be 0
 //! 8           8·r   extents, u64 little-endian each, slow-to-fast
 //! 8+8r        8     chunk edge length, u64 little-endian
 //! 16+8r       8     chunk count n, u64 little-endian (== the grid product)
-//! 24+8r       17·n  chunk index: n × (codec id u8, absolute byte offset
-//!                   u64 LE, frame length u64 LE)
-//! 24+8r+17n   …     n chunk frames, each a complete AESC frame, stored
+//! 24+8r       8     index capacity, u64 LE: 0, no index table
+//! 32+8r       8     model section length m_len, u64 little-endian
+//! 40+8r       …     n chunk frames, each a complete AESC frame, stored
 //!                   back-to-back in index order
+//! end−m_len   m_len model section: per model, a 16-byte ModelId, a u64 LE
+//!                   frame length, and a complete AESM model frame
 //! ```
 //!
-//! Version 2 ([`ARCHIVE_VERSION_MODELS`]) extends the header with one
-//! trailing `u64` — the byte length of a **model section** appended after
-//! the last chunk frame — so an archive can ship the trained networks its
-//! learned chunks reference, each embedded exactly once and indexed by
-//! content-addressed [`ModelId`]:
+//! There is no index table: each frame's 14-byte head names its codec and
+//! payload length, so the parser rebuilds every chunk's codec, offset and
+//! length by walking the heads once at open, and a single chunk then decodes
+//! without touching the rest of the archive. A writer needs no seek (a pipe
+//! will do; only the model-section length is patched when models ride
+//! along), and [`crate::archive::ArchiveAppender`] grows the archive with
+//! no capacity limit. The model tail lets an archive ship the trained
+//! networks its learned chunks reference, each embedded exactly once and
+//! indexed by content-addressed [`ModelId`].
+//!
+//! ## Read-only layouts
+//!
+//! Archives written before every writer went inline carry a **chunk index**
+//! between the header and the frames: one 17-byte entry per chunk (codec id
+//! u8, absolute byte offset u64 LE, frame length u64 LE). The parser reads
+//! all three of these layouts, and the appender still fills an indexed
+//! version-3 file's spare slots, but no writer emits them.
+//!
+//! **Version 1** ([`ARCHIVE_VERSION`]) has no model section:
+//!
+//! ```text
+//! offset      size  field
+//! 0           4     magic  b"AESA"
+//! 4           1     archive version (1)
+//! 5           3     dtype, rank r, reserved (as above)
+//! 8           8·r   extents, u64 little-endian each, slow-to-fast
+//! 8+8r        8     chunk edge length, u64 little-endian
+//! 16+8r       8     chunk count n, u64 little-endian (== the grid product)
+//! 24+8r       17·n  chunk index: n × (codec id u8, absolute byte offset
+//!                   u64 LE, frame length u64 LE)
+//! 24+8r+17n   …     n chunk frames, back-to-back in index order
+//! ```
+//!
+//! **Version 2** ([`ARCHIVE_VERSION_MODELS`]) adds the model section:
 //!
 //! ```text
 //! offset      size  field (v2 additions)
 //! 24+8r       8     model section length m_len, u64 little-endian
 //! 32+8r       17·n  chunk index (as in v1, shifted by 8)
 //! …                 chunk frames (as in v1)
-//! end−m_len   m_len model section: per model, a 16-byte ModelId, a u64 LE
-//!                   frame length, and a complete AESM model frame
+//! end−m_len   m_len model section (as in inline v3)
 //! ```
 //!
-//! Version 3 ([`ARCHIVE_VERSION_APPEND`]) inserts one more `u64` between the
-//! chunk count and the model-section length: the **index capacity** `cap`,
-//! the number of index slots physically present. Two regimes:
-//!
-//! * `cap == 0` — **inline archive**: no index table at all; the chunk
-//!   frames follow the header directly, back-to-back in index order. This
-//!   is what a seekless writer (a pipe) emits — the parser reconstructs the
-//!   index by walking the frame headers, so random access still works once
-//!   the bytes are on disk.
-//! * `cap >= n` — **appendable archive**: `cap` slots are reserved up
-//!   front, the first `n` hold real entries and the rest are zero-filled
-//!   (validated zero on read). [`crate::archive::ArchiveAppender`] fills
-//!   spare slots in place without shifting a single payload byte.
+//! **Indexed version 3** ([`ARCHIVE_VERSION_APPEND`] with an index capacity
+//! `cap >= n`) reserves `cap` index slots: the first `n` hold real entries
+//! and the rest are zero-filled (validated zero on read), for appends that
+//! do not shift a single payload byte:
 //!
 //! ```text
 //! offset      size  field (v3 additions)
@@ -85,10 +107,10 @@
 //! [`crate::archive::ArchiveReader::open`] for a slice in memory,
 //! [`crate::archive::ArchiveAppender::open`] for a seekable file): extents
 //! are capped at [`MAX_FIELD_ELEMS`], the stored chunk count must equal the
-//! recomputed grid product, index entries must tile the data section
-//! exactly (first offset at the data start, each entry abutting the previous
-//! one, the last ending where the model section begins — the input's end
-//! for v1), every chunk frame head must agree with its entry, and model
+//! recomputed grid product, the chunk frames must tile the data section
+//! exactly (the first at the data start, each abutting the previous one,
+//! the last ending where the model section begins — the input's end for
+//! v1), every stored index entry must agree with its frame head, and model
 //! entries must tile the model section exactly with every frame's
 //! recomputed payload hash equal to its stored id — so a flipped offset, a
 //! lying chunk count, a corrupted model or a truncated tail is an error
@@ -333,7 +355,7 @@ pub fn peek_payload_model_id(codec: CodecId, payload: &[u8]) -> Option<ModelId> 
 /// Magic bytes opening every serialized-model frame ("AE-SZ model").
 ///
 /// The frame is the unit the model lifecycle ships around: sidecar `.aesm`
-/// files, the `AESA` v2 archive model section and [`crate::Compressor::embedded_model`]
+/// files, the `AESA` archive model section and [`crate::Compressor::embedded_model`]
 /// all carry exactly this frame. The payload is the codec-specific model
 /// serialization (`AESZMDL1` for the convolutional autoencoders, the AE-A
 /// dense format for AE-A); the [`ModelId`] of a model is the truncated
@@ -424,18 +446,19 @@ impl EmbeddedModel {
 /// Magic bytes opening every multi-chunk archive ("AE-SZ archive").
 pub const ARCHIVE_MAGIC: [u8; 4] = *b"AESA";
 
-/// Archive format version without a model section (the original layout).
+/// Archive format version without a model section (the original layout;
+/// read-only).
 pub const ARCHIVE_VERSION: u8 = 1;
 
 /// Archive format version whose header carries a model-section length and
-/// whose tail may embed the referenced models' `AESM` frames.
+/// whose tail may embed the referenced models' `AESM` frames (read-only).
 pub const ARCHIVE_VERSION_MODELS: u8 = 2;
 
 /// Archive format version whose header additionally carries an index
-/// capacity: `0` marks an **inline** archive (no index table — what a
-/// seekless pipe writer emits; readers reconstruct the index from the frame
-/// headers), any other value reserves that many index slots so the archive
-/// can be **appended to** in place without rewriting payload bytes.
+/// capacity: `0` marks an **inline** archive, the one layout every writer
+/// emits (no index table; readers rebuild the index from the frame heads);
+/// any other value is a read-only indexed file with that many index slots,
+/// whose spare ones an append fills in place.
 pub const ARCHIVE_VERSION_APPEND: u8 = 3;
 
 /// The one data type archives currently carry: little-endian `f32`.
@@ -452,10 +475,11 @@ pub struct ArchiveHeader {
     /// Nominal chunk edge length (edge chunks are smaller, exactly like the
     /// blockwise compressors' edge blocks).
     pub chunk: usize,
-    /// Archive format version ([`ARCHIVE_VERSION`], [`ARCHIVE_VERSION_MODELS`]
-    /// or [`ARCHIVE_VERSION_APPEND`]). Version 1 archives have no model
-    /// section and their header carries no model-section length, so the v1
-    /// encoding is byte-identical to the original format.
+    /// Archive format version: [`ARCHIVE_VERSION_APPEND`] for everything a
+    /// writer emits; [`ARCHIVE_VERSION`] or [`ARCHIVE_VERSION_MODELS`] for
+    /// read-only files. Version 1 archives have no model section and their
+    /// header carries no model-section length, so the v1 encoding is
+    /// byte-identical to the original format.
     pub version: u8,
     /// Byte length of the model section at the archive's tail (0 for v1 and
     /// for v2/v3 archives that embed nothing).
@@ -468,17 +492,18 @@ pub struct ArchiveHeader {
 }
 
 impl ArchiveHeader {
-    /// A version-1 header (no model section) — the shape every pre-model
-    /// archive used.
-    pub fn v1(dims: Dims, chunk: usize) -> ArchiveHeader {
+    /// The header every writer emits: version 3, index capacity 0 (no index
+    /// table), no model section yet.
+    pub fn inline(dims: Dims, chunk: usize) -> ArchiveHeader {
         ArchiveHeader {
             dims,
             chunk,
-            version: ARCHIVE_VERSION,
+            version: ARCHIVE_VERSION_APPEND,
             model_len: 0,
             index_cap: 0,
         }
     }
+
     /// Number of chunks along each axis (ceiling division per axis).
     pub fn chunk_grid(&self) -> Vec<usize> {
         self.dims.block_grid(self.chunk)
@@ -517,8 +542,8 @@ impl ArchiveHeader {
         self.encoded_len() + self.index_len()
     }
 
-    /// Serialize the header (magic through chunk count, plus the
-    /// model-section length for v2) into `out`.
+    /// Serialize the header (magic through chunk count, plus the index
+    /// capacity for v3 and the model-section length for v2/v3) into `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&ARCHIVE_MAGIC);
         out.push(self.version);
@@ -790,8 +815,7 @@ mod tests {
         // bytes than the whole input: opening must fail before any caller
         // trusts the length, while the header decoder (which by contract
         // does not validate the tail sections) still parses the fixed prefix.
-        let mut header = ArchiveHeader::v1(Dims::d1(16), 16);
-        header.version = ARCHIVE_VERSION_APPEND;
+        let header = ArchiveHeader::inline(Dims::d1(16), 16);
         let mut bytes = Vec::new();
         header.write(&mut bytes);
         let model_len_at = bytes.len() - 8;

@@ -37,6 +37,8 @@ pub mod compressor;
 pub mod container;
 pub mod error;
 pub mod error_stats;
+#[cfg(any(test, feature = "legacy-layouts"))]
+pub mod legacy;
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -58,7 +60,7 @@ pub mod rate_distortion;
 pub mod stream;
 
 pub use archive::{
-    write_archive, write_archive_embedding, write_archive_stream, write_field_archive,
+    write_archive_embedding, write_archive_stream, write_field_archive,
     write_field_archive_embedding, ArchiveAppender, ArchiveOptions, ArchiveReadError,
     ArchiveReader, ArchiveStats, ArchiveWriteError, ChunkSink, ChunkSource, FieldSink, FieldSource,
 };

@@ -57,6 +57,18 @@ pub mod loss;
 pub mod models;
 pub mod optim;
 pub mod sequential;
+// The model-format parser is in the `aesz-lint` deny-set (see the repo-root
+// lint.toml): it must not panic on attacker-shaped bytes, which the clippy
+// header below enforces at the compiler level (rule R1). Tests are exempt
+// via clippy.toml's allow-*-in-tests keys.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub mod serialize;
 pub mod train;
 pub mod upsample;

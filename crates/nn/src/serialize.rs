@@ -138,6 +138,70 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, ModelError> {
     ]))
 }
 
+/// A config field: a wire `u64` that must fit this platform's `usize`.
+fn read_field(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<usize, ModelError> {
+    usize::try_from(read_u64(buf, pos)?).map_err(|_| ModelError::InvalidConfig(what))
+}
+
+/// Scalar count of the network `cfg` describes, from the layer shapes
+/// [`ConvAutoencoder::new`] builds, without building it (`None` on
+/// overflow). A test pins it to [`ConvAutoencoder::num_params`].
+fn config_param_count(cfg: &AeConfig) -> Option<usize> {
+    let taps = 3usize.checked_pow(u32::try_from(cfg.spatial_rank).ok()?)?;
+    // ConvNd and Dense: an `out × in` weight (times the kernel taps for a
+    // convolution) and `out` biases; GDN: `c` betas and a `c × c` gamma.
+    let conv = |i: usize, o: usize| o.checked_mul(i)?.checked_mul(taps)?.checked_add(o);
+    let dense = |i: usize, o: usize| o.checked_mul(i)?.checked_add(o);
+    let gdn = |c: usize| c.checked_mul(c)?.checked_add(c);
+    let last = *cfg.channels.last()?;
+    let (feature, latent) = (cfg.feature_len(), cfg.latent_dim);
+    // The junction: encoder dense, decoder dense, and the decoder's final
+    // one-channel convolution.
+    let mut total = dense(feature, cfg.encoder_out())?
+        .checked_add(dense(latent, feature)?)?
+        .checked_add(conv(cfg.channels.first().copied()?, 1)?)?;
+    // Per block: the encoder's stride-1 and stride-2 convolutions and GDN,
+    // and the decoder's mirrored convolution and inverse GDN.
+    let mut enc_in = 1;
+    let mut dec_in = last;
+    for (&c, &mirror) in cfg.channels.iter().zip(cfg.channels.iter().rev()) {
+        let block = conv(enc_in, c)?
+            .checked_add(conv(c, c)?)?
+            .checked_add(gdn(c)?)?
+            .checked_add(conv(dec_in, mirror)?)?
+            .checked_add(gdn(mirror)?)?;
+        total = total.checked_add(block)?;
+        (enc_in, dec_in) = (c, mirror);
+    }
+    Some(total)
+}
+
+/// Read the scalar count opening a parameter stream, which must be
+/// `expected`.
+fn read_param_count(bytes: &[u8], pos: &mut usize, expected: usize) -> Result<(), ModelError> {
+    let declared = read_u64(bytes, pos)?;
+    if declared != expected as u64 {
+        return Err(ModelError::ParamMismatch {
+            expected,
+            got: usize::try_from(declared).unwrap_or(usize::MAX),
+        });
+    }
+    Ok(())
+}
+
+/// Check, before any layer is built, that the parameter stream at `pos`
+/// declares exactly `expected` scalars and that exactly that many `f32`s
+/// follow: the only allocation a model file can then cause is the one its
+/// own bytes pay for.
+fn check_param_stream(bytes: &[u8], mut pos: usize, expected: usize) -> Result<(), ModelError> {
+    read_param_count(bytes, &mut pos, expected)?;
+    match (bytes.len() - pos).cmp(&expected.saturating_mul(4)) {
+        std::cmp::Ordering::Less => Err(ModelError::Truncated),
+        std::cmp::Ordering::Greater => Err(ModelError::TrailingBytes),
+        std::cmp::Ordering::Equal => Ok(()),
+    }
+}
+
 /// Total scalar count of a parameter list (what a serialized stream of those
 /// parameters must carry).
 pub fn param_count(params: &[&Param]) -> usize {
@@ -166,17 +230,11 @@ pub fn read_params_into(
     mut params: Vec<&mut Param>,
 ) -> Result<(), ModelError> {
     let expected: usize = params.iter().map(|p| p.len()).sum();
-    let total = read_u64(bytes, pos)? as usize;
-    if expected != total {
-        return Err(ModelError::ParamMismatch {
-            expected,
-            got: total,
-        });
-    }
+    read_param_count(bytes, pos, expected)?;
     let payload = bytes
-        .get(*pos..*pos + total * 4)
+        .get(*pos..*pos + expected * 4)
         .ok_or(ModelError::Truncated)?;
-    *pos += total * 4;
+    *pos += expected * 4;
     let mut values = payload
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
@@ -216,27 +274,32 @@ pub fn model_id(model: &ConvAutoencoder) -> ModelId {
 }
 
 /// Rebuild a model from bytes written by [`save_model`].
+///
+/// The config is validated and the parameter stream's declared count and
+/// length are checked against the network the config describes before a
+/// single layer is built, so a few hostile header bytes cannot make the
+/// loader allocate a network the file does not carry.
 pub fn load_model(bytes: &[u8]) -> Result<ConvAutoencoder, ModelError> {
-    if bytes.len() < 8 || &bytes[..8] != MAGIC {
+    if bytes.get(..8) != Some(&MAGIC[..]) {
         return Err(ModelError::BadMagic);
     }
     let mut pos = 8usize;
-    let spatial_rank = read_u64(bytes, &mut pos)? as usize;
-    let block_size = read_u64(bytes, &mut pos)? as usize;
-    let latent_dim = read_u64(bytes, &mut pos)? as usize;
+    let spatial_rank = read_field(bytes, &mut pos, "spatial rank must be 2 or 3")?;
+    let block_size = read_field(bytes, &mut pos, "block size out of range")?;
+    let latent_dim = read_field(bytes, &mut pos, "latent dim out of range")?;
     let variational = match read_u64(bytes, &mut pos)? {
         0 => false,
         1 => true,
         _ => return Err(ModelError::InvalidConfig("variational flag not 0/1")),
     };
     let seed = read_u64(bytes, &mut pos)?;
-    let n_channels = read_u64(bytes, &mut pos)? as usize;
-    if n_channels > MAX_MODEL_CONV_BLOCKS {
+    let n_channels = read_u64(bytes, &mut pos)?;
+    if n_channels > MAX_MODEL_CONV_BLOCKS as u64 {
         return Err(ModelError::InvalidConfig("conv block count out of range"));
     }
-    let mut channels = Vec::with_capacity(n_channels);
+    let mut channels = Vec::with_capacity(MAX_MODEL_CONV_BLOCKS);
     for _ in 0..n_channels {
-        channels.push(read_u64(bytes, &mut pos)? as usize);
+        channels.push(read_field(bytes, &mut pos, "channel count out of range")?);
     }
     let config = AeConfig {
         spatial_rank,
@@ -247,11 +310,11 @@ pub fn load_model(bytes: &[u8]) -> Result<ConvAutoencoder, ModelError> {
         seed,
     };
     validate_config(&config)?;
+    let expected = config_param_count(&config)
+        .ok_or(ModelError::InvalidConfig("parameter count overflows"))?;
+    check_param_stream(bytes, pos, expected)?;
     let mut model = ConvAutoencoder::new(config);
     read_params_into(bytes, &mut pos, model.params_mut())?;
-    if pos != bytes.len() {
-        return Err(ModelError::TrailingBytes);
-    }
     Ok(model)
 }
 
@@ -386,6 +449,26 @@ mod tests {
         let mut other = tiny_model();
         other.params_mut()[0].value.as_mut_slice()[0] += 1.0;
         assert_ne!(model_id(&other), id, "a changed weight changes the id");
+    }
+
+    #[test]
+    fn parameter_count_is_computed_without_building_the_network() {
+        for spatial_rank in [2, 3] {
+            for channels in [vec![4], vec![2, 3], vec![2, 3, 5]] {
+                for variational in [false, true] {
+                    let cfg = AeConfig {
+                        spatial_rank,
+                        block_size: 8,
+                        latent_dim: 6,
+                        channels: channels.clone(),
+                        variational,
+                        seed: 1,
+                    };
+                    let built = ConvAutoencoder::new(cfg.clone()).num_params();
+                    assert_eq!(config_param_count(&cfg), Some(built), "{cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Request → response logic, independent of the socket framing.
 //!
 //! [`handle_buffered`] serves every fully-read request body;
-//! [`handle_decompress_stream`] is the streaming path `conn` uses for
-//! `Decompress` bodies, feeding socket slabs straight through
-//! [`StreamFieldDecoder`] so the compressed input is never resident whole.
+//! [`handle_decompress_stream`] is the one `Decompress` path: `conn` feeds it
+//! socket slabs straight through [`StreamFieldDecoder`] so the compressed
+//! input is never resident whole, and [`handle_buffered`] feeds it a body it
+//! already holds, so a frame or an archive decodes the same either way.
 //! Training goes through the library's one dispatch
 //! ([`train_compressor`]), so a remote `Train` and `aesz train` build the
 //! same model bit for bit.
@@ -62,13 +63,7 @@ pub fn handle_buffered(
             }
             Err(e) => error(ErrorCode::CompressFailed, e.to_string()),
         },
-        Request::Decompress { bytes } => match state.registry.decompress_any(&bytes) {
-            Ok((field, codec)) => {
-                state.count_decompress(codec);
-                Response::DecompressOk { field }
-            }
-            Err(e) => error(error_code_for(&e), e.to_string()),
-        },
+        Request::Decompress { bytes } => handle_decompress_stream(state, &mut bytes.as_slice()),
         Request::Train {
             codec,
             knobs,

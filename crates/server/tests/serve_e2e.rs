@@ -540,3 +540,48 @@ fn oversized_and_hostile_requests_get_typed_errors() {
     assert_eq!(code, wire::ErrorCode::TooLarge);
     stop();
 }
+
+#[test]
+fn the_buffered_handler_decodes_frames_and_archives_like_the_socket_path() {
+    let state = ServerState::new(
+        ServerConfig::default(),
+        aesz_repro::SharedRegistry::with_defaults(),
+    );
+    let registry = Registry::with_defaults();
+    let field = test_field(4);
+    let frame = registry
+        .fork(CodecId::Sz2)
+        .expect("registered")
+        .compress(&field, ErrorBound::abs(1e-3))
+        .expect("frame");
+    let opts = aesz_repro::archive::ArchiveOptions::new()
+        .chunk(16)
+        .window(2);
+    let (archive, _) = aesz_repro::archive::compress_field(
+        &registry,
+        &field,
+        ErrorBound::abs(1e-3),
+        &opts,
+        CodecId::Zfp,
+    )
+    .expect("archive");
+    let (from_archive, _) =
+        aesz_repro::archive::decompress(&registry, &archive, 2).expect("local archive decode");
+    let (from_frame, _) = aesz_repro::decompress_any(&frame).expect("local frame decode");
+    for (body, want, what) in [
+        (&frame, &from_frame, "buffered frame decompress"),
+        (&archive, &from_archive, "buffered archive decompress"),
+    ] {
+        let got =
+            aesz_server::handler::handle_buffered(&state, None, wire::MsgType::Decompress, body);
+        let wire::Response::DecompressOk { field: recon } = got else {
+            panic!("{what}: expected DecompressOk, got {got:?}");
+        };
+        assert_fields_bit_identical(&recon, want, what);
+    }
+    // The frame names its codec; the archive is not attributed to one.
+    assert_eq!(
+        state.snapshot().decompress_by_codec[CodecId::Sz2 as usize - 1],
+        1
+    );
+}

@@ -50,7 +50,8 @@ fn main() {
         stats.peak_window_raw_bytes / 1024,
     );
 
-    // The chunk index is validated up front and tells us who wrote what.
+    // Opening walks every frame head once: the rebuilt chunk index is
+    // validated up front and tells us who wrote what.
     let reader = ArchiveReader::open(&bytes).expect("valid archive");
     for id in [CodecId::Sz2, CodecId::Zfp] {
         let n = reader.entries().iter().filter(|e| e.codec == id).count();

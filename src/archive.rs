@@ -15,12 +15,12 @@
 //!   without touching the rest of the archive.
 //!
 //! Out-of-core pipelines (raw files larger than RAM) skip the field-level
-//! helpers and drive [`write_archive`] / [`ArchiveReader::decode_into`] with
-//! their own [`ChunkSource`] / [`ChunkSink`] — the `aesz` CLI does exactly
-//! that with seek-based file IO.
+//! helpers and drive [`write_archive_stream`] / [`ArchiveReader::decode_into`]
+//! with their own [`ChunkSource`] / [`ChunkSink`] — the `aesz` CLI does
+//! exactly that with seek-based file IO.
 
 pub use aesz_metrics::archive::{
-    chunk_dims, write_archive, write_archive_embedding, write_archive_stream, write_field_archive,
+    chunk_dims, write_archive_embedding, write_archive_stream, write_field_archive,
     write_field_archive_embedding, ArchiveAppender, ArchiveOptions, ArchiveReadError,
     ArchiveReader, ArchiveStats, ArchiveWriteError, ChunkSink, ChunkSource, CompressorFork,
     DecoderFork, FieldSink, FieldSource,
@@ -64,11 +64,11 @@ pub fn compress_field_with(
     })
 }
 
-/// [`compress_field_with`], but as a **version-2 archive that embeds the
-/// trained models** of the learned codecs used: each distinct model is
-/// shipped once in the archive's model section, so the archive bytes alone
-/// are enough for a fresh process — one that never saw the trainer — to
-/// decode every chunk ([`decompress`] resolves embedded models
+/// [`compress_field_with`], but **embedding the trained models** of the
+/// learned codecs used: each distinct model is shipped once in the
+/// archive's model tail, after the last chunk frame, so the archive bytes
+/// alone are enough for a fresh process — one that never saw the trainer —
+/// to decode every chunk ([`decompress`] resolves embedded models
 /// automatically).
 pub fn compress_field_embedding(
     registry: &Registry,
@@ -162,6 +162,9 @@ mod tests {
             })
             .expect("archive write");
         assert_eq!(stats.chunks, 3 * 4);
+        // The one written layout: version 3, no index table.
+        let header = ArchiveReader::open(&bytes).unwrap().header();
+        assert_eq!((header.version, header.index_cap), (3, 0));
         let (recon, codecs) = decompress(&registry, &bytes, 4).expect("archive read");
         assert_eq!(recon.dims(), field.dims());
         for (i, id) in codecs.iter().enumerate() {

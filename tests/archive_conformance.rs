@@ -14,6 +14,7 @@ use aesz_repro::archive::{
 use aesz_repro::metrics::container::{
     ArchiveHeader, ARCHIVE_VERSION_APPEND, CHUNK_ENTRY_LEN, FRAME_LEN,
 };
+use aesz_repro::metrics::legacy::{relay, Layout};
 use aesz_repro::metrics::{CodecId, DecompressError, ErrorBound};
 use aesz_repro::tensor::BlockSpec;
 use aesz_repro::{Dims, Field, Registry};
@@ -175,8 +176,10 @@ fn heterogeneous_archives_dispatch_each_chunk_to_its_codec() {
     }
 }
 
-/// A small single-codec archive for the corruption harness.
-fn small_archive() -> (Registry, Vec<u8>) {
+/// A small single-codec archive for the corruption harness, as written
+/// (inline, no index table) and as the version-1 copy the writer emitted
+/// before every writer went inline.
+fn small_archives() -> (Registry, [Vec<u8>; 2]) {
     let registry = Registry::with_defaults();
     let field = wavy(Dims::d2(20, 14));
     let bytes = compress_field(
@@ -188,84 +191,117 @@ fn small_archive() -> (Registry, Vec<u8>) {
     )
     .unwrap()
     .0;
-    (registry, bytes)
+    (registry, [relay(&bytes, Layout::V1), bytes])
 }
 
 #[test]
 fn truncation_at_every_offset_returns_err_never_panics() {
-    let (registry, bytes) = small_archive();
-    for len in 0..bytes.len() {
-        assert!(
-            decompress(&registry, &bytes[..len], 2).is_err(),
-            "archive prefix of {len}/{} bytes decoded",
-            bytes.len()
-        );
+    let (registry, archives) = small_archives();
+    for bytes in archives {
+        for len in 0..bytes.len() {
+            assert!(
+                decompress(&registry, &bytes[..len], 2).is_err(),
+                "archive prefix of {len}/{} bytes decoded",
+                bytes.len()
+            );
+        }
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(decompress(&registry, &padded, 2).is_err());
     }
-    let mut padded = bytes.clone();
-    padded.push(0);
-    assert!(decompress(&registry, &padded, 2).is_err());
 }
 
 #[test]
 fn lying_headers_and_flipped_index_offsets_are_rejected() {
-    let (registry, bytes) = small_archive();
-    let header = ArchiveHeader::read(&bytes).unwrap();
-    let base = header.encoded_len();
-    let assert_rejected = |evil: Vec<u8>, what: &str| {
-        assert!(
-            decompress(&registry, &evil, 2).is_err(),
-            "corruption `{what}` decoded"
-        );
-    };
+    let (registry, archives) = small_archives();
+    for bytes in archives {
+        let header = ArchiveHeader::read(&bytes).unwrap();
+        // Chunk edge, then chunk count, right after the two extents.
+        let (edge_at, count_at) = (24, 32);
+        let assert_rejected = |evil: Vec<u8>, what: &str| {
+            assert!(
+                decompress(&registry, &evil, 2).is_err(),
+                "corruption `{what}` of a v{} archive decoded",
+                header.version
+            );
+        };
 
-    // Lie about the chunk count (both directions).
-    for delta in [1u8, 0xFF] {
-        let mut evil = bytes.clone();
-        let at = base - 8;
-        evil[at] = evil[at].wrapping_add(delta);
-        assert_rejected(evil, "chunk count");
-    }
-    // Zero and inflate the chunk edge (changes the grid → count mismatch).
-    for patch in [0u64, 3, u64::MAX] {
-        let mut evil = bytes.clone();
-        evil[base - 16..base - 8].copy_from_slice(&patch.to_le_bytes());
-        assert_rejected(evil, "chunk edge");
-    }
-    // Zero and explode an extent.
-    for patch in [0u64, 1 << 40] {
-        let mut evil = bytes.clone();
-        evil[8..16].copy_from_slice(&patch.to_le_bytes());
-        assert_rejected(evil, "extent");
-    }
-    // Unknown dtype / rank / reserved flags / version / magic.
-    for (at, val) in [(5usize, 2u8), (6, 0), (6, 4), (7, 1), (4, 9), (0, b'X')] {
-        let mut evil = bytes.clone();
-        evil[at] = val;
-        assert_rejected(evil, "header byte");
-    }
-
-    let entry = |i: usize| base + i * CHUNK_ENTRY_LEN;
-    // Swap the offsets of the first two index entries.
-    let mut evil = bytes.clone();
-    let (a, b) = (entry(0) + 1, entry(1) + 1);
-    for k in 0..8 {
-        evil.swap(a + k, b + k);
-    }
-    assert_rejected(evil, "swapped offsets");
-    // Nudge an offset, a length, and a codec id.
-    for at in [entry(0) + 1, entry(0) + 9, entry(1) + 1, entry(1) + 9] {
-        for delta in [1u8, 0x80] {
+        // Lie about the chunk count (both directions).
+        for delta in [1u8, 0xFF] {
             let mut evil = bytes.clone();
-            evil[at] = evil[at].wrapping_add(delta);
-            assert_rejected(evil, "index field");
+            evil[count_at] = evil[count_at].wrapping_add(delta);
+            assert_rejected(evil, "chunk count");
         }
+        // Zero and inflate the chunk edge (changes the grid → count
+        // mismatch).
+        for patch in [0u64, 3, u64::MAX] {
+            let mut evil = bytes.clone();
+            evil[edge_at..edge_at + 8].copy_from_slice(&patch.to_le_bytes());
+            assert_rejected(evil, "chunk edge");
+        }
+        // Zero and explode an extent.
+        for patch in [0u64, 1 << 40] {
+            let mut evil = bytes.clone();
+            evil[8..16].copy_from_slice(&patch.to_le_bytes());
+            assert_rejected(evil, "extent");
+        }
+        // Unknown dtype / rank / reserved flags / version / magic.
+        for (at, val) in [(5usize, 2u8), (6, 0), (6, 4), (7, 1), (4, 9), (0, b'X')] {
+            let mut evil = bytes.clone();
+            evil[at] = val;
+            assert_rejected(evil, "header byte");
+        }
+
+        // Each chunk's codec, offset and length: an index entry, or the head
+        // of its frame when the archive has no index table (there the
+        // offset is implied by the previous frame, so the lengths carry it).
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        let (codec_at, len_at): (Vec<usize>, Vec<usize>) = if header.index_slots() > 0 {
+            let entry = |i: usize| header.encoded_len() + i * CHUNK_ENTRY_LEN;
+            // Swap the offsets of the first two index entries.
+            let mut evil = bytes.clone();
+            let (a, b) = (entry(0) + 1, entry(1) + 1);
+            for k in 0..8 {
+                evil.swap(a + k, b + k);
+            }
+            assert_rejected(evil, "swapped offsets");
+            // Nudge an offset.
+            for at in [entry(0) + 1, entry(1) + 1] {
+                for delta in [1u8, 0x80] {
+                    let mut evil = bytes.clone();
+                    evil[at] = evil[at].wrapping_add(delta);
+                    assert_rejected(evil, "index offset");
+                }
+            }
+            (vec![entry(0), entry(1)], vec![entry(0) + 9, entry(1) + 9])
+        } else {
+            let frame = |i: usize| reader.entries()[i].offset as usize;
+            (
+                vec![frame(0) + 5, frame(1) + 5],
+                vec![frame(0) + 6, frame(1) + 6],
+            )
+        };
+        // Swap the lengths of the first two chunks.
+        let mut evil = bytes.clone();
+        for k in 0..8 {
+            evil.swap(len_at[0] + k, len_at[1] + k);
+        }
+        assert_rejected(evil, "swapped lengths");
+        // Nudge a length and a codec id.
+        for at in [len_at[0], len_at[1], codec_at[0], codec_at[1]] {
+            for delta in [1u8, 0x80] {
+                let mut evil = bytes.clone();
+                evil[at] = evil[at].wrapping_add(delta);
+                assert_rejected(evil, "chunk length or codec");
+            }
+        }
+        let mut evil = bytes.clone();
+        evil[codec_at[0]] = 0;
+        assert_rejected(evil, "codec id 0");
+        let mut evil = bytes.clone();
+        evil[codec_at[0]] = 200;
+        assert_rejected(evil, "codec id 200");
     }
-    let mut evil = bytes.clone();
-    evil[entry(0)] = 0;
-    assert_rejected(evil, "codec id 0");
-    let mut evil = bytes.clone();
-    evil[entry(0)] = 200;
-    assert_rejected(evil, "codec id 200");
 }
 
 /// A 48-byte inline v3 archive that declares 2³¹ one-element chunks and
@@ -310,23 +346,26 @@ proptest! {
     /// own conformance concern.
     #[test]
     fn any_index_or_frame_header_byte_flip_is_rejected(at in 0usize..1000, bit in 0u8..8) {
-        let (registry, bytes) = small_archive();
-        let header = ArchiveHeader::read(&bytes).unwrap();
-        let reader = ArchiveReader::open(&bytes).unwrap();
-        let mut protected: Vec<usize> =
-            (header.encoded_len()..header.data_start()).collect();
-        for entry in reader.entries() {
-            protected.extend(entry.offset as usize..entry.offset as usize + FRAME_LEN);
+        let (registry, archives) = small_archives();
+        for bytes in archives {
+            let header = ArchiveHeader::read(&bytes).unwrap();
+            let reader = ArchiveReader::open(&bytes).unwrap();
+            let mut protected: Vec<usize> =
+                (header.encoded_len()..header.data_start()).collect();
+            for entry in reader.entries() {
+                protected.extend(entry.offset as usize..entry.offset as usize + FRAME_LEN);
+            }
+            let at = protected[at % protected.len()];
+            let mut evil = bytes.clone();
+            evil[at] ^= 1 << bit;
+            prop_assert!(
+                decompress(&registry, &evil, 2).is_err(),
+                "flipping bit {} of byte {} of a v{} archive was accepted",
+                bit,
+                at,
+                header.version
+            );
         }
-        let at = protected[at % protected.len()];
-        let mut evil = bytes.clone();
-        evil[at] ^= 1 << bit;
-        prop_assert!(
-            decompress(&registry, &evil, 2).is_err(),
-            "flipping bit {} of byte {} was accepted",
-            bit,
-            at
-        );
     }
 
     /// Random multi-byte stompings anywhere in the archive must never panic
@@ -337,15 +376,17 @@ proptest! {
         len in 1usize..16,
         fill in 0u8..=255,
     ) {
-        let (registry, bytes) = small_archive();
-        let at = at % bytes.len();
-        let end = (at + len).min(bytes.len());
-        let mut evil = bytes.clone();
-        for b in &mut evil[at..end] {
-            *b = fill;
+        let (registry, archives) = small_archives();
+        for bytes in archives {
+            let at = at % bytes.len();
+            let end = (at + len).min(bytes.len());
+            let mut evil = bytes.clone();
+            for b in &mut evil[at..end] {
+                *b = fill;
+            }
+            let _ = decompress(&registry, &evil, 2);
+            let _ = decompress_chunk(&registry, &evil, 0);
         }
-        let _ = decompress(&registry, &evil, 2);
-        let _ = decompress_chunk(&registry, &evil, 0);
         prop_assert!(true);
     }
 }

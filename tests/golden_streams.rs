@@ -4,15 +4,19 @@
 //!
 //! The fixtures live under `tests/fixtures/` and were produced by the
 //! `#[ignore]`d `regenerate_golden_fixtures` test below
-//! (`cargo test --test golden_streams -- --ignored` rewrites them — only do
-//! that for an *intentional*, version-bumped format change). The input field
-//! is analytic (no RNG, no datagen), so the fixtures are independent of the
-//! vendored `rand` stream.
+//! (`cargo test --test golden_streams -- --ignored` rewrites the `AESC`
+//! frame and the inline archive — only do that for an *intentional*,
+//! version-bumped format change). The version-1 archive
+//! `mixed_24x20_chunk8.aesa` and the reconstruction it decodes to are
+//! decode locks from before every writer went inline: nothing regenerates
+//! them. The input field is analytic (no RNG, no datagen), so the fixtures
+//! are independent of the vendored `rand` stream.
 //!
 //! Only deterministic traditional codecs appear in fixtures: the learned
 //! codecs' streams depend on model weights, which are not wire format.
 
 use aesz_repro::archive::{compress_field_with, decompress, decompress_chunk, ArchiveReader};
+use aesz_repro::metrics::legacy::{relay, Layout};
 use aesz_repro::metrics::{container, CodecId, Compressor, ErrorBound};
 use aesz_repro::tensor::BlockSpec;
 use aesz_repro::{Dims, Field, Registry};
@@ -136,27 +140,51 @@ fn todays_encoders_still_reproduce_the_golden_streams() {
     // *intentional* encoder change breaks this, regenerate the fixtures and
     // say so in the changelog; decode-compat above must never break.
     assert_eq!(make_frame(), read_fixture("sz2_16x12.aesc"));
-    assert_eq!(make_archive(), read_fixture("mixed_24x20_chunk8.aesa"));
+    let stream = read_fixture("mixed_24x20_chunk8.inline.aesa");
+    assert_eq!(make_archive(), stream);
+
+    // The inline archive decodes to the committed reconstruction, and its
+    // nine chunk frames are the version-1 fixture's, byte for byte: only the
+    // layout around them changed.
+    let registry = Registry::with_defaults();
+    let (recon, _) = decompress(&registry, &stream, 3).expect("inline archive decodes");
+    assert_eq!(
+        recon.to_le_bytes(),
+        read_fixture("mixed_24x20_chunk8.recon.f32"),
+        "reconstruction of the committed inline archive changed"
+    );
+    let v1 = read_fixture("mixed_24x20_chunk8.aesa");
+    let (inline_reader, v1_reader) = (
+        ArchiveReader::open(&stream).expect("inline archive opens"),
+        ArchiveReader::open(&v1).expect("v1 archive opens"),
+    );
+    assert_eq!(inline_reader.header().version, 3);
+    assert_eq!(inline_reader.header().index_cap, 0);
+    assert_eq!(inline_reader.chunk_count(), 9);
+    assert_eq!(v1_reader.chunk_count(), 9);
+    for i in 0..9 {
+        assert!(inline_reader.chunk_frame(i).is_some());
+        assert_eq!(
+            inline_reader.chunk_frame(i),
+            v1_reader.chunk_frame(i),
+            "chunk frame {i}"
+        );
+    }
+    // Re-laid as version 1, today's archive is the version-1 fixture.
+    assert_eq!(relay(&stream, Layout::V1), v1);
 }
 
-/// Rewrites every fixture. Run explicitly (`-- --ignored`) only for an
-/// intentional wire-format or encoder change.
+/// Rewrites the `AESC` frame and the inline archive, the two streams
+/// today's encoders are locked to. Run explicitly (`-- --ignored`) only for
+/// an intentional wire-format or encoder change.
 #[test]
 #[ignore = "regenerates the committed golden fixtures"]
 fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
-    let frame = make_frame();
-    let (recon, _) = aesz_repro::decompress_any(&frame).unwrap();
-    std::fs::write(fixture_path("sz2_16x12.aesc"), &frame).unwrap();
-    std::fs::write(fixture_path("sz2_16x12.recon.f32"), recon.to_le_bytes()).unwrap();
-
-    let archive = make_archive();
-    let registry = Registry::with_defaults();
-    let (recon, _) = decompress(&registry, &archive, 2).unwrap();
-    std::fs::write(fixture_path("mixed_24x20_chunk8.aesa"), &archive).unwrap();
+    std::fs::write(fixture_path("sz2_16x12.aesc"), make_frame()).unwrap();
     std::fs::write(
-        fixture_path("mixed_24x20_chunk8.recon.f32"),
-        recon.to_le_bytes(),
+        fixture_path("mixed_24x20_chunk8.inline.aesa"),
+        make_archive(),
     )
     .unwrap();
 }

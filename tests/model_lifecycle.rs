@@ -72,9 +72,11 @@ fn embedded_model_archive_decodes_in_a_fresh_registry_bit_identically() {
     assert!(codecs.iter().all(|&c| c == CodecId::AeSz));
     assert_eq!(recon.as_slice(), reference.as_slice());
 
-    // Random access through the fresh registry agrees chunk by chunk.
+    // Random access through the fresh registry agrees chunk by chunk. The
+    // models ride in the tail of the one written layout (v3, no index).
     let reader = ArchiveReader::open(&bytes).unwrap();
     assert_eq!(reader.models().len(), 1);
+    assert_eq!((reader.header().version, reader.header().index_cap), (3, 0));
     for i in 0..reader.chunk_count() {
         let (spec, chunk) = decompress_chunk(&fresh, &bytes, i).expect("fresh random access");
         assert_eq!(

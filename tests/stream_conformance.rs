@@ -19,6 +19,7 @@ use aesz_repro::archive::{
     ArchiveOptions, ArchiveReadError, ArchiveReader, FieldSource,
 };
 use aesz_repro::metrics::container::{ArchiveHeader, FRAME_LEN};
+use aesz_repro::metrics::legacy::{relay, Layout};
 use aesz_repro::metrics::CodecId;
 use aesz_repro::stream::{decompress_reader, StreamFieldDecoder, StreamOutput};
 use aesz_repro::{Dims, ErrorBound, Field, Registry};
@@ -31,8 +32,11 @@ mod common;
 /// since training the learned codecs dominates the suite's runtime. A fresh
 /// default registry must decode it, which is exactly what the streaming
 /// decoder's deferred-chunk path is for: chunks arrive before the models.
-fn seven_codec_archive() -> &'static (Vec<u8>, Field, usize) {
-    static CELL: OnceLock<(Vec<u8>, Field, usize)> = OnceLock::new();
+/// The archive comes as written (inline, no index table) and as the
+/// version-2 copy the embedding writer emitted before every writer went
+/// inline; both decode to the one reconstruction.
+fn seven_codec_archives() -> &'static ([Vec<u8>; 2], Field, usize) {
+    static CELL: OnceLock<([Vec<u8>; 2], Field, usize)> = OnceLock::new();
     CELL.get_or_init(|| {
         let registry = common::trained_registry();
         let field = common::field_3d();
@@ -45,7 +49,10 @@ fn seven_codec_archive() -> &'static (Vec<u8>, Field, usize) {
             .expect("seven-codec archive");
         let fresh = Registry::with_defaults();
         let (recon, _) = decompress(&fresh, &bytes, 3).expect("buffered decode");
-        (bytes, recon, stats.chunks)
+        let v2 = relay(&bytes, Layout::V2);
+        let (v2_recon, _) = decompress(&fresh, &v2, 3).expect("buffered v2 decode");
+        assert_eq!(v2_recon.as_slice(), recon.as_slice());
+        ([v2, bytes], recon, stats.chunks)
     })
 }
 
@@ -88,13 +95,15 @@ proptest! {
     /// buffer high-water mark stays below the whole stream.
     #[test]
     fn incremental_decode_matches_buffered_at_any_granularity(step in 1usize..3000) {
-        let (bytes, buffered, chunk_count) = seven_codec_archive();
+        let (archives, buffered, chunk_count) = seven_codec_archives();
         let fresh = Registry::with_defaults();
-        let (recon, chunks, peak) = decode_pushed(&fresh, bytes, step);
-        prop_assert_eq!(chunks, *chunk_count);
-        prop_assert_eq!(recon.dims(), buffered.dims());
-        prop_assert_eq!(recon.as_slice(), buffered.as_slice());
-        prop_assert!(peak < bytes.len(), "peak {} vs stream {}", peak, bytes.len());
+        for bytes in archives {
+            let (recon, chunks, peak) = decode_pushed(&fresh, bytes, step);
+            prop_assert_eq!(chunks, *chunk_count);
+            prop_assert_eq!(recon.dims(), buffered.dims());
+            prop_assert_eq!(recon.as_slice(), buffered.as_slice());
+            prop_assert!(peak < bytes.len(), "peak {} vs stream {}", peak, bytes.len());
+        }
     }
 
     /// Every proper prefix of the archive errors in both paths: the
@@ -104,20 +113,22 @@ proptest! {
     /// stream, not of the transport.
     #[test]
     fn any_truncation_errs_in_both_paths(frac in 0usize..1000) {
-        let (bytes, _, _) = seven_codec_archive();
-        let cut = frac * (bytes.len() - 1) / 999;
-        let prefix = &bytes[..cut];
+        let (archives, _, _) = seven_codec_archives();
+        for bytes in archives {
+            let cut = frac * (bytes.len() - 1) / 999;
+            let prefix = &bytes[..cut];
 
-        let fresh = Registry::with_defaults();
-        prop_assert!(decompress(&fresh, prefix, 2).is_err());
-        match decompress_reader(&fresh, &mut &prefix[..]) {
-            Err(ArchiveReadError::Archive(_)) => {}
-            Err(other) => return Err(TestCaseError::fail(format!(
-                "streamed truncation at {cut} gave a non-archive error: {other}"
-            ))),
-            Ok(_) => return Err(TestCaseError::fail(format!(
-                "streamed decode accepted a {cut}-byte prefix of {} bytes", bytes.len()
-            ))),
+            let fresh = Registry::with_defaults();
+            prop_assert!(decompress(&fresh, prefix, 2).is_err());
+            match decompress_reader(&fresh, &mut &prefix[..]) {
+                Err(ArchiveReadError::Archive(_)) => {}
+                Err(other) => return Err(TestCaseError::fail(format!(
+                    "streamed truncation at {cut} gave a non-archive error: {other}"
+                ))),
+                Ok(_) => return Err(TestCaseError::fail(format!(
+                    "streamed decode accepted a {cut}-byte prefix of {} bytes", bytes.len()
+                ))),
+            }
         }
     }
 
@@ -127,20 +138,23 @@ proptest! {
     /// codec's own conformance concern.)
     #[test]
     fn index_and_frame_header_flips_err_in_both_paths(at in 0usize..100_000, bit in 0u8..8) {
-        let (bytes, _, _) = seven_codec_archive();
-        let header = ArchiveHeader::read(bytes).unwrap();
-        let reader = ArchiveReader::open(bytes).unwrap();
-        let mut protected: Vec<usize> = (header.encoded_len()..header.data_start()).collect();
-        for entry in reader.entries() {
-            protected.extend(entry.offset as usize..entry.offset as usize + FRAME_LEN);
-        }
-        let at = protected[at % protected.len()];
-        let mut evil = bytes.clone();
-        evil[at] ^= 1 << bit;
+        let (archives, _, _) = seven_codec_archives();
+        for bytes in archives {
+            let header = ArchiveHeader::read(bytes).unwrap();
+            let reader = ArchiveReader::open(bytes).unwrap();
+            let mut protected: Vec<usize> =
+                (header.encoded_len()..header.data_start()).collect();
+            for entry in reader.entries() {
+                protected.extend(entry.offset as usize..entry.offset as usize + FRAME_LEN);
+            }
+            let at = protected[at % protected.len()];
+            let mut evil = bytes.clone();
+            evil[at] ^= 1 << bit;
 
-        let fresh = Registry::with_defaults();
-        prop_assert!(decompress(&fresh, &evil, 2).is_err());
-        prop_assert!(decompress_reader(&fresh, &mut &evil[..]).is_err());
+            let fresh = Registry::with_defaults();
+            prop_assert!(decompress(&fresh, &evil, 2).is_err());
+            prop_assert!(decompress_reader(&fresh, &mut &evil[..]).is_err());
+        }
     }
 
     /// Append + reopen is indistinguishable from having written the grown
@@ -163,51 +177,57 @@ proptest! {
         let per_band = fast.div_ceil(chunk);
 
         let registry = Registry::with_defaults();
-        let opts = ArchiveOptions::new()
-            .chunk(chunk)
-            .window(2)
-            .reserve(post * per_band);
-        let (bytes, base_stats) =
+        let opts = ArchiveOptions::new().chunk(chunk).window(2);
+        let (inline, base_stats) =
             compress_field(&registry, &base, bound, &opts, CodecId::Sz2).unwrap();
+        // As written (no index, no capacity to run out of) and as an
+        // indexed file with exactly the slots the slab needs.
+        let indexed = relay(&inline, Layout::Indexed { spare: post * per_band });
 
-        let mut appender = ArchiveAppender::open(Cursor::new(bytes.clone())).unwrap();
-        prop_assert_eq!(appender.spare_slots(), post * per_band);
-        let stats = appender
-            .append(&mut FieldSource(&slab), bound, 2, &mut |_| {
-                registry
-                    .fork(CodecId::Zfp)
-                    .ok_or(aesz_repro::CompressError::UnsupportedField("zfp"))
-            })
-            .unwrap();
-        prop_assert_eq!(stats.chunks, post * per_band);
-        let grown = appender.finalize().unwrap().into_inner();
+        for bytes in [indexed, inline] {
+            let has_index = ArchiveHeader::read(&bytes).unwrap().index_slots() > 0;
+            let mut appender = ArchiveAppender::open(Cursor::new(bytes.clone())).unwrap();
+            let spare = if has_index { post * per_band } else { usize::MAX };
+            prop_assert_eq!(appender.spare_slots(), spare);
+            let stats = appender
+                .append(&mut FieldSource(&slab), bound, 2, &mut |_| {
+                    registry
+                        .fork(CodecId::Zfp)
+                        .ok_or(aesz_repro::CompressError::UnsupportedField("zfp"))
+                })
+                .unwrap();
+            prop_assert_eq!(stats.chunks, post * per_band);
+            let grown = appender.finalize().unwrap().into_inner();
 
-        // Existing payload bytes were never rewritten.
-        let data_start = ArchiveHeader::read(&bytes).unwrap().data_start();
-        let old_payload = &bytes[data_start..];
-        prop_assert_eq!(&grown[data_start..data_start + old_payload.len()], old_payload);
+            // Existing payload bytes were never rewritten.
+            let data_start = ArchiveHeader::read(&bytes).unwrap().data_start();
+            let old_payload = &bytes[data_start..];
+            prop_assert_eq!(&grown[data_start..data_start + old_payload.len()], old_payload);
 
-        let reader = ArchiveReader::open(&grown).unwrap();
-        prop_assert_eq!(reader.dims(), full.dims());
-        prop_assert_eq!(reader.chunk_count(), base_stats.chunks + stats.chunks);
-        // Every reserved slot was consumed.
-        prop_assert_eq!(reader.header().index_slots(), reader.chunk_count());
+            let reader = ArchiveReader::open(&grown).unwrap();
+            prop_assert_eq!(reader.dims(), full.dims());
+            prop_assert_eq!(reader.chunk_count(), base_stats.chunks + stats.chunks);
+            // Every reserved slot was consumed; an inline archive stays
+            // inline.
+            let slots = if has_index { reader.chunk_count() } else { 0 };
+            prop_assert_eq!(reader.header().index_slots(), slots);
 
-        // Every chunk — pre-existing and appended — random-access decodes
-        // within the bound.
-        for i in 0..reader.chunk_count() {
-            let (spec, chunk_field) = decompress_chunk(&registry, &grown, i).unwrap();
-            let original = full.read_block_valid(&spec);
-            for (a, b) in original.iter().zip(chunk_field.as_slice()) {
-                prop_assert!(((a - b) as f64).abs() <= 1e-3 * 1.0001);
+            // Every chunk — pre-existing and appended — random-access
+            // decodes within the bound.
+            for i in 0..reader.chunk_count() {
+                let (spec, chunk_field) = decompress_chunk(&registry, &grown, i).unwrap();
+                let original = full.read_block_valid(&spec);
+                for (a, b) in original.iter().zip(chunk_field.as_slice()) {
+                    prop_assert!(((a - b) as f64).abs() <= 1e-3 * 1.0001);
+                }
             }
-        }
 
-        // Buffered and pushed full decodes agree bit for bit.
-        let (buffered, _) = decompress(&registry, &grown, 3).unwrap();
-        let (pushed, chunks, _) = decode_pushed(&registry, &grown, 61);
-        prop_assert_eq!(chunks, reader.chunk_count());
-        prop_assert_eq!(pushed.as_slice(), buffered.as_slice());
+            // Buffered and pushed full decodes agree bit for bit.
+            let (buffered, _) = decompress(&registry, &grown, 3).unwrap();
+            let (pushed, chunks, _) = decode_pushed(&registry, &grown, 61);
+            prop_assert_eq!(chunks, reader.chunk_count());
+            prop_assert_eq!(pushed.as_slice(), buffered.as_slice());
+        }
     }
 }
 
@@ -215,9 +235,11 @@ proptest! {
 /// it gets a dedicated (non-random) lock next to the proptest sweep.
 #[test]
 fn one_byte_packets_decode_identically() {
-    let (bytes, buffered, chunk_count) = seven_codec_archive();
+    let (archives, buffered, chunk_count) = seven_codec_archives();
     let fresh = Registry::with_defaults();
-    let (recon, chunks, _) = decode_pushed(&fresh, bytes, 1);
-    assert_eq!(chunks, *chunk_count);
-    assert_eq!(recon.as_slice(), buffered.as_slice());
+    for bytes in archives {
+        let (recon, chunks, _) = decode_pushed(&fresh, bytes, 1);
+        assert_eq!(chunks, *chunk_count);
+        assert_eq!(recon.as_slice(), buffered.as_slice());
+    }
 }
