@@ -353,12 +353,6 @@ impl Compressor for AeA {
     }
 }
 
-/// Read the model id leading an AE-A payload (container frame already
-/// stripped) without parsing the rest of the stream.
-pub fn peek_model_id(payload: &[u8]) -> Option<ModelId> {
-    ModelId::from_prefix(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,7 +447,10 @@ mod tests {
         // The payload leads with the id; a differently trained instance
         // refuses with the dedicated missing-model error naming it.
         let (_, payload) = aesz_metrics::container::read_frame(&stream).unwrap();
-        assert_eq!(peek_model_id(payload), Some(id));
+        assert_eq!(
+            aesz_metrics::container::peek_payload_model_id(CodecId::AeA, payload),
+            Some(id)
+        );
         let mut other = AeA::new(99);
         other.train(std::slice::from_ref(&field), 1, 100);
         assert_eq!(

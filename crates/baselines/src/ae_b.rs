@@ -389,12 +389,6 @@ fn write_to_slab(
     Some(())
 }
 
-/// Read the model id leading an AE-B payload (container frame already
-/// stripped) without parsing the rest of the stream.
-pub fn peek_model_id(payload: &[u8]) -> Option<ModelId> {
-    ModelId::from_prefix(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,7 +559,10 @@ mod tests {
 
         let stream = ae.compress(&field, ErrorBound::rel(1e-3)).unwrap();
         let (_, payload) = aesz_metrics::container::read_frame(&stream).unwrap();
-        assert_eq!(peek_model_id(payload), Some(id));
+        assert_eq!(
+            aesz_metrics::container::peek_payload_model_id(CodecId::AeB, payload),
+            Some(id)
+        );
 
         let mut rebuilt = AeB::from_model_bytes(&bytes).expect("reload");
         assert_eq!(rebuilt.model_id(), Some(id));

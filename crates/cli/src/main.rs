@@ -115,8 +115,10 @@ compression needs --abs (a pipe cannot be re-scanned for the value range).
 File and piped archives share one layout (AESA v3, no index table), which
 `aesz append` extends in place without a capacity limit; append takes the
 appended slab's DIMS (matching every axis but the slowest).
-`serve` keeps trained models resident across requests; `remote` exits 75
-(EX_TEMPFAIL) on a Busy backpressure rejection so callers back off.";
+`serve` keeps models trained over the wire registered and shared across
+requests; a --models DIR model is built by each request that names it.
+`remote` exits 75 (EX_TEMPFAIL) on a Busy backpressure rejection so
+callers back off.";
 
 /// Print a line to stdout without dying on a closed pipe. `println!` panics
 /// on `EPIPE`, so `aesz ... | head` used to crash with a raw Broken pipe
@@ -1400,9 +1402,10 @@ fn cmd_models(mut args: Vec<String>) -> Result<(), String> {
 }
 
 /// `aesz serve`: run the compression daemon in the foreground. Models
-/// trained over the wire (or found in `--models DIR`) stay resident, so
-/// repeat decompressions skip the per-process model load the one-shot CLI
-/// pays.
+/// trained over the wire stay registered and are shared by every worker,
+/// so repeat requests skip the per-process model load the one-shot CLI
+/// pays; a model found in `--models DIR` is built by each request that
+/// names it.
 fn cmd_serve(mut args: Vec<String>) -> Result<(), String> {
     let mut config = ServerConfig::default();
     if let Some(s) = take_opt(&mut args, "--addr")? {

@@ -157,6 +157,9 @@ fn read_dims(buf: &[u8], pos: &mut usize) -> Result<Dims, DecompressError> {
     let mut e = Vec::with_capacity(rank);
     for _ in 0..rank {
         let ext = read_uvarint(buf, pos).ok_or(DecompressError::Truncated("extent"))?;
+        if ext == 0 {
+            return Err(DecompressError::InvalidHeader("zero extent"));
+        }
         if ext > MAX_FIELD_ELEMS as u64 {
             return Err(DecompressError::InvalidHeader("extent too large"));
         }
@@ -609,6 +612,13 @@ mod tests {
         s.header.data_min = 5.0;
         s.header.data_max = -5.0;
         assert!(Stream::from_bytes(&s.to_bytes()).is_err());
+
+        let mut s = base.clone();
+        s.header.dims = Dims::d2(0, 8);
+        assert!(matches!(
+            Stream::from_bytes(&s.to_bytes()),
+            Err(DecompressError::InvalidHeader("zero extent"))
+        ));
     }
 
     #[test]

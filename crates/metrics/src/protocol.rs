@@ -360,9 +360,10 @@ pub struct ServerStats {
     pub connections_active: u64,
     /// Connections accepted since start.
     pub connections_total: u64,
-    /// Decodes served by an already-resident trained model.
+    /// Learned frames decoded by the already-registered trained model.
     pub model_cache_hits: u64,
-    /// Trained models built from the store on demand.
+    /// Trained models decodes built from the store or an archive's model
+    /// tail (once per decode that names one).
     pub model_resolutions: u64,
     /// Models currently resident in the store.
     pub models_resident: u64,

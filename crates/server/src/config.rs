@@ -24,9 +24,9 @@ pub struct ServerConfig {
     /// Largest raw-field element count accepted (compress/train inputs and
     /// decompress outputs alike).
     pub max_field_elems: usize,
-    /// Sidecar directory of `.aesm` models: attached to the model store for
-    /// lazy resolution, scanned by `ListModels`, and where freshly trained
-    /// models are saved.
+    /// Sidecar directory of `.aesm` models: attached to the model store,
+    /// where each decode naming one of them finds it, scanned by
+    /// `ListModels`, and where freshly trained models are saved.
     pub model_dir: Option<PathBuf>,
     /// Per-connection socket read timeout, so an idle or stalled peer
     /// cannot pin a worker forever.

@@ -9,11 +9,12 @@
 //! snapshot of an application) needs models to be *resident*: training
 //! dominates end-to-end latency, so a per-file CLI pays it on every
 //! invocation while a daemon pays it once. [`Server`] keeps a
-//! [`SharedRegistry`](aesz_repro::SharedRegistry) of hot trained models
-//! behind an `RwLock`, forks per-request instances under a read lock, and
-//! resolves missing models through the content-addressed
-//! [`ModelStore`](aesz_repro::ModelStore) exactly once per model no matter
-//! how many requests race on it.
+//! [`SharedRegistry`](aesz_repro::SharedRegistry) behind an `RwLock` and
+//! forks per-request instances under a read lock. Models trained over the
+//! wire stay registered there and are shared by every worker; a model
+//! found in the `--models` sidecar directory of the content-addressed
+//! [`ModelStore`](aesz_repro::ModelStore) is built by each request that
+//! names it, through the same resolver as every library decode path.
 //!
 //! Resource discipline:
 //!
@@ -32,6 +33,7 @@
 //!
 //! `health` and `stats` endpoints expose uptime, request/byte counters,
 //! per-codec counts, queue depth, and model-cache hit/resolution counts
+//! summed over the decodes' resolvers
 //! ([`ServerStats`](aesz_repro::metrics::protocol::ServerStats)).
 
 #![forbid(unsafe_code)]

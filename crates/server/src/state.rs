@@ -43,7 +43,8 @@ impl Default for CodecCache {
 /// models, the configuration caps, and lock-free stats counters. One
 /// instance lives behind an `Arc` for the daemon's lifetime.
 pub struct ServerState {
-    /// Hot codec registry (trained models stay resident here).
+    /// Hot codec registry (models trained over the wire stay registered
+    /// here).
     pub registry: SharedRegistry,
     /// The caps and knobs the daemon was started with.
     pub config: ServerConfig,
@@ -59,11 +60,11 @@ pub struct ServerState {
     bytes_out: AtomicU64,
     conns_active: AtomicU64,
     conns_total: AtomicU64,
-    /// Model-cache hits observed inside streaming decodes (the per-stream
-    /// decoder counters, folded in as streams finish).
-    stream_hits: AtomicU64,
-    /// Store resolutions observed inside streaming decodes.
-    stream_resolutions: AtomicU64,
+    /// Learned frames served by the registered model, summed over every
+    /// decode's resolver as it finishes.
+    model_hits: AtomicU64,
+    /// Trained models those decodes built from the store or an archive.
+    model_resolutions: AtomicU64,
     compress_by_codec: [AtomicU64; CODEC_SLOTS],
     decompress_by_codec: [AtomicU64; CODEC_SLOTS],
 }
@@ -85,8 +86,8 @@ impl ServerState {
             bytes_out: AtomicU64::new(0),
             conns_active: AtomicU64::new(0),
             conns_total: AtomicU64::new(0),
-            stream_hits: AtomicU64::new(0),
-            stream_resolutions: AtomicU64::new(0),
+            model_hits: AtomicU64::new(0),
+            model_resolutions: AtomicU64::new(0),
             compress_by_codec: std::array::from_fn(|_| AtomicU64::new(0)),
             decompress_by_codec: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -212,8 +213,8 @@ impl ServerState {
 
     /// Fold the counters of a finished streaming decode into the totals.
     pub(crate) fn count_stream_models(&self, hits: u64, resolutions: u64) {
-        self.stream_hits.fetch_add(hits, Ordering::Relaxed);
-        self.stream_resolutions
+        self.model_hits.fetch_add(hits, Ordering::Relaxed);
+        self.model_resolutions
             .fetch_add(resolutions, Ordering::Relaxed);
     }
 
@@ -231,10 +232,8 @@ impl ServerState {
             queue_depth: self.queue_depth(),
             connections_active: self.conns_active.load(Ordering::Relaxed),
             connections_total: self.conns_total.load(Ordering::Relaxed),
-            model_cache_hits: self.registry.model_cache_hits()
-                + self.stream_hits.load(Ordering::Relaxed),
-            model_resolutions: self.registry.model_resolutions()
-                + self.stream_resolutions.load(Ordering::Relaxed),
+            model_cache_hits: self.model_hits.load(Ordering::Relaxed),
+            model_resolutions: self.model_resolutions.load(Ordering::Relaxed),
             models_resident: self.registry.models_resident() as u64,
             ..ServerStats::default()
         };

@@ -213,12 +213,20 @@ fn train_is_deterministic_resident_and_saved_as_a_sidecar() {
         .expect("local learned compress");
     let want_recon = codec.decompress(&stream).expect("local learned decode");
     let got = client
-        .request(&wire::Request::Decompress { bytes: stream })
+        .request(&wire::Request::Decompress {
+            bytes: stream.clone(),
+        })
         .expect("decompress request");
     let wire::Response::DecompressOk { field: recon } = got else {
         panic!("expected DecompressOk, got {got:?}");
     };
     assert_fields_bit_identical(&recon, &want_recon, "learned remote decompress");
+    // The registered model served it: a cache hit, no store resolution.
+    let got = client.request(&wire::Request::Stats).expect("stats");
+    let wire::Response::StatsOk(stats) = got else {
+        panic!("expected StatsOk, got {got:?}");
+    };
+    assert_eq!((stats.model_cache_hits, stats.model_resolutions), (1, 0));
 
     // Inventory over the wire names the trained model, hash-verified.
     let got = client
@@ -243,6 +251,31 @@ fn train_is_deterministic_resident_and_saved_as_a_sidecar() {
     let sidecar = dir.join(format!("{id}.aesm"));
     let bytes = std::fs::read(&sidecar).expect("sidecar written");
     assert_eq!(bytes, want.frame);
+
+    // A second daemon on the same directory finds the model as a sidecar
+    // and builds it for each request that names it: no request registers
+    // it, so neither decode is a cache hit.
+    let (addr, state, stop) = spawn_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        model_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = RemoteClient::connect(&addr).expect("connect");
+    for _ in 0..2 {
+        let got = client
+            .request(&wire::Request::Decompress {
+                bytes: stream.clone(),
+            })
+            .expect("decompress request");
+        let wire::Response::DecompressOk { field: recon } = got else {
+            panic!("expected DecompressOk, got {got:?}");
+        };
+        assert_fields_bit_identical(&recon, &want_recon, "sidecar remote decompress");
+    }
+    let stats = state.snapshot();
+    assert_eq!((stats.model_cache_hits, stats.model_resolutions), (0, 2));
+    drop(client);
+    stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -7,7 +7,8 @@
 //! [`model_store`] module (content-addressed storage of trained models and
 //! the one training dispatch — the train → ship → resolve lifecycle), the
 //! [`resolve`] module (the one decode-time `(codec, ModelId)` → trained
-//! decoder policy every decode path shares), and the [`archive`] module
+//! decoder policy every decode path shares, single frames included, which
+//! never changes the registry), and the [`archive`] module
 //! (registry-driven chunked streaming archives with per-chunk codec choice,
 //! random-access decode, and embedded-model resolution).
 

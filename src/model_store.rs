@@ -21,11 +21,10 @@
 //!
 //! Every byte entering the store is verified: the frame must parse and the
 //! payload must hash to the id it is filed under, so a corrupted or renamed
-//! model file is rejected instead of silently decoding garbage.
-//! [`ModelStore::build`] turns a stored frame into a trained compressor for
-//! the frame's codec — the `ModelId → trained compressor` step
-//! [`Registry::decompress_any`](crate::Registry::decompress_any) performs
-//! when a stream reports [`DecompressError::MissingModel`].
+//! model file is rejected instead of silently decoding garbage. The store
+//! only finds frames ([`ModelStore::lookup`], which caches nothing); the
+//! [`ModelResolver`](crate::resolve::ModelResolver) turns one into a
+//! trained compressor ([`build_compressor`]) for the decode that names it.
 //! [`train_compressor`] is the other end of the lifecycle: the one training
 //! dispatch behind `aesz train`, `aesz compress --train` and the daemon.
 
@@ -198,17 +197,6 @@ impl ModelStore {
         None
     }
 
-    /// [`ModelStore::lookup`] that additionally caches sidecar hits in
-    /// memory, so repeated resolutions of the same id read the file once.
-    pub fn get(&mut self, id: ModelId) -> Option<&EmbeddedModel> {
-        if !self.models.contains_key(&id) {
-            if let Some(model) = self.lookup(id) {
-                self.models.insert(id, model);
-            }
-        }
-        self.models.get(&id)
-    }
-
     /// Inventory a sidecar directory without registering anything: every
     /// `*.aesm` file, whether it parses, and whether its payload hashes to
     /// the id its file name claims — the `aesz models` listing and the
@@ -253,28 +241,6 @@ impl ModelStore {
             entries.push(entry);
         }
         Ok(entries)
-    }
-
-    /// Resolve `id` into a **trained compressor** for `codec` — the lazy
-    /// `ModelId → trained compressor` step of the registry. Returns
-    /// [`DecompressError::MissingModel`] when the id cannot be found
-    /// anywhere (or is filed under a different codec), and a parse-level
-    /// error when the stored payload is corrupt or geometrically impossible
-    /// for its codec.
-    pub fn build(
-        &mut self,
-        codec: CodecId,
-        id: ModelId,
-    ) -> Result<Box<dyn Compressor>, DecompressError> {
-        let missing = DecompressError::MissingModel {
-            codec,
-            model_id: id,
-        };
-        let model = match self.get(id) {
-            Some(m) if m.codec() == codec => m.clone(),
-            _ => return Err(missing),
-        };
-        build_compressor(&model)
     }
 }
 
@@ -419,11 +385,13 @@ mod tests {
 
         // In-memory path.
         let mut store = ModelStore::new();
-        assert!(store.get(model.id).is_none());
+        assert!(store.lookup(model.id).is_none());
         let id = store.insert_frame(&model.frame).expect("valid frame");
         assert_eq!(id, model.id);
         assert_eq!(store.ids(), vec![id]);
-        let built = store.build(CodecId::AeSz, id).expect("resolves");
+        let found = store.lookup(id).expect("resolves");
+        assert_eq!(found.codec(), CodecId::AeSz);
+        let built = build_compressor(&found).expect("builds");
         assert_eq!(built.codec_id(), CodecId::AeSz);
 
         // Sidecar path, from a store that never saw the frame in memory.
@@ -433,7 +401,9 @@ mod tests {
         assert_eq!(path, ModelStore::sidecar_path(&dir, id));
         let mut fresh = ModelStore::new();
         fresh.add_sidecar_dir(&dir);
-        let built2 = fresh.build(CodecId::AeSz, id).expect("sidecar resolves");
+        let found2 = fresh.lookup(id).expect("sidecar resolves");
+        assert_eq!(found2.codec(), CodecId::AeSz);
+        let built2 = build_compressor(&found2).expect("sidecar model builds");
         assert_eq!(built2.codec_id(), CodecId::AeSz);
 
         // Both builds decode a stream from the original trainer identically.
@@ -450,12 +420,9 @@ mod tests {
 
     #[test]
     fn unknown_ids_and_corrupt_files_are_rejected() {
-        let mut store = ModelStore::new();
+        let store = ModelStore::new();
         let id = ModelId::of(b"never stored");
-        assert!(matches!(
-            store.build(CodecId::AeSz, id),
-            Err(DecompressError::MissingModel { model_id, .. }) if model_id == id
-        ));
+        assert!(store.lookup(id).is_none());
 
         // A sidecar whose bytes do not hash to its file name is ignored.
         let dir = std::env::temp_dir().join("aesz_store_test_corrupt");
@@ -467,7 +434,7 @@ mod tests {
         std::fs::write(ModelStore::sidecar_path(&dir, model.id), &frame).unwrap();
         let mut store = ModelStore::new();
         store.add_sidecar_dir(&dir);
-        assert!(store.get(model.id).is_none());
+        assert!(store.lookup(model.id).is_none());
         std::fs::remove_dir_all(&dir).ok();
 
         // Garbage frames cannot enter the store at all.
@@ -481,7 +448,8 @@ mod tests {
         let bogus = EmbeddedModel::new(CodecId::AeA, b"not really a model");
         let mut store = ModelStore::new();
         let id = store.insert(bogus);
-        assert!(store.build(CodecId::AeA, id).is_err());
+        let found = store.lookup(id).expect("stored frames are found");
+        assert!(build_compressor(&found).is_err());
 
         // Model frames for model-free codecs are refused.
         let sz2 = EmbeddedModel::new(CodecId::Sz2, b"whatever");

@@ -1,31 +1,26 @@
-//! Codec registry, cross-codec dispatch, and lazy trained-model resolution.
+//! Codec registry and cross-codec dispatch.
 //!
 //! Every stream produced through the [`Compressor`] trait carries the
 //! self-describing container frame of [`aesz_metrics::container`], so bytes
 //! of unknown provenance can be routed to the right decoder by codec id.
-//! [`Registry`] owns one decoder per codec and [`Registry::decompress_any`]
+//! [`Registry`] owns one instance per codec and [`Registry::decompress_any`]
 //! performs that dispatch — the entry point a service front-end calls on
 //! untrusted traffic.
 //!
 //! The learned codecs (AE-SZ, AE-A, AE-B) need the *same trained model* the
 //! encoder used. Their streams carry that model's content-addressed
-//! [`ModelId`], and the registry is backed by a
-//! [`ModelStore`]: when a dispatched codec rejects a stream with
-//! [`DecompressError::MissingModel`], [`Registry::decompress_any`] resolves
-//! the id through the store (in-memory registrations, sidecar `.aesm`
-//! files), registers the freshly built trained instance, and retries once —
-//! so `ModelId → trained compressor` happens lazily, on first use. Streams
-//! whose model cannot be resolved fail with that same dedicated
-//! [`DecompressError::MissingModel`]; every other codec failure is wrapped
-//! in [`DecompressError::CodecFailed`] naming the codec that rejected the
-//! bytes.
+//! [`ModelId`], and the registry is backed by a [`ModelStore`] (in-memory
+//! registrations, sidecar `.aesm` files) that the one
+//! [`ModelResolver`](crate::resolve::ModelResolver) policy searches. No
+//! decode, this module's included, changes what is registered.
 
 use crate::model_store::ModelStore;
+use crate::resolve::decompress_frame;
 use aesz_metrics::{CodecId, Compressor, DecompressError, EmbeddedModel, ModelId};
 use aesz_tensor::Field;
 
 /// One decoder/encoder per codec id, dispatchable by container frame, backed
-/// by a [`ModelStore`] for lazy trained-model resolution.
+/// by a [`ModelStore`] of trained models.
 pub struct Registry {
     entries: Vec<Box<dyn Compressor>>,
     store: ModelStore,
@@ -51,9 +46,8 @@ impl Registry {
     /// instance), added to the backing [`ModelStore`]
     /// ([`Registry::model_store_mut`], sidecar `.aesm` files), or embedded
     /// in the archive being decoded ([`crate::archive::decompress`]).
-    /// Resolution is lazy: `decompress_any` builds and registers the trained
-    /// instance on first use. Pre-model (id-less) AE-SZ streams fall back to
-    /// geometry checks and decode with whatever model is registered.
+    /// Pre-model (id-less) AE-SZ streams fall back to geometry checks and
+    /// decode with whatever model is registered.
     pub fn with_defaults() -> Self {
         use aesz_baselines::{AeA, AeB, Sz2, SzAuto, SzInterp, Zfp};
         use aesz_core::{AeSz, AeSzConfig};
@@ -115,12 +109,6 @@ impl Registry {
         self.get(id).map(|c| c.fork())
     }
 
-    /// Iterate over every registered compressor mutably (the sweep harness's
-    /// access path).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Box<dyn Compressor>> {
-        self.entries.iter_mut()
-    }
-
     /// The backing model store.
     pub fn model_store(&self) -> &ModelStore {
         &self.store
@@ -128,68 +116,23 @@ impl Registry {
 
     /// Mutable access to the backing model store — where trained models are
     /// inserted ([`ModelStore::insert_frame`]) and sidecar directories
-    /// attached ([`ModelStore::add_sidecar_dir`]) so `decompress_any` can
-    /// resolve foreign learned streams.
+    /// attached ([`ModelStore::add_sidecar_dir`]) so decodes can resolve
+    /// foreign learned streams.
     pub fn model_store_mut(&mut self) -> &mut ModelStore {
         &mut self.store
     }
 
-    /// Decode a framed stream from *any* registered codec, dispatching by
-    /// the codec id in the container frame. Returns the reconstruction and
-    /// which codec produced it; fails (never panics) on malformed frames,
-    /// unknown or unregistered codecs, and hostile payloads.
+    /// Decode a framed stream from *any* registered codec
+    /// ([`decompress_frame`] over this registry), returning the
+    /// reconstruction and which codec produced it.
     ///
     /// # Errors
     ///
-    /// Frame-level problems ([`DecompressError::BadMagic`],
-    /// [`DecompressError::UnknownCodec`], …) are returned as-is. When the
-    /// dispatched codec reports [`DecompressError::MissingModel`], the model
-    /// id is resolved through the backing [`ModelStore`]; on success the
-    /// trained instance is registered (shadowing the previous entry for that
-    /// codec) and the decode retried, on failure the `MissingModel` error
-    /// propagates unchanged. Any other codec failure is wrapped in
-    /// [`DecompressError::CodecFailed`], which names the codec id that
-    /// rejected the bytes.
-    pub fn decompress_any(&mut self, bytes: &[u8]) -> Result<(Field, CodecId), DecompressError> {
-        let id = aesz_metrics::container::peek(bytes)?.codec;
-        let codec = self
-            .get_mut(id)
-            .ok_or(DecompressError::UnknownCodec(id as u8))?;
-        let wrap = |error: DecompressError| DecompressError::CodecFailed {
-            codec: id,
-            error: Box::new(error),
-        };
-        match codec.decompress(bytes) {
-            Ok(field) => Ok((field, id)),
-            // Lazy resolution: the stream told us exactly which trained
-            // model it needs; promote it from the store and retry once.
-            Err(DecompressError::MissingModel { codec, model_id }) => self
-                .promote(codec, model_id)?
-                .decompress(bytes)
-                .map(|field| (field, id))
-                .map_err(wrap),
-            Err(e) => Err(wrap(e)),
-        }
-    }
-
-    /// Build model `model_id` for `codec` from the store and register it,
-    /// returning the registered instance. Registering evicts the current
-    /// instance — which may hold a directly-registered trained model the
-    /// store has never seen — so its serialized form is salvaged into the
-    /// store first: earlier streams stay resolvable instead of becoming
-    /// permanently undecodable in this process.
-    fn promote(
-        &mut self,
-        codec: CodecId,
-        model_id: ModelId,
-    ) -> Result<&mut (dyn Compressor + 'static), DecompressError> {
-        let built = self.store.build(codec, model_id)?;
-        if let Some(evicted) = self.get(codec).and_then(|c| c.embedded_model()) {
-            self.store.insert(evicted);
-        }
-        self.register(built);
-        self.get_mut(codec)
-            .ok_or(DecompressError::UnknownCodec(codec as u8))
+    /// As [`decompress_frame`]: unresolvable models as
+    /// [`DecompressError::MissingModel`], other codec failures wrapped in
+    /// [`DecompressError::CodecFailed`].
+    pub fn decompress_any(&self, bytes: &[u8]) -> Result<(Field, CodecId), DecompressError> {
+        decompress_frame(self, bytes)
     }
 }
 
@@ -252,16 +195,12 @@ impl RegistryAccess for SharedRegistry {
 }
 
 /// A thread-safe registry for long-running services: a [`Registry`] behind
-/// an `RwLock`, plus atomic counters for model-cache observability.
+/// an `RwLock`.
 ///
-/// Decompression forks the dispatched codec under a shared *read* lock and
-/// decodes outside it, so concurrent requests on hot (already registered)
-/// models never serialize on the lock. Lazy model resolution takes the
-/// write lock, double-checks whether a racing thread already registered the
-/// model while it waited, and only then builds from the store — so N
-/// threads racing on the same unresolved model produce exactly one store
-/// build ([`SharedRegistry::model_resolutions`]); the N−1 losers count as
-/// cache hits ([`SharedRegistry::model_cache_hits`]).
+/// Decoders reach it through [`RegistryAccess`], which takes the *read*
+/// lock for one fork or store lookup at a time and decodes outside it, so
+/// concurrent requests never serialize on the lock; only registrations and
+/// store insertions take the write lock.
 ///
 /// Lock poisoning is tolerated (`unwrap_or_else(PoisonError::into_inner)`):
 /// a panicking thread elsewhere must not wedge the daemon, and the registry
@@ -269,8 +208,6 @@ impl RegistryAccess for SharedRegistry {
 /// swaps whole entries.
 pub struct SharedRegistry {
     inner: std::sync::RwLock<Registry>,
-    hits: std::sync::atomic::AtomicU64,
-    resolutions: std::sync::atomic::AtomicU64,
 }
 
 impl SharedRegistry {
@@ -278,8 +215,6 @@ impl SharedRegistry {
     pub fn new(registry: Registry) -> Self {
         SharedRegistry {
             inner: std::sync::RwLock::new(registry),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            resolutions: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -366,74 +301,6 @@ impl SharedRegistry {
         self.read().get(id).map(|c| c.embedded_model_id())
     }
 
-    /// Decode a framed stream from any registered codec (the concurrent
-    /// counterpart of [`Registry::decompress_any`], taking `&self`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Registry::decompress_any`]: frame-level errors
-    /// as-is, unresolvable models as [`DecompressError::MissingModel`],
-    /// other codec failures wrapped in [`DecompressError::CodecFailed`].
-    pub fn decompress_any(&self, bytes: &[u8]) -> Result<(Field, CodecId), DecompressError> {
-        let info = aesz_metrics::container::peek(bytes)?;
-        let id = info.codec;
-        let mut instance = self
-            .fork(id)
-            .ok_or(DecompressError::UnknownCodec(id as u8))?;
-        let wrap = |error: DecompressError| DecompressError::CodecFailed {
-            codec: id,
-            error: Box::new(error),
-        };
-        match instance.decompress(bytes) {
-            Ok(field) => {
-                if info.model_id.is_some() {
-                    // A learned stream decoded without store resolution:
-                    // the registered trained instance served it.
-                    self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                Ok((field, id))
-            }
-            Err(DecompressError::MissingModel { codec, model_id }) => {
-                let mut built = self.resolve(codec, model_id)?;
-                built.decompress(bytes).map(|f| (f, id)).map_err(wrap)
-            }
-            Err(e) => Err(wrap(e)),
-        }
-    }
-
-    /// Resolve `model_id` for `codec`, returning a private trained fork.
-    /// Exactly one racing caller builds from the store; the rest fork the
-    /// freshly registered instance.
-    fn resolve(
-        &self,
-        codec: CodecId,
-        model_id: ModelId,
-    ) -> Result<Box<dyn Compressor>, DecompressError> {
-        let mut guard = self.write();
-        // Double-check under the write lock: a racing thread may have
-        // resolved this exact model while we waited.
-        if guard.get(codec).and_then(|c| c.embedded_model_id()) == Some(model_id) {
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return guard
-                .fork(codec)
-                .ok_or(DecompressError::UnknownCodec(codec as u8));
-        }
-        let fork = guard.promote(codec, model_id)?.fork();
-        self.resolutions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(fork)
-    }
-
-    /// Decodes of learned streams served by an already-registered model.
-    pub fn model_cache_hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Trained models built from the store on demand.
-    pub fn model_resolutions(&self) -> u64 {
-        self.resolutions.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Models currently resident in the backing store.
     pub fn models_resident(&self) -> usize {
         self.read().model_store().ids().len()
@@ -448,12 +315,6 @@ fn compress_error_reason(e: aesz_metrics::CompressError) -> &'static str {
     }
 }
 
-/// A fresh default registry of all seven codecs (see
-/// [`Registry::with_defaults`] for the trained-model caveat on AE codecs).
-pub fn registry() -> Registry {
-    Registry::with_defaults()
-}
-
 /// Decode a framed stream from any known codec with a shared, lazily built
 /// default registry (constructing the default AE models is not free, so the
 /// registry is reused per thread across calls). A service that needs trained
@@ -461,10 +322,9 @@ pub fn registry() -> Registry {
 /// [`Registry::decompress_any`] instead.
 pub fn decompress_any(bytes: &[u8]) -> Result<(Field, CodecId), DecompressError> {
     thread_local! {
-        static DEFAULT: std::cell::RefCell<Registry> =
-            std::cell::RefCell::new(Registry::with_defaults());
+        static DEFAULT: Registry = Registry::with_defaults();
     }
-    DEFAULT.with(|r| r.borrow_mut().decompress_any(bytes))
+    DEFAULT.with(|r| r.decompress_any(bytes))
 }
 
 #[cfg(test)]
@@ -556,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_resolution_salvages_the_evicted_registered_model() {
+    fn store_resolution_never_evicts_the_registered_model() {
         use aesz_core::training::{train_swae_for_field, TrainingOptions};
         use aesz_core::AeSz;
 
@@ -580,6 +440,7 @@ mod tests {
         let stream_a = a.compress(&field, ErrorBound::rel(1e-2)).unwrap();
         let stream_b = b.compress(&field, ErrorBound::rel(1e-2)).unwrap();
         let ref_a = a.decompress(&stream_a).unwrap();
+        let a_id = a.model_id();
 
         // Model A is *directly registered* (never inserted into the store);
         // model B only exists in the store.
@@ -591,13 +452,73 @@ mod tests {
             .unwrap();
         let (got_a, _) = registry.decompress_any(&stream_a).expect("registered A");
         assert_eq!(got_a.as_slice(), ref_a.as_slice());
-        // Resolving B registers it, evicting A — whose model must be
-        // salvaged into the store so stream A stays decodable.
+        // Resolving B from the store builds it for that decode alone: A
+        // stays registered, so stream A stays decodable.
         registry.decompress_any(&stream_b).expect("resolved B");
+        assert_eq!(
+            registry.get(CodecId::AeSz).unwrap().embedded_model_id(),
+            Some(a_id),
+            "A is still the registered model after B decodes"
+        );
         let (again_a, _) = registry
             .decompress_any(&stream_a)
             .expect("A must survive B's resolution");
         assert_eq!(again_a.as_slice(), ref_a.as_slice());
+    }
+
+    #[test]
+    fn decoding_never_changes_the_registry() {
+        use crate::resolve::decompress_frame;
+
+        let field = Application::CesmCldhgh.generate(Dims::d2(32, 32), 5);
+        let mut trained = aesz_baselines::AeA::new(4);
+        trained.train(std::slice::from_ref(&field), 1, 6);
+        let model = Compressor::embedded_model(&trained).expect("trained AE-A");
+        let stream = trained.compress(&field, ErrorBound::rel(1e-2)).unwrap();
+        let reference = trained.decompress(&stream).unwrap();
+
+        // The store holds the model; the registered AE-A is the untrained
+        // default, which no decode may replace.
+        let mut registry = Registry::with_defaults();
+        let before = registry.get(CodecId::AeA).unwrap().embedded_model_id();
+        registry
+            .model_store_mut()
+            .insert_frame(&model.frame)
+            .unwrap();
+        let shared = SharedRegistry::new(Registry::with_defaults());
+        shared.insert_model_frame(&model.frame).unwrap();
+        for _ in 0..2 {
+            let (recon, _) = registry.decompress_any(&stream).expect("store model");
+            assert_eq!(recon.as_slice(), reference.as_slice());
+            let (recon, _) = decompress_frame(&shared, &stream).expect("store model");
+            assert_eq!(recon.as_slice(), reference.as_slice());
+        }
+        assert_ne!(before, Some(model.id));
+        assert_eq!(
+            registry.get(CodecId::AeA).unwrap().embedded_model_id(),
+            before
+        );
+        assert_eq!(
+            shared.registered_codec_state(CodecId::AeA),
+            Some(before),
+            "the shared registry's instance is unchanged too"
+        );
+    }
+
+    #[test]
+    fn a_store_model_its_codec_cannot_load_is_reported_missing() {
+        // The store checks a frame's hash, not that its codec can load the
+        // payload. A frame naming such a model misses as on every archive
+        // and stream path: the registered instance reports it missing.
+        let model = EmbeddedModel::new(CodecId::AeA, b"not really a model");
+        let frame = aesz_metrics::container::write_frame(CodecId::AeA, model.id.as_bytes());
+        let mut registry = Registry::with_defaults();
+        registry.model_store_mut().insert(model.clone());
+        assert!(matches!(
+            registry.decompress_any(&frame),
+            Err(DecompressError::MissingModel { codec: CodecId::AeA, model_id })
+                if model_id == model.id
+        ));
     }
 
     #[test]
@@ -635,7 +556,7 @@ mod tests {
                 if model_id == model.id
         ));
         // …until the model enters the store, after which the same call
-        // resolves it lazily and decodes bit-identically.
+        // resolves it from there and decodes bit-identically.
         fresh
             .model_store_mut()
             .insert_frame(&model.frame)
@@ -643,9 +564,9 @@ mod tests {
         let (recon, id) = fresh.decompress_any(&bytes).expect("resolved");
         assert_eq!(id, CodecId::AeSz);
         assert_eq!(recon.as_slice(), reference.as_slice());
-        // The resolved instance is now registered: a second decode needs no
-        // store lookup and still succeeds.
-        let (again, _) = fresh.decompress_any(&bytes).expect("cached");
+        // Nothing was registered: a second decode resolves from the store
+        // again and still succeeds.
+        let (again, _) = fresh.decompress_any(&bytes).expect("resolved again");
         assert_eq!(again.as_slice(), reference.as_slice());
     }
 }

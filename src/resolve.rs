@@ -23,12 +23,13 @@
 //! the chunk to the registry's instance too, whose codec then reports
 //! [`DecompressError::MissingModel`] (or decodes it, for an AE-SZ stream
 //! with no AE-predicted block); the push decoder parks the frame until the
-//! archive's model tail and does the same when the stream ends.
+//! archive's model tail and does the same when the stream ends. A single
+//! `AESC` frame ([`decompress_frame`], hence
+//! [`Registry::decompress_any`](crate::Registry::decompress_any)) is a
+//! one-frame session with nothing offered.
 //!
 //! The resolver never mutates the registry: what it builds lives for the
-//! session. [`Registry::decompress_any`](crate::Registry::decompress_any)
-//! is the single-frame entry point that promotes a store model into the
-//! registry instead.
+//! session, so no decode path changes what is registered.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -36,13 +37,51 @@ use std::collections::HashMap;
 use crate::archive::{ArchiveReader, DecoderFork};
 use crate::model_store::build_compressor;
 use crate::registry::RegistryAccess;
-use aesz_metrics::container::{peek_payload_model_id, read_model_frame, FRAME_LEN};
+use aesz_metrics::container::{peek, peek_payload_model_id, read_model_frame, FRAME_LEN};
 use aesz_metrics::{CodecId, Compressor, DecompressError, EmbeddedModel, ModelId};
+use aesz_tensor::Field;
 
 /// The model a `codec` frame names, if any. The frame head is trusted here:
 /// both archive parsers check it against the chunk's index entry.
 pub(crate) fn frame_model_id(codec: CodecId, frame: &[u8]) -> Option<ModelId> {
     peek_payload_model_id(codec, frame.get(FRAME_LEN..).unwrap_or_default())
+}
+
+/// Decode one container frame from any registered codec, dispatching by
+/// the codec id in its head and resolving the model it names as a
+/// one-frame session. Fails (never panics) on malformed frames,
+/// unregistered codecs and hostile payloads.
+///
+/// # Errors
+///
+/// Frame-level problems ([`DecompressError::BadMagic`],
+/// [`DecompressError::UnknownCodec`], …) as-is, an unresolvable model as
+/// [`DecompressError::MissingModel`], and any other codec failure wrapped
+/// in [`DecompressError::CodecFailed`] naming the codec.
+pub fn decompress_frame(
+    registry: &dyn RegistryAccess,
+    bytes: &[u8],
+) -> Result<(Field, CodecId), DecompressError> {
+    let info = peek(bytes)?;
+    ModelResolver::new(registry)
+        .decoder(info.codec, info.model_id)?
+        .decompress(bytes)
+        .map(|field| (field, info.codec))
+        .map_err(|error| codec_error(info.codec, error))
+}
+
+/// The error a decode path reports when `codec` rejects a frame: a model
+/// that could not be resolved stays the dedicated
+/// [`DecompressError::MissingModel`]; anything else is wrapped in
+/// [`DecompressError::CodecFailed`] naming the codec.
+pub(crate) fn codec_error(codec: CodecId, error: DecompressError) -> DecompressError {
+    match error {
+        miss @ DecompressError::MissingModel { .. } => miss,
+        error => DecompressError::CodecFailed {
+            codec,
+            error: Box::new(error),
+        },
+    }
 }
 
 /// One decode session's trained decoders (see the module docs for the
@@ -96,8 +135,7 @@ impl<'a> ModelResolver<'a> {
     }
 
     /// The decoder for chunk `index` of `reader`, whose index entry names
-    /// `codec` — the factory [`ArchiveReader::decode_into`] takes. A frame
-    /// whose model misses gets the registry's instance.
+    /// `codec` — the factory [`ArchiveReader::decode_into`] takes.
     pub fn chunk_decoder(
         &mut self,
         reader: &ArchiveReader<'_>,
@@ -107,6 +145,12 @@ impl<'a> ModelResolver<'a> {
         let model = reader
             .chunk_frame(index)
             .and_then(|frame| frame_model_id(codec, frame));
+        self.decoder(codec, model)
+    }
+
+    /// The decoder for a `codec` frame naming `model`: the resolved one, or
+    /// the registry's instance for a model-free frame or a miss.
+    fn decoder(&mut self, codec: CodecId, model: Option<ModelId>) -> DecoderFork {
         match model.and_then(|id| self.resolve(codec, id)) {
             Some(decoder) => Ok(decoder),
             None => self.fork(codec),

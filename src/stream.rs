@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 
 use crate::archive::ArchiveReadError;
 use crate::registry::RegistryAccess;
-use crate::resolve::{frame_model_id, ModelResolver};
+use crate::resolve::{codec_error, frame_model_id, ModelResolver};
 use aesz_metrics::container::{ArchiveHeader, CodecId, ModelId};
 use aesz_metrics::stream::{StreamDecoder, StreamEvent};
 use aesz_metrics::{Compressor, DecompressError};
@@ -253,13 +253,7 @@ impl<'r> StreamFieldDecoder<'r> {
     ) -> Result<StreamOutput, DecompressError> {
         let field = decoder
             .decompress(&frame.bytes)
-            .map_err(|error| match error {
-                miss @ DecompressError::MissingModel { .. } => miss,
-                error => DecompressError::CodecFailed {
-                    codec: frame.codec,
-                    error: Box::new(error),
-                },
-            })?;
+            .map_err(|error| codec_error(frame.codec, error))?;
         Ok(match self.header {
             Some(h) => StreamOutput::Chunk(BlockSpec::of(h.dims, h.chunk, frame.index), field),
             None => StreamOutput::Field(field),

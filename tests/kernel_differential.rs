@@ -632,7 +632,7 @@ fn production_conv_geometries_match_the_direct_loop() {
 /// bit-identity contract from kernels to full streams for all seven codecs.
 #[test]
 fn all_seven_codecs_emit_bit_identical_streams_across_forks() {
-    let mut registry = common::trained_registry();
+    let registry = common::trained_registry();
     for codec in CodecId::all() {
         let field = common::test_field(codec);
         for bound in [ErrorBound::Abs(1e-3), ErrorBound::RangeRel(1e-3)] {

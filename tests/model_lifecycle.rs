@@ -147,7 +147,7 @@ fn unresolvable_models_fail_with_the_dedicated_missing_model_error() {
     // failure is MissingModel, not a geometry mismatch (the acceptance
     // criterion), even though the default model's geometry also differs.
     let frame = aesz.compress(&field, bound).unwrap();
-    let mut fresh = Registry::with_defaults();
+    let fresh = Registry::with_defaults();
     match fresh.decompress_any(&frame) {
         Err(DecompressError::MissingModel { codec, model_id }) => {
             assert_eq!(codec, CodecId::AeSz);
@@ -265,6 +265,29 @@ fn ae_a_streams_travel_through_sidecars_too() {
     assert_eq!(recon.as_slice(), reference.as_slice());
 }
 
+/// Assert that decode path `path` returned `want` for model source
+/// `source`: the same field bit for bit, or the same error.
+fn assert_same(
+    source: &str,
+    path: &str,
+    got: Result<Field, DecompressError>,
+    want: Result<&Field, &DecompressError>,
+) {
+    match (got, want) {
+        (Ok(got), Ok(want)) => assert!(
+            got.dims() == want.dims()
+                && got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{source} via {path}: field diverged"
+        ),
+        (Err(got), Err(want)) => assert_eq!(&got, want, "{source} via {path}"),
+        (got, want) => panic!("{source} via {path}: got {got:?}, want {want:?}"),
+    }
+}
+
 /// The error a decode path's [`ArchiveReadError`] wraps.
 fn inner(error: ArchiveReadError) -> DecompressError {
     match error {
@@ -332,19 +355,34 @@ fn every_decode_path_resolves_each_model_source_alike() {
             ("decompress_chunk", random),
             ("decompress_reader", pushed),
         ] {
-            match (got.map_err(inner), want) {
-                (Ok(got), Ok(want)) => assert!(
-                    got.dims() == want.dims()
-                        && got
-                            .as_slice()
-                            .iter()
-                            .zip(want.as_slice())
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{source} via {path}: field diverged"
-                ),
-                (Err(got), Err(want)) => assert_eq!(&got, want, "{source} via {path}"),
-                (got, want) => panic!("{source} via {path}: got {got:?}, want {want:?}"),
-            }
+            assert_same(source, path, got.map_err(inner), want);
+        }
+    }
+
+    // A single AESC frame is a one-frame session: `decompress_any` and the
+    // pushed decoder resolve it alike. Its relabelled model sits in the
+    // store, the only place a frame can take a model from.
+    let mut encoder = trainer.fork(CodecId::AeB).expect("trained aeb");
+    let frame = encoder.compress(&field, bound).expect("frame");
+    let frame_reference = encoder.decompress(&frame).expect("trainer frame decode");
+    let mut relabelled_frame = model.frame.clone();
+    relabelled_frame[5] = CodecId::AeSz as u8;
+    let mut relabelled_store = Registry::with_defaults();
+    relabelled_store
+        .model_store_mut()
+        .insert_frame(&relabelled_frame)
+        .expect("the id hashes only the payload");
+    let frame_cases = [
+        ("registered", &trainer, Ok(&frame_reference)),
+        ("store only", &sidecar, Ok(&frame_reference)),
+        ("absent", &fresh, Err(&missing)),
+        ("relabelled", &relabelled_store, Err(&missing)),
+    ];
+    for (source, registry, want) in frame_cases {
+        let any = registry.decompress_any(&frame).map(|(f, _)| f);
+        let pushed = decompress_reader(registry, &mut &frame[..]).map_err(inner);
+        for (path, got) in [("decompress_any", any), ("decompress_reader", pushed)] {
+            assert_same(source, path, got, want);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
