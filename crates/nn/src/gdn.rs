@@ -11,6 +11,19 @@
 //!
 //! β and γ must stay positive; they are stored as raw parameters whose squares
 //! are used in the forward pass, which keeps the constraint differentiable.
+//!
+//! **Position tiles.** The one forward pass walks each sample in tiles of up
+//! to `T = 64` contiguous positions: it squares every channel's run once into
+//! a `c × T` tile, seeds `T` accumulators per output channel with `β_c`, adds
+//! `γ_{c,j}·x_j²` in ascending `j`, and finishes with `x_c·√d` (iGDN) or
+//! `x_c/√d` (GDN). Each element performs the same IEEE operations in the same
+//! order as the per-position loop kept as [`gdn_reference`], so the two agree
+//! bitwise (`tests/kernel_differential.rs`), but every step is a contiguous
+//! 8-wide vector operation instead of a gather from channel planes one
+//! `spatial` stride apart. Tails run the same kernel at the next power of two
+//! (at least 8 lanes) over zero-padded squares and store only their live
+//! lanes; the channel count is unbounded because the tile lives in
+//! [`NnScratch`].
 
 use crate::conv::Act5;
 use crate::infer::{NnScratch, Shape};
@@ -32,6 +45,116 @@ pub struct Gdn {
 
 const BETA_EPS: f32 = 1e-6;
 
+/// Widest position tile: 64 lanes are eight AVX2 accumulators per output
+/// channel, eight independent add chains that hide the add latency.
+const TILE: usize = 64;
+
+/// Effective β (`raw² + ε`) and γ (`raw²`) into the caller's buffers.
+fn effective_coefficients(
+    beta_raw: &[f32],
+    gamma_raw: &[f32],
+    beta: &mut [f32],
+    gamma: &mut [f32],
+) {
+    for (b_eff, &b) in beta.iter_mut().zip(beta_raw) {
+        *b_eff = b * b + BETA_EPS;
+    }
+    for (g_eff, &g) in gamma.iter_mut().zip(gamma_raw) {
+        *g_eff = g * g;
+    }
+}
+
+/// One tile of `T` lanes at positions `s0..s0 + t` (`t <= T`) of one sample
+/// `x` (`c` planes of `spatial` values each): squares into `sq` (`c × T`,
+/// zero past `t`), then per output channel `β_c ⊕ Σ_j γ_{c,j}·sq_j` in
+/// ascending `j` across all lanes, stored for the live lanes only. Out of
+/// line so the `T` accumulators stay in registers.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn tile<const T: usize>(
+    x: &[f32],
+    (s0, t): (usize, usize),
+    spatial: usize,
+    beta: &[f32],
+    gamma: &[f32],
+    sq: &mut [f32],
+    inverse: bool,
+    out: &mut [f32],
+) {
+    let c = beta.len();
+    let sq = &mut sq[..c * T];
+    for (j, sq_j) in sq.chunks_exact_mut(T).enumerate() {
+        let (live, pad) = sq_j.split_at_mut(t);
+        for (q, &v) in live.iter_mut().zip(&x[j * spatial + s0..][..t]) {
+            *q = v * v;
+        }
+        pad.fill(0.0);
+    }
+    for (ch, grow) in gamma.chunks_exact(c).enumerate() {
+        let mut acc = [beta[ch]; T];
+        for (&g, sq_j) in grow.iter().zip(sq.chunks_exact(T)) {
+            let sq_j: &[f32; T] = sq_j.try_into().expect("T-wide run");
+            for i in 0..T {
+                acc[i] += g * sq_j[i];
+            }
+        }
+        let xc = &x[ch * spatial + s0..][..t];
+        let oc = &mut out[ch * spatial + s0..][..t];
+        if inverse {
+            for ((o, &v), &d) in oc.iter_mut().zip(xc).zip(&acc) {
+                *o = v * d.sqrt();
+            }
+        } else {
+            for ((o, &v), &d) in oc.iter_mut().zip(xc).zip(&acc) {
+                *o = v / d.sqrt();
+            }
+        }
+    }
+}
+
+/// Scalar reference twin of the GDN/iGDN forward pass: the per-position
+/// loop the tiled kernel replaced, over `n` samples of `c` channel planes of
+/// `spatial` values, with raw parameters (`c` β, `c × c` γ) reparameterised
+/// exactly as the layer does. The differential harness demands bitwise
+/// equality between this and [`Gdn`]'s `infer_into` on every input.
+pub fn gdn_reference(
+    x: &[f32],
+    (n, c, spatial): (usize, usize, usize),
+    beta_raw: &[f32],
+    gamma_raw: &[f32],
+    inverse: bool,
+) -> Vec<f32> {
+    let mut beta = vec![0.0f32; c];
+    let mut gamma = vec![0.0f32; c * c];
+    effective_coefficients(beta_raw, gamma_raw, &mut beta, &mut gamma);
+    let mut out = vec![0.0f32; n * c * spatial];
+    let mut sq = vec![0.0f32; c];
+    for ni in 0..n {
+        let base = ni * c * spatial;
+        for s in 0..spatial {
+            // Gather x_j² at this position.
+            for (j, sqj) in sq.iter_mut().enumerate() {
+                let v = x[base + j * spatial + s];
+                *sqj = v * v;
+            }
+            for ch in 0..c {
+                let mut denom = beta[ch];
+                let grow = &gamma[ch * c..(ch + 1) * c];
+                for j in 0..c {
+                    denom += grow[j] * sq[j];
+                }
+                let xc = x[base + ch * spatial + s];
+                out[base + ch * spatial + s] = if inverse {
+                    xc * denom.sqrt()
+                } else {
+                    xc / denom.sqrt()
+                };
+            }
+        }
+    }
+    out
+}
+
 impl Gdn {
     /// New GDN (`inverse = false`) or iGDN (`inverse = true`) over `channels`.
     pub fn new(spatial_rank: usize, channels: usize, inverse: bool) -> Self {
@@ -52,26 +175,6 @@ impl Gdn {
         }
     }
 
-    /// Effective (positive) β values.
-    fn beta(&self) -> Vec<f32> {
-        self.beta_raw
-            .value
-            .as_slice()
-            .iter()
-            .map(|&b| b * b + BETA_EPS)
-            .collect()
-    }
-
-    /// Effective (non-negative) γ values.
-    fn gamma(&self) -> Vec<f32> {
-        self.gamma_raw
-            .value
-            .as_slice()
-            .iter()
-            .map(|&g| g * g)
-            .collect()
-    }
-
     /// Shape checks shared by both forward entry points.
     fn validate(&self, shape: &[usize]) -> Result<Act5, NnError> {
         let layer: &'static str = if self.inverse { "iGDN" } else { "GDN" };
@@ -87,45 +190,39 @@ impl Gdn {
         Ok(a)
     }
 
-    /// Normalisation core shared by `try_forward` and `infer_into`. The
-    /// effective β/γ coefficients and the per-position squares live in
-    /// `scratch.coeff` (partitioned `[β C | γ C² | x² C]`), so the hot loop
-    /// is allocation-free; the arithmetic and its order are unchanged from
-    /// the original forward pass.
+    /// Normalisation core shared by `try_forward` and `infer_into`: the
+    /// effective coefficients and the squares tile live in `scratch.coeff`
+    /// (partitioned `[β c | γ c² | x² c·T]`), so the hot loop is
+    /// allocation-free, and each sample runs in position tiles (module doc).
     fn run(&self, x: &[f32], a: Act5, out: &mut [f32], scratch: &mut NnScratch) {
         let c = a.c;
         scratch.coeff.clear();
-        scratch.coeff.resize(c + c * c + c, 0.0);
+        scratch.coeff.resize(c + c * c + c * TILE, 0.0);
         let (beta, rest) = scratch.coeff.split_at_mut(c);
         let (gamma, sq) = rest.split_at_mut(c * c);
-        for (b_eff, &b) in beta.iter_mut().zip(self.beta_raw.value.as_slice()) {
-            *b_eff = b * b + BETA_EPS;
-        }
-        for (g_eff, &g) in gamma.iter_mut().zip(self.gamma_raw.value.as_slice()) {
-            *g_eff = g * g;
-        }
+        effective_coefficients(
+            self.beta_raw.value.as_slice(),
+            self.gamma_raw.value.as_slice(),
+            beta,
+            gamma,
+        );
         let spatial = a.spatial_len();
-        for n in 0..a.n {
-            let base = n * c * spatial;
-            for s in 0..spatial {
-                // Gather x_j² at this position.
-                for (j, sqj) in sq.iter_mut().enumerate() {
-                    let v = x[base + j * spatial + s];
-                    *sqj = v * v;
+        let sample = c * spatial;
+        if sample == 0 {
+            return;
+        }
+        for (xs, os) in x.chunks_exact(sample).zip(out.chunks_exact_mut(sample)) {
+            let mut s0 = 0usize;
+            while s0 < spatial {
+                let t = (spatial - s0).min(TILE);
+                let at = (s0, t);
+                match t.next_power_of_two() {
+                    64 => tile::<64>(xs, at, spatial, beta, gamma, sq, self.inverse, os),
+                    32 => tile::<32>(xs, at, spatial, beta, gamma, sq, self.inverse, os),
+                    16 => tile::<16>(xs, at, spatial, beta, gamma, sq, self.inverse, os),
+                    _ => tile::<8>(xs, at, spatial, beta, gamma, sq, self.inverse, os),
                 }
-                for ch in 0..c {
-                    let mut denom = beta[ch];
-                    let grow = &gamma[ch * c..(ch + 1) * c];
-                    for j in 0..c {
-                        denom += grow[j] * sq[j];
-                    }
-                    let xc = x[base + ch * spatial + s];
-                    out[base + ch * spatial + s] = if self.inverse {
-                        xc * denom.sqrt()
-                    } else {
-                        xc / denom.sqrt()
-                    };
-                }
+                s0 += t;
             }
         }
     }
@@ -170,23 +267,27 @@ impl Layer for Gdn {
             .as_ref()
             .expect("backward called before forward");
         let a = Act5::from_shape(input.shape(), self.spatial_rank);
-        let beta = self.beta();
-        let gamma = self.gamma();
         let x = input.as_slice();
         let go = grad_output.as_slice();
         let spatial = a.spatial_len();
 
-        let beta_raw = self.beta_raw.value.as_slice().to_vec();
-        let gamma_raw = self.gamma_raw.value.as_slice().to_vec();
+        // Value and gradient are disjoint fields: read one, accumulate into
+        // the other, with no copy of the raw parameters.
+        let beta_raw = self.beta_raw.value.as_slice();
+        let gamma_raw = self.gamma_raw.value.as_slice();
         let gbeta_raw = self.beta_raw.grad.as_mut_slice();
         let ggamma_raw = self.gamma_raw.grad.as_mut_slice();
+        let mut beta = vec![0.0f32; a.c];
+        let mut gamma = vec![0.0f32; a.c * a.c];
+        effective_coefficients(beta_raw, gamma_raw, &mut beta, &mut gamma);
         let mut gx = vec![0.0f32; x.len()];
+        // One position's channel values and squares, refilled per position.
+        let mut xs = vec![0.0f32; a.c];
+        let mut sq = vec![0.0f32; a.c];
 
         for n in 0..a.n {
             let base = n * a.c * spatial;
             for s in 0..spatial {
-                let mut xs = vec![0.0f32; a.c];
-                let mut sq = vec![0.0f32; a.c];
                 for j in 0..a.c {
                     let v = x[base + j * spatial + s];
                     xs[j] = v;
@@ -322,8 +423,15 @@ mod tests {
     #[test]
     fn parameters_stay_positive_under_the_reparameterisation() {
         let gdn = Gdn::new(2, 8, false);
-        assert!(gdn.beta().iter().all(|&b| b > 0.0));
-        assert!(gdn.gamma().iter().all(|&g| g >= 0.0));
+        let (mut beta, mut gamma) = ([0.0f32; 8], [0.0f32; 64]);
+        effective_coefficients(
+            gdn.beta_raw.value.as_slice(),
+            gdn.gamma_raw.value.as_slice(),
+            &mut beta,
+            &mut gamma,
+        );
+        assert!(beta.iter().all(|&b| b > 0.0));
+        assert!(gamma.iter().all(|&g| g >= 0.0));
         assert_eq!(gdn.params().len(), 2);
         assert_eq!(gdn.num_params(), 8 + 64);
     }

@@ -9,8 +9,8 @@
 //!   per call would).
 //! * [`NnScratch`] — the ping-pong activations, the convolution's padded
 //!   sample and tap table (see [`crate::im2col`]), the packed GEMM operands
-//!   and the GDN coefficients. All grow to their high-water mark on the
-//!   first batch and are reused verbatim afterwards.
+//!   and the GDN coefficients and squares tile. All grow to their
+//!   high-water mark on the first batch and are reused verbatim afterwards.
 //!
 //! `NnScratch` deliberately clones as *empty*: compressors keep one scratch
 //! per fork (`AeSz`/`AeA`/`AeB` each own one), and a fork must not drag a
@@ -79,7 +79,9 @@ pub struct NnScratch {
     pub(crate) a_pack: Vec<f32>,
     /// Packed `Wᵀ` panel of the dense layers.
     pub(crate) packed: Vec<f32>,
-    /// GDN effective coefficients and per-position squares.
+    /// GDN effective coefficients and the squares of one position tile,
+    /// partitioned `[β c | γ c² | x² c·T]` for `c` channels and `T = 64`
+    /// positions (see [`crate::gdn`]).
     pub(crate) coeff: Vec<f32>,
 }
 

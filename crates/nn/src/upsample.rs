@@ -6,6 +6,14 @@
 //! artefacts and needs no extra parameters. DESIGN.md records this
 //! substitution; the representational role (doubling the spatial size while
 //! mixing channels) is identical.
+//!
+//! **Row replication.** The forward pass is pure data movement, done as
+//! copies of whole runs: each input row is expanded once (every value
+//! written `f` times), that output row is copied `f − 1` times below
+//! itself, and each finished 3D output plane is copied `f − 1` times behind
+//! itself, so most of the output is written by `memcpy`. It equals the
+//! per-element index loop kept as [`upsample_reference`] bit for bit
+//! (`tests/kernel_differential.rs`).
 
 use crate::conv::Act5;
 use crate::infer::{NnScratch, Shape};
@@ -44,26 +52,82 @@ impl Upsample {
         }
     }
 
-    /// Replication core of the one forward implementation (pure data
-    /// movement).
+    /// Replication core of the one forward implementation (module doc).
     fn run(&self, x: &[f32], ia: Act5, oa: Act5, out: &mut [f32]) {
+        if out.is_empty() {
+            return; // some extent is zero, so every run below is empty too
+        }
         let f = self.factor;
         let fd = if self.spatial_rank == 2 { 1 } else { f };
-        for n in 0..oa.n {
-            for c in 0..oa.c {
-                for od in 0..oa.d {
-                    for oh in 0..oa.h {
-                        for ow in 0..oa.w {
-                            let (id, ih, iw) = (od / fd, oh / f, ow / f);
-                            let src = ((n * ia.c + c) * ia.d + id) * ia.h * ia.w + ih * ia.w + iw;
-                            let dst = ((n * oa.c + c) * oa.d + od) * oa.h * oa.w + oh * oa.w + ow;
-                            out[dst] = x[src];
-                        }
+        let plane = oa.h * oa.w;
+        // Input plane `(n, c, id)` becomes output planes `id·fd .. id·fd + fd`.
+        let planes = x
+            .chunks_exact(ia.h * ia.w)
+            .zip(out.chunks_exact_mut(fd * plane));
+        for (src_plane, dst_planes) in planes {
+            let (first, plane_copies) = dst_planes.split_at_mut(plane);
+            let rows = src_plane
+                .chunks_exact(ia.w)
+                .zip(first.chunks_exact_mut(f * oa.w));
+            for (src_row, dst_rows) in rows {
+                let (row, row_copies) = dst_rows.split_at_mut(oa.w);
+                if f == 2 {
+                    // The production factor, as fixed-width pair stores.
+                    for (o, &v) in row.chunks_exact_mut(2).zip(src_row) {
+                        o.copy_from_slice(&[v, v]);
+                    }
+                } else {
+                    for (o, &v) in row.chunks_exact_mut(f).zip(src_row) {
+                        o.fill(v);
+                    }
+                }
+                for copy in row_copies.chunks_exact_mut(oa.w) {
+                    copy.copy_from_slice(row);
+                }
+            }
+            for copy in plane_copies.chunks_exact_mut(plane) {
+                copy.copy_from_slice(first);
+            }
+        }
+    }
+}
+
+/// Scalar reference twin of [`Upsample`]'s forward pass: the per-element
+/// 5-deep index loop the row replication replaced, for an `(N, C, H, W)`
+/// (`spatial_rank` 2) or `(N, C, D, H, W)` (3) input repeated `factor` times
+/// along every spatial axis. The differential harness demands bitwise
+/// equality between this and `infer_into` on every input.
+pub fn upsample_reference(
+    x: &[f32],
+    shape: &[usize],
+    spatial_rank: usize,
+    factor: usize,
+) -> Vec<f32> {
+    let ia = Act5::from_shape(shape, spatial_rank);
+    let f = factor;
+    let fd = if spatial_rank == 2 { 1 } else { f };
+    let oa = Act5 {
+        d: ia.d * fd,
+        h: ia.h * f,
+        w: ia.w * f,
+        ..ia
+    };
+    let mut out = vec![0.0f32; oa.n * oa.sample_len()];
+    for n in 0..oa.n {
+        for c in 0..oa.c {
+            for od in 0..oa.d {
+                for oh in 0..oa.h {
+                    for ow in 0..oa.w {
+                        let (id, ih, iw) = (od / fd, oh / f, ow / f);
+                        let src = ((n * ia.c + c) * ia.d + id) * ia.h * ia.w + ih * ia.w + iw;
+                        let dst = ((n * oa.c + c) * oa.d + od) * oa.h * oa.w + oh * oa.w + ow;
+                        out[dst] = x[src];
                     }
                 }
             }
         }
     }
+    out
 }
 
 impl Layer for Upsample {

@@ -15,7 +15,10 @@
 //! the direct 7-deep loop it replaced bit for bit on hostile weights —
 //! across spatial ranks 2–3, strides, pads and odd edges, and on the three
 //! production geometries (`ae_stream_golden.rs` extends that lock to whole
-//! trained-autoencoder streams). `PROPTEST_CASES=1024` runs the properties
+//! trained-autoencoder streams). The position-tiled GDN/iGDN and the
+//! row-copy `Upsample` face their per-element twins the same way, across
+//! every tile tail, up to 40 channels and factors 1–3, and on the layers of
+//! the three production models. `PROPTEST_CASES=1024` runs the properties
 //! deep; the default is 64 cases each.
 //!
 //! The second half locks whole streams: each of the seven codecs must emit
@@ -36,9 +39,11 @@ use aesz_repro::codec::lz::{
 };
 use aesz_repro::metrics::{CodecId, ErrorBound};
 use aesz_repro::nn::conv::ConvNd;
+use aesz_repro::nn::gdn::{gdn_reference, Gdn};
 use aesz_repro::nn::gemm::{gemm_into, gemm_reference, GemmBias};
 use aesz_repro::nn::im2col::{col2im_into, col2im_reference, ConvGeom};
-use aesz_repro::nn::{Layer, NnScratch, Shape};
+use aesz_repro::nn::upsample::{upsample_reference, Upsample};
+use aesz_repro::nn::{AeConfig, ConvAutoencoder, Layer, NnScratch, Shape};
 use aesz_repro::predictors::{lorenzo, mean, regression, Quantizer};
 use aesz_repro::tensor::init::rng;
 use proptest::prelude::*;
@@ -544,6 +549,93 @@ proptest! {
     }
 }
 
+proptest! {
+    #[test]
+    fn gdn_kernels_match_their_references(
+        rank in 2usize..=3,
+        n in 1usize..=2,
+        channels in 1usize..=40,
+        inverse_pick in 0usize..=1,
+        d in 1usize..=3,
+        h in 1usize..=3,
+        w in 1usize..=70,
+        values in proptest::collection::vec(-100.0f32..100.0, 16..64),
+        spots in proptest::collection::vec(0usize..1 << 16, 0..6),
+        picks in proptest::collection::vec(0usize..SPECIALS.len(), 0..6),
+        pspots in proptest::collection::vec(0usize..1 << 12, 0..6),
+        ppicks in proptest::collection::vec(0usize..FINITE_SPECIALS.len(), 0..6),
+    ) {
+        // Spatial lengths d·h·w up to 630 cross every `len % 64` tail of the
+        // position tiles (w alone sweeps 1–70), and 40 channels make a
+        // squares tile far wider than any register file. Raw β/γ come from
+        // the random values scaled to ±1 and spliced with finite hostile
+        // values, whose squares overflow to +∞ or flush to zero; inputs
+        // carry the full hostile set, infinities included.
+        let inverse = inverse_pick == 1;
+        let dd = if rank == 2 { 1 } else { d };
+        let mut gdn = Gdn::new(rank, channels, inverse);
+        for (p, param) in gdn.params_mut().into_iter().enumerate() {
+            let raw = param.value.as_mut_slice();
+            for (i, r) in raw.iter_mut().enumerate() {
+                *r = values[(i + p) % values.len()] * 0.01;
+            }
+            for (&spot, &pick) in pspots.iter().zip(ppicks.iter()) {
+                let len = raw.len();
+                raw[spot % len] = FINITE_SPECIALS[pick % FINITE_SPECIALS.len()];
+            }
+        }
+        let x = make_block(&values, &[n, channels, dd, h, w], &spots, &picks);
+        let shape = if rank == 2 {
+            Shape::new(&[n, channels, h, w])
+        } else {
+            Shape::new(&[n, channels, dd, h, w])
+        };
+        // Sentinel-filled output: a lane the tiles never store shows up.
+        let mut out = vec![9.25f32; x.len()];
+        gdn.infer_into(&x, shape, &mut out, &mut NnScratch::new()).expect("valid shape");
+        let params = gdn.params();
+        let expect = gdn_reference(
+            &x,
+            (n, channels, dd * h * w),
+            params[0].value.as_slice(),
+            params[1].value.as_slice(),
+            inverse,
+        );
+        prop_assert_eq!(bits32(&out), bits32(&expect));
+    }
+
+    #[test]
+    fn upsample_kernels_match_their_references(
+        rank in 2usize..=3,
+        n in 1usize..=2,
+        channels in 1usize..=40,
+        factor in 1usize..=3,
+        d in 1usize..=3,
+        h in 1usize..=5,
+        w in 1usize..=9,
+        values in proptest::collection::vec(-100.0f32..100.0, 16..64),
+        spots in proptest::collection::vec(0usize..1 << 16, 0..6),
+        picks in proptest::collection::vec(0usize..SPECIALS.len(), 0..6),
+    ) {
+        // Pure data movement, so the hostile values only have to arrive
+        // with their bits intact; odd edges and factors 1–3 exercise every
+        // row expansion, row copy and (3D) plane copy.
+        let dims = if rank == 2 {
+            vec![n, channels, h, w]
+        } else {
+            vec![n, channels, d, h, w]
+        };
+        let x = make_block(&values, &dims, &spots, &picks);
+        let expect = upsample_reference(&x, &dims, rank, factor);
+        let mut out = vec![9.25f32; expect.len()];
+        let out_shape = Upsample::new(rank, factor)
+            .infer_into(&x, Shape::new(&dims), &mut out, &mut NnScratch::new())
+            .expect("valid shape");
+        prop_assert_eq!(out_shape.len(), out.len());
+        prop_assert_eq!(bits32(&out), bits32(&expect));
+    }
+}
+
 /// The convolutions of one production autoencoder, exactly as
 /// `ConvAutoencoder::new` stacks them: `(in_c, out_c, edge, stride)`.
 fn production_convs(block: usize, channels: &[usize]) -> Vec<(usize, usize, usize, usize)> {
@@ -621,6 +713,95 @@ fn production_conv_geometries_match_the_direct_loop() {
                 "rank {rank} block {block} conv {i}: {in_c}->{out_c} at {edge}, stride {stride}"
             );
         }
+    }
+}
+
+/// Deterministic lock on the GDN/iGDN and Upsample layers as they run in
+/// production — AE-B (3D 16³, channels [8, 8]), AE-SZ 2D (32², [8, 16]) and
+/// AE-SZ 3D (8³, [8, 16]): a two-sample batch walks each model's encoder and
+/// decoder, and every GDN, iGDN and Upsample output is checked against its
+/// reference twin on the very input the stack hands it.
+#[test]
+fn production_gdn_and_upsample_layers_match_their_references() {
+    for (rank, block, channels) in [
+        (3usize, 16usize, [8usize, 8]),
+        (2, 32, [8, 16]),
+        (3, 8, [8, 16]),
+    ] {
+        let latent_dim = 16;
+        let mut model = ConvAutoencoder::new(AeConfig {
+            spatial_rank: rank,
+            block_size: block,
+            latent_dim,
+            channels: channels.to_vec(),
+            variational: false,
+            seed: 11,
+        });
+        // Fresh γ is one value off the diagonal; spread every parameter so
+        // each γ_{c,j}·x_j² term differs.
+        for param in model.params_mut() {
+            for (k, v) in param.value.as_mut_slice().iter_mut().enumerate() {
+                *v *= 1.0 + 0.03 * (k % 11) as f32;
+            }
+        }
+        let batch = 2;
+        let blocks: Vec<f32> = (0..batch * model.config().block_len())
+            .map(|v| (v as f32 * 0.37).sin())
+            .collect();
+        let latents: Vec<f32> = (0..batch * latent_dim)
+            .map(|v| 3.0 * (v as f32 * 0.61).cos())
+            .collect();
+        let stacks = [
+            (
+                model.encoder_layers(),
+                blocks,
+                Shape::new(&model.input_shape(batch)),
+            ),
+            (
+                model.decoder_layers(),
+                latents,
+                Shape::new(&[batch, latent_dim]),
+            ),
+        ];
+        let mut scratch = NnScratch::new();
+        let mut checked = 0;
+        for (stack, mut cur, mut shape) in stacks {
+            for (i, layer) in stack.layers().iter().enumerate() {
+                let mut out = Vec::new();
+                let out_shape = layer
+                    .infer_into(&cur, shape, &mut out, &mut scratch)
+                    .expect("valid shape");
+                let dims = shape.dims();
+                let expect = match layer.name() {
+                    name @ ("GDN" | "iGDN") => {
+                        let params = layer.params();
+                        Some(gdn_reference(
+                            &cur,
+                            (dims[0], dims[1], dims[2..].iter().product()),
+                            params[0].value.as_slice(),
+                            params[1].value.as_slice(),
+                            name == "iGDN",
+                        ))
+                    }
+                    "Upsample" => Some(upsample_reference(&cur, dims, rank, 2)),
+                    _ => None,
+                };
+                if let Some(expect) = expect {
+                    assert_eq!(
+                        bits32(&out),
+                        bits32(&expect),
+                        "rank {rank} block {block} layer {i}:{} on {dims:?}",
+                        layer.name()
+                    );
+                    checked += 1;
+                }
+                cur = out;
+                shape = out_shape;
+            }
+        }
+        // One GDN per encoder stage, one Upsample and one iGDN per decoder
+        // stage.
+        assert_eq!(checked, 3 * channels.len(), "rank {rank} block {block}");
     }
 }
 
