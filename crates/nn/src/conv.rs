@@ -8,9 +8,34 @@
 //!
 //! Padding is always `k/2` ("same"), so stride-1 convolutions preserve the
 //! spatial size and stride-2 convolutions halve it (for even sizes).
+//!
+//! Forward and backward both run on the [`crate::gemm`] engine, each in the
+//! order of the direct 7-deep loop it replaced, so every output and every
+//! gradient is bit-identical to that loop (`tests/kernel_differential.rs`
+//! holds both directions against their scalar twins):
+//!
+//! * forward: per output element, the bias, then the taps in ascending
+//!   `(ci, dk, hk, wk)`;
+//! * `dW[co][k]`: the gradient already accumulated, then one term per
+//!   sample and output position, in ascending `(n, position)`;
+//! * `dX[n][ci][i]`: from `0.0`, one term per `(co, position)` ascending,
+//!   which in a stride-1 convolution of the stride-stuffed `dY` with the
+//!   flipped kernel is ascending `(co, flipped tap)`;
+//! * `db[co]`: its own loop over `(n, position)`, skipping exact zeros.
+//!
+//! The GEMM forms add terms the direct loops skip — padded taps, the zeros
+//! stuffed between strided positions, positions whose gradient is `0` —
+//! and each such term is a `±0` product. Adding `±0` changes no finite
+//! accumulator unless it is exactly `-0.0`, and none is: forward sums start
+//! from a `+0.0`-born bias, gradient sums from `+0.0`, and round-to-nearest
+//! addition yields `-0.0` only from two `-0.0` operands. So the identity
+//! holds while weights, inputs and output gradients are finite (`0·∞` is
+//! NaN); training never leaves that domain.
 
-use crate::gemm::{gemm_packed, pack_a, GemmBias};
-use crate::im2col::{pad_sample_into, tap_offsets_into, ConvGeom};
+use crate::gemm::{gemm_acc_into, gemm_packed, pack_a, GemmBias};
+use crate::im2col::{
+    pad_sample_into, stuff_sample_into, tap_offsets_into, unfold_rows_into, ConvGeom,
+};
 use crate::infer::{NnScratch, Shape};
 use crate::layer::{infer_tensor, Layer, NnError, Param};
 use aesz_tensor::{init, Tensor};
@@ -183,7 +208,13 @@ impl ConvNd {
         let b = self.bias.value.as_slice();
         let k = g.k_rows();
         let (in_sample, out_sample) = (ia.sample_len(), oa.sample_len());
-        pack_a(self.weight.value.as_slice(), oa.c, k, &mut scratch.a_pack);
+        pack_a(
+            self.weight.value.as_slice(),
+            oa.c,
+            k,
+            k,
+            &mut scratch.a_pack,
+        );
         tap_offsets_into(&g, &mut scratch.taps);
         let taps = &scratch.taps[..k];
         scratch.pad.clear(); // zeroed once: samples rewrite only data positions
@@ -207,6 +238,89 @@ impl ConvNd {
         }
     }
 }
+
+/// `dW += Σ_n dY_n·Xcol_nᵀ` for the geometry `g` of one sample. Each sample
+/// is padded as the forward pads it; each run of output rows then unfolds
+/// into a `(positions × K)` panel, and [`gemm_acc_into`] contracts it with
+/// `dY` over positions, seeding from the accumulated gradient. `C` is `dW`
+/// itself, `c_out` rows of `K` taps, so its column tiles stay wide for any
+/// `c_out`.
+fn weight_grad(g: &ConvGeom, x: &[f32], dy: &[f32], oa: Act5, gw: &mut [f32]) {
+    let (k, rows) = (g.k_rows(), g.out_rows());
+    let chunk = (PANEL_LEN / (oa.w * k).max(1)).clamp(1, rows.max(1));
+    let (in_sample, out_sample) = (g.channels * g.in_spatial(), oa.sample_len());
+    let (mut pad, mut taps) = (vec![0.0; g.padded_len()], Vec::new());
+    let (mut panel, mut pack) = (Vec::new(), Vec::new());
+    tap_offsets_into(g, &mut taps);
+    for n in 0..oa.n {
+        pad_sample_into(&x[n * in_sample..][..in_sample], g, &mut pad);
+        let dy_n = &dy[n * out_sample..][..out_sample];
+        for r0 in (0..rows).step_by(chunk) {
+            let r1 = (r0 + chunk).min(rows);
+            unfold_rows_into(&pad, g, &taps, r0..r1, &mut panel);
+            gemm_acc_into(
+                &dy_n[r0 * oa.w..],
+                oa.spatial_len(),
+                &panel,
+                oa.c,
+                (r1 - r0) * oa.w,
+                k,
+                gw,
+                k,
+                &mut pack,
+            );
+        }
+    }
+}
+
+/// `dX` for the geometry `g` of one sample: a stride-1 implicit GEMM over
+/// `dY` stuffed by the stride and padded `kernel − 1 − pad` (the forward's
+/// pad again, for odd kernels), with the flipped, channel-transposed kernel
+/// `Wᵀ[ci][co·ke + t] = W[co][ci·ke + ke − 1 − t]` and a `0.0` seed.
+fn input_grad(g: &ConvGeom, w: &[f32], dy: &[f32], oa: Act5) -> Vec<f32> {
+    let (in_c, ke) = (g.channels, g.kernel_dhw.iter().product::<usize>());
+    let pad = std::array::from_fn(|i| g.kernel_dhw[i] - 1 - g.pad_dhw[i]);
+    let gt = ConvGeom::new(oa.c, g.in_dhw, g.kernel_dhw, [1; 3], pad);
+    assert_eq!(gt.out_dhw, g.in_dhw, "dX keeps the input extents");
+    let flipped: Vec<f32> = (0..in_c)
+        .flat_map(|ci| {
+            (0..oa.c).flat_map(move |co| (0..ke).rev().map(move |t| w[(co * in_c + ci) * ke + t]))
+        })
+        .collect();
+    let k = gt.k_rows();
+    let (mut pack, mut taps) = (Vec::new(), Vec::new());
+    pack_a(&flipped, in_c, k, k, &mut pack);
+    tap_offsets_into(&gt, &mut taps);
+    let mut stuffed = vec![0.0; gt.padded_len()];
+    let (in_sample, out_sample) = (in_c * g.in_spatial(), oa.sample_len());
+    let iw = g.in_dhw[2];
+    let mut gx = vec![0.0f32; oa.n * in_sample];
+    for n in 0..oa.n {
+        let dy_n = &dy[n * out_sample..][..out_sample];
+        stuff_sample_into(dy_n, [oa.d, oa.h, oa.w], g.stride_dhw, &gt, &mut stuffed);
+        let gx_n = &mut gx[n * in_sample..][..in_sample];
+        for r in 0..gt.out_rows() {
+            gemm_packed(
+                &pack,
+                in_c,
+                k,
+                &stuffed[gt.row_base(r)..],
+                |kk| taps[kk],
+                iw,
+                GemmBias::Zero,
+                &mut gx_n[r * iw..],
+                g.in_spatial(),
+            );
+        }
+    }
+    gx
+}
+
+/// Target length of one `dW` panel (16 KB of `f32`): a run of output rows
+/// that stays in L1 between its unfold and the GEMM's passes over it, one
+/// per column tile. On the decoder's 8→1 convolutions a 64 KB panel ran
+/// about 30% slower.
+const PANEL_LEN: usize = 1 << 12;
 
 impl Layer for ConvNd {
     fn name(&self) -> &'static str {
@@ -246,73 +360,26 @@ impl Layer for ConvNd {
         let ia = Act5::from_shape(input.shape(), self.spatial_rank);
         let oa = self.output_act(ia);
         assert_eq!(grad_output.shape(), oa.to_shape(self.spatial_rank).dims());
-
         let g = self.geom(ia);
-        let [kd, kh, kw] = g.kernel_dhw;
-        let [pd, ph, pw] = g.pad_dhw.map(|p| p as isize);
-        let [sd, sh, sw] = g.stride_dhw;
-        let k_elems = kd * kh * kw;
-
-        let x = input.as_slice();
-        let go = grad_output.as_slice();
-        let w = self.weight.value.as_slice();
-        let gw = self.weight.grad.as_mut_slice();
-        let gb = self.bias.grad.as_mut_slice();
-        let mut gx = vec![0.0f32; x.len()];
-
-        let in_sample = ia.sample_len();
-        let out_sample = oa.sample_len();
-        for n in 0..ia.n {
-            let x_n = &x[n * in_sample..(n + 1) * in_sample];
-            let go_n = &go[n * out_sample..(n + 1) * out_sample];
-            let gx_n = &mut gx[n * in_sample..(n + 1) * in_sample];
-            for co in 0..oa.c {
-                let w_co =
-                    &w[co * self.in_channels * k_elems..(co + 1) * self.in_channels * k_elems];
-                let gw_co =
-                    &mut gw[co * self.in_channels * k_elems..(co + 1) * self.in_channels * k_elems];
-                for od in 0..oa.d {
-                    for oh in 0..oa.h {
-                        for ow in 0..oa.w {
-                            let g = go_n[(co * oa.d + od) * oa.h * oa.w + oh * oa.w + ow];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            gb[co] += g;
-                            for ci in 0..ia.c {
-                                let base_x = ci * ia.spatial_len();
-                                let base_w = ci * k_elems;
-                                for dk in 0..kd {
-                                    let id = od as isize * sd as isize - pd + dk as isize;
-                                    if id < 0 || id >= ia.d as isize {
-                                        continue;
-                                    }
-                                    for hk in 0..kh {
-                                        let ih = oh as isize * sh as isize - ph + hk as isize;
-                                        if ih < 0 || ih >= ia.h as isize {
-                                            continue;
-                                        }
-                                        for wk in 0..kw {
-                                            let iw = ow as isize * sw as isize - pw + wk as isize;
-                                            if iw < 0 || iw >= ia.w as isize {
-                                                continue;
-                                            }
-                                            let xi = base_x
-                                                + (id as usize * ia.h + ih as usize) * ia.w
-                                                + iw as usize;
-                                            let wi = base_w + (dk * kh + hk) * kw + wk;
-                                            gw_co[wi] += g * x_n[xi];
-                                            gx_n[xi] += g * w_co[wi];
-                                        }
-                                    }
-                                }
-                            }
-                        }
+        let dy = grad_output.as_slice();
+        let (gb, sp) = (self.bias.grad.as_mut_slice(), oa.spatial_len());
+        for n in 0..oa.n {
+            for (co, gb_c) in gb.iter_mut().enumerate() {
+                for &v in &dy[(n * oa.c + co) * sp..][..sp] {
+                    if v != 0.0 {
+                        *gb_c += v;
                     }
                 }
             }
         }
-
+        weight_grad(
+            &g,
+            input.as_slice(),
+            dy,
+            oa,
+            self.weight.grad.as_mut_slice(),
+        );
+        let gx = input_grad(&g, self.weight.value.as_slice(), dy, oa);
         Tensor::from_vec(input.shape(), gx).expect("consistent shape")
     }
 

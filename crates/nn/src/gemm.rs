@@ -1,8 +1,11 @@
 //! Register-blocked f32 GEMM micro-kernel with a pinned accumulation order —
-//! the single matrix engine behind every inference-path layer.
+//! the single matrix engine behind every inference-path layer and the
+//! convolution backward.
 //!
 //! `C[i][j] = seed ⊕ Σ_k A[i][k]·B_k[j]`: the seed is a per-row bias
-//! (convolution), a per-column bias (dense) or zero, and row `k` of `B` is
+//! (convolution), a per-column bias (dense), zero (the convolution's input
+//! gradient) or, through the accumulate entry [`gemm_acc_into`], what `C`
+//! already holds (the convolution's weight gradient), and row `k` of `B` is
 //! any contiguous run the caller names by a tap offset — `k·p` for a dense
 //! multiply ([`gemm_into`]), a tap table into a zero-padded, phase-split
 //! sample for the implicit-GEMM convolution ([`crate::im2col`]). `A` is
@@ -18,12 +21,13 @@
 //! float sums, so the kernel equals its scalar twin [`gemm_reference`]
 //! bitwise on every input (`tests/kernel_differential.rs`).
 //!
-//! One caveat for callers that lower padding to explicit zero taps: a
-//! `+0.0·w` term is a bitwise no-op only while `w` is finite and the
-//! accumulator is not exactly `-0.0`. Trained and initialised networks
-//! satisfy both (biases are born `+0.0`; round-to-nearest training updates
-//! cannot produce `-0.0`); a hand-crafted hostile model file may not, and
-//! gets a well-defined — just different — reconstruction.
+//! One caveat for callers that lower padding (or the backward's skipped
+//! terms) to explicit zero terms: a `±0·w` term is a bitwise no-op only
+//! while `w` is finite and the accumulator is not exactly `-0.0`. Trained
+//! and initialised networks satisfy both (biases and gradients are born
+//! `+0.0`; round-to-nearest sums cannot produce `-0.0` from them); a
+//! hand-crafted hostile model file may not, and gets a well-defined — just
+//! different — reconstruction.
 
 /// How each output element's accumulator is seeded before the `k` loop.
 #[derive(Clone, Copy, Debug)]
@@ -54,17 +58,21 @@ fn nr_max(mr: usize) -> usize {
     (32 / mr).max(8)
 }
 
-/// Pack `A: (m, k)` row-major MR-interleaved: the row block `i0..i0+mr` of
-/// each tile height starts at `i0·k` and holds `A[i0..i0+mr][kk]` for each
-/// `kk` in turn, one `mr`-wide chunk per kernel step.
-pub(crate) fn pack_a(a: &[f32], m: usize, k: usize, packed: &mut Vec<f32>) {
-    assert!(a.len() >= m * k, "A too small");
+/// Pack `A: (m, k)`, rows at stride `lda`, MR-interleaved: the row block
+/// `i0..i0+mr` of each tile height starts at `i0·k` and holds
+/// `A[i0..i0+mr][kk]` for each `kk` in turn, one `mr`-wide chunk per kernel
+/// step.
+pub(crate) fn pack_a(a: &[f32], m: usize, k: usize, lda: usize, packed: &mut Vec<f32>) {
+    assert!(lda >= k, "row stride {lda} shorter than row length {k}");
+    if m > 0 {
+        assert!(a.len() >= (m - 1) * lda + k, "A too small");
+    }
     packed.clear();
     let mut i0 = 0usize;
     while i0 < m {
         let mr = tile_edge(m - i0, MR_MAX);
         for kk in 0..k {
-            packed.extend((i0..i0 + mr).map(|i| a[i * k + kk]));
+            packed.extend((i0..i0 + mr).map(|i| a[i * lda + kk]));
         }
         i0 += mr;
     }
@@ -183,8 +191,69 @@ pub fn gemm_into(
     pack: &mut Vec<f32>,
 ) {
     assert!(b.len() >= k * p, "B too small");
-    pack_a(a, m, k, pack);
+    pack_a(a, m, k, k, pack);
     gemm_packed(pack, m, k, b, |kk| kk * p, p, bias, c, ldc);
+}
+
+/// The tile's running sums as `C` holds them: the seed of the accumulate
+/// entry.
+fn loaded<const MR: usize, const NR: usize>(c: &[f32], ldc: usize) -> [[f32; NR]; MR] {
+    std::array::from_fn(|r| c[r * ldc..][..NR].try_into().expect("NR-wide run"))
+}
+
+/// The accumulate entry, `C += A·B`: `A: (m, k)` with rows at stride `lda`,
+/// `B: (k, p)` row-major and `C` rows at stride `ldc`. Element `(im, ip)`
+/// computes `C[im][ip] ⊕ A[im][0]·B[0][ip] ⊕ A[im][1]·B[1][ip] ⊕ …` in
+/// exactly that order, so splitting `k` into consecutive calls adds the
+/// same terms in the same order as one call. It walks the same tiles and
+/// micro-kernels as the inference entries, seeding each tile from `C`
+/// itself; it is a sibling entry rather than a fourth [`GemmBias`] so the
+/// inference path's instances stay exactly as they are.
+#[allow(clippy::too_many_arguments)] // the BLAS sgemm-style signature
+pub fn gemm_acc_into(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    p: usize,
+    c: &mut [f32],
+    ldc: usize,
+    pack: &mut Vec<f32>,
+) {
+    assert!(b.len() >= k * p, "B too small");
+    assert!(ldc >= p, "row stride {ldc} shorter than row length {p}");
+    if m > 0 {
+        assert!(c.len() >= (m - 1) * ldc + p, "C too small");
+    }
+    pack_a(a, m, k, lda, pack);
+    let tap = |kk: usize| kk * p;
+    let mut i0 = 0usize;
+    while i0 < m {
+        let mr = tile_edge(m - i0, MR_MAX);
+        let a = &pack[i0 * k..(i0 + mr) * k];
+        let mut j0 = 0usize;
+        while j0 < p {
+            let nr = tile_edge(p - j0, nr_max(mr));
+            let (b, c) = (&b[j0..], &mut c[i0 * ldc + j0..]);
+            macro_rules! cols {
+                ($tile:ident, $mr:literal, [$($nr:literal),*]) => {
+                    match nr {
+                        $($nr => $tile::<$nr>(a, b, tap, loaded::<$mr, $nr>(c, ldc), c, ldc),)*
+                        _ => $tile::<1>(a, b, tap, loaded::<$mr, 1>(c, ldc), c, ldc),
+                    }
+                };
+            }
+            match mr {
+                8 => cols!(tile8, 8, [8, 4, 2]),
+                4 => cols!(tile4, 4, [8, 4, 2]),
+                2 => cols!(tile2, 2, [16, 8, 4, 2]),
+                _ => cols!(tile1, 1, [32, 16, 8, 4, 2]),
+            }
+            j0 += nr;
+        }
+        i0 += mr;
+    }
 }
 
 /// Scalar reference twin of [`gemm_into`]: the naive per-element triple loop
@@ -211,6 +280,30 @@ pub fn gemm_reference(
             };
             for ik in 0..k {
                 acc += a[im * k + ik] * b[ik * p + ip];
+            }
+            c[im * ldc + ip] = acc;
+        }
+    }
+}
+
+/// Scalar reference twin of [`gemm_acc_into`]: the same triple loop, each
+/// element seeded from `C`.
+#[allow(clippy::too_many_arguments)] // mirrors `gemm_acc_into`
+pub fn gemm_acc_reference(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    p: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    for im in 0..m {
+        for ip in 0..p {
+            let mut acc = c[im * ldc + ip];
+            for ik in 0..k {
+                acc += a[im * lda + ik] * b[ik * p + ip];
             }
             c[im * ldc + ip] = acc;
         }

@@ -1,5 +1,5 @@
 //! Lowering N-dimensional convolution onto the [`gemm`](crate::gemm) engine
-//! as an *implicit* GEMM, plus the `col2im` fold.
+//! as an *implicit* GEMM, forward and backward.
 //!
 //! `K` ranges over the kernel taps in the weight layout's `(ci, dk, hk, wk)`
 //! order and `P` over one output row (`od`, `oh` fixed). Instead of
@@ -11,9 +11,11 @@
 //! direct loop's order with `+0.0` for the pads — bit-identical for finite
 //! weights (see [`gemm`](crate::gemm) for the one caveat).
 //!
-//! `col2im` is the adjoint scatter-add of a column panel, the pairing a
-//! GEMM-lowered backward pass (`dX = col2im(Wᵀ·dY)`) would use; it keeps a
-//! scalar reference twin held bitwise by the differential harness.
+//! The training backward reuses both. `unfold_rows_into` gathers, from the
+//! same padded copy and tap table, the `(positions × K)` panel of the taps
+//! each output position of a run of rows read — the `B` of `dW += dY·Xcolᵀ`.
+//! `stuff_sample_into` spreads an output gradient by the stride into a
+//! zero-padded buffer, so `dX` is a stride-1 implicit GEMM over it.
 
 /// Geometry of one convolution lowering: a single sample's input extents,
 /// kernel, stride and padding, with the output extents derived. 2D data uses
@@ -176,87 +178,78 @@ pub(crate) fn tap_offsets_into(g: &ConvGeom, taps: &mut Vec<usize>) {
     }
 }
 
-/// Fold a column panel back onto one input sample, accumulating (`x +=`).
-/// `col` is a `(k_rows, (or1-or0)·out_w)` column panel, the layout an im2col
-/// unfold would produce; entries whose tap fell in the padding are dropped.
-/// Accumulation order is row-major over the panel (ascending `k`,
-/// then ascending position), pinned for the reference twin.
-pub fn col2im_into(col: &[f32], g: &ConvGeom, or0: usize, or1: usize, x: &mut [f32]) {
-    let [id_e, ih_e, iw_e] = g.in_dhw;
-    let [kd, kh, kw] = g.kernel_dhw;
-    let [sd, sh, sw] = g.stride_dhw;
-    let [pd, ph, pw] = g.pad_dhw;
-    let [_, oh_e, ow_e] = g.out_dhw;
-    let in_spatial = g.in_spatial();
-    let np = (or1 - or0) * ow_e;
-    assert!(col.len() >= g.k_rows() * np, "panel too small");
-    assert!(x.len() >= g.channels * in_spatial, "sample too small");
-    let mut row = 0usize;
-    for ci in 0..g.channels {
-        for dk in 0..kd {
-            for hk in 0..kh {
-                for wk in 0..kw {
-                    let src_row = &col[row * np..(row + 1) * np];
-                    for (ri, r) in (or0..or1).enumerate() {
-                        let (od, oh) = (r / oh_e, r % oh_e);
-                        let id = (od * sd + dk) as isize - pd as isize;
-                        let ih = (oh * sh + hk) as isize - ph as isize;
-                        if id < 0 || id >= id_e as isize || ih < 0 || ih >= ih_e as isize {
-                            continue;
-                        }
-                        let base = ci * in_spatial + (id as usize * ih_e + ih as usize) * iw_e;
-                        for ow in 0..ow_e {
-                            let iw = (ow * sw + wk) as isize - pw as isize;
-                            if iw < 0 || iw >= iw_e as isize {
-                                continue;
-                            }
-                            x[base + iw as usize] += src_row[ri * ow_e + ow];
-                        }
+/// The `(positions × K)` panel of output rows `rows`: position
+/// `(r − rows.start)·ow + o` holds, for each tap `k`, the value the forward
+/// read at `pad[row_base(r) + taps[k] + o]` (an explicit `0.0` for a padded
+/// tap). `pad` is a [`pad_sample_into`] buffer and `taps` its
+/// [`tap_offsets_into`] table. Taps go in blocks of eight: a block reads
+/// eight contiguous runs of the row in step and stores eight adjacent panel
+/// entries per position, about three times faster than one strided store
+/// per value.
+pub(crate) fn unfold_rows_into(
+    pad: &[f32],
+    g: &ConvGeom,
+    taps: &[usize],
+    rows: std::ops::Range<usize>,
+    panel: &mut Vec<f32>,
+) {
+    let (k, ow) = (taps.len(), g.out_dhw[2]);
+    panel.clear();
+    panel.resize(rows.len() * ow * k, 0.0);
+    for (r, dst) in rows.zip(panel.chunks_exact_mut(ow * k)) {
+        let row = &pad[g.row_base(r)..];
+        let mut k0 = 0;
+        for blk in taps.chunks(8) {
+            if let Ok(blk) = <&[usize; 8]>::try_from(blk) {
+                let runs: [&[f32]; 8] = blk.map(|t| &row[t..t + ow]);
+                for (o, d) in dst.chunks_exact_mut(k).enumerate() {
+                    let v: [f32; 8] = std::array::from_fn(|j| runs[j][o]);
+                    d[k0..k0 + 8].copy_from_slice(&v);
+                }
+            } else {
+                for (o, d) in dst.chunks_exact_mut(k).enumerate() {
+                    for (j, &t) in blk.iter().enumerate() {
+                        d[k0 + j] = row[t + o];
                     }
-                    row += 1;
                 }
             }
+            k0 += blk.len();
         }
     }
 }
 
-/// Scalar reference twin of [`col2im_into`], same pinned accumulation order
-/// with one bounds check per entry.
-pub fn col2im_reference(col: &[f32], g: &ConvGeom, or0: usize, or1: usize, x: &mut [f32]) {
-    let [id_e, ih_e, iw_e] = g.in_dhw;
-    let [kd, kh, kw] = g.kernel_dhw;
-    let [sd, sh, sw] = g.stride_dhw;
+/// Scatter one sample `y` (`channels` × `y_dhw`) into the zero-padded
+/// buffer of the stride-1 geometry `g`, spread by `stride`: `y[c][d][h][w]`
+/// lands at padded `(c, d·sd + pd, h·sh + ph, w·sw + pw)`, and the
+/// `stride − 1` slots between neighbours keep their `0.0`. Like
+/// [`pad_sample_into`], only data positions are written, so a buffer zeroed
+/// once per geometry stays valid across samples.
+pub(crate) fn stuff_sample_into(
+    y: &[f32],
+    y_dhw: [usize; 3],
+    stride: [usize; 3],
+    g: &ConvGeom,
+    dst: &mut [f32],
+) {
+    let [yd, yh, yw] = y_dhw;
+    let [sd, sh, sw] = stride;
     let [pd, ph, pw] = g.pad_dhw;
-    let [_, oh_e, ow_e] = g.out_dhw;
-    let in_spatial = g.in_spatial();
-    let np = (or1 - or0) * ow_e;
-    let mut row = 0usize;
-    for ci in 0..g.channels {
-        for dk in 0..kd {
-            for hk in 0..kh {
-                for wk in 0..kw {
-                    for (ri, r) in (or0..or1).enumerate() {
-                        let (od, oh) = (r / oh_e, r % oh_e);
-                        for ow in 0..ow_e {
-                            let id = (od * sd + dk) as isize - pd as isize;
-                            let ih = (oh * sh + hk) as isize - ph as isize;
-                            let iw = (ow * sw + wk) as isize - pw as isize;
-                            let inside = id >= 0
-                                && id < id_e as isize
-                                && ih >= 0
-                                && ih < ih_e as isize
-                                && iw >= 0
-                                && iw < iw_e as isize;
-                            if inside {
-                                let xi = ci * in_spatial
-                                    + (id as usize * ih_e + ih as usize) * iw_e
-                                    + iw as usize;
-                                x[xi] += col[row * np + ri * ow_e + ow];
-                            }
-                        }
-                    }
-                    row += 1;
-                }
+    let [dp, hp, wp] = g.padded_dhw();
+    assert!(
+        (yd - 1) * sd + pd < dp && (yh - 1) * sh + ph < hp && (yw - 1) * sw + pw < wp,
+        "stuffed sample overruns the padded volume"
+    );
+    assert!(y.len() >= g.channels * yd * yh * yw, "sample too small");
+    assert!(dst.len() >= g.padded_len(), "padded buffer too small");
+    for (i, src) in y.chunks_exact(yw).take(g.channels * yd * yh).enumerate() {
+        let (cd, h) = (i / yh, i % yh);
+        let (c, d) = (cd / yd, cd % yd);
+        let base = ((c * dp + d * sd + pd) * hp + h * sh + ph) * wp + pw;
+        if sw == 1 {
+            dst[base..][..yw].copy_from_slice(src);
+        } else {
+            for (w, &v) in src.iter().enumerate() {
+                dst[base + w * sw] = v;
             }
         }
     }
@@ -265,10 +258,6 @@ pub fn col2im_reference(col: &[f32], g: &ConvGeom, or0: usize, or1: usize, x: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
 
     #[test]
     fn geometry_matches_same_padding_arithmetic() {
@@ -283,7 +272,8 @@ mod tests {
     #[test]
     fn padded_taps_read_exactly_the_direct_loop_inputs() {
         // Every (row, tap, column) of the implicit GEMM must read the value
-        // the direct loop would, or an explicit 0.0 where it skips a pad.
+        // the direct loop would, or an explicit 0.0 where it skips a pad;
+        // the backward's unfolded panel holds the same values by position.
         for &(stride, [d, h, w]) in &[
             (1usize, [1usize, 5usize, 5usize]),
             (2, [1, 6, 7]),
@@ -305,6 +295,9 @@ mod tests {
             pad_sample_into(&x, &g, &mut pad);
             tap_offsets_into(&g, &mut taps);
             assert_eq!(taps.len(), g.k_rows());
+            let mut panel = Vec::new();
+            unfold_rows_into(&pad, &g, &taps, 0..g.out_rows(), &mut panel);
+            assert_eq!(panel.len(), g.out_spatial() * g.k_rows());
             let [sd, sh, sw] = g.stride_dhw;
             for r in 0..g.out_rows() {
                 let (od, oh) = (r / g.out_dhw[1], r % g.out_dhw[1]);
@@ -331,24 +324,11 @@ mod tests {
                             want.to_bits(),
                             "stride {stride} r {r} k {k} ow {ow}"
                         );
+                        let unfolded = panel[(r * g.out_dhw[2] + ow) * taps.len() + k];
+                        assert_eq!(unfolded.to_bits(), want.to_bits());
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn fold_then_unfold_matches_reference_3d() {
-        let g = ConvGeom::new(2, [4, 4, 4], [3, 3, 3], [2, 2, 2], [1, 1, 1]);
-        let np = g.out_spatial();
-        let col: Vec<f32> = (0..g.k_rows() * np)
-            .map(|i| (i as f32 * 0.17).cos())
-            .collect();
-        let mut fast = vec![0.0f32; 2 * g.in_spatial()];
-        let mut slow = fast.clone();
-        col2im_into(&col, &g, 0, g.out_rows(), &mut fast);
-        col2im_reference(&col, &g, 0, g.out_rows(), &mut slow);
-        assert_eq!(bits(&fast), bits(&slow));
-        assert!(fast.iter().any(|&v| v != 0.0));
     }
 }

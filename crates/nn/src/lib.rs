@@ -12,9 +12,10 @@
 //!   used by the paper's architecture: strided convolutions, GDN/iGDN
 //!   nonlinearities, fully-connected resize layers, Tanh output.
 //! * [`gemm`], [`im2col`], [`infer`] — the inference engine: convolution and
-//!   dense forward passes run on one register-blocked `MR×NR` GEMM
-//!   micro-kernel with a pinned accumulation order (bit-identical to the
-//!   direct loops it replaced, enforced by the differential harness).
+//!   dense forward passes, and the convolution backward, run on one
+//!   register-blocked `MR×NR` GEMM micro-kernel with a pinned accumulation
+//!   order (bit-identical to the direct loops it replaced, enforced by the
+//!   differential harness).
 //!   Convolution is an implicit GEMM reading its taps in place from a
 //!   zero-padded, phase-split copy of each sample through a tap-offset
 //!   table; all buffers are caller-owned [`infer::NnScratch`], so a

@@ -57,8 +57,8 @@ impl Adam {
             let m = &mut self.m[idx];
             let v = &mut self.v[idx];
             assert_eq!(m.len(), param.len(), "parameter list changed between steps");
-            let grads = param.grad.as_slice().to_vec();
-            let values = param.value.as_mut_slice();
+            let Param { value, grad } = &mut **param;
+            let (values, grads) = (value.as_mut_slice(), grad.as_slice());
             for i in 0..values.len() {
                 let g = grads[i];
                 m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
@@ -86,10 +86,9 @@ impl Sgd {
     /// Apply one update step and clear the gradients.
     pub fn step(&mut self, params: &mut [&mut Param]) {
         for param in params.iter_mut() {
-            let grads = param.grad.as_slice().to_vec();
-            let values = param.value.as_mut_slice();
-            for i in 0..values.len() {
-                values[i] -= self.lr * grads[i];
+            let Param { value, grad } = &mut **param;
+            for (v, &g) in value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *v -= self.lr * g;
             }
             param.zero_grad();
         }

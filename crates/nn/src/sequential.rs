@@ -113,8 +113,12 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g

@@ -123,7 +123,7 @@ impl Trainer {
                     .iter()
                     .flat_map(|&i| blocks[i].iter().copied())
                     .collect();
-                let s = self.train_batch(&batch, chunk.len());
+                let s = self.train_batch(batch, chunk.len());
                 sum.loss += s.loss;
                 sum.reconstruction += s.reconstruction;
                 sum.regularizer += s.regularizer;
@@ -140,9 +140,9 @@ impl Trainer {
     }
 
     /// One optimisation step on a flat batch of `n` blocks.
-    fn train_batch(&mut self, batch: &[f32], n: usize) -> EpochStats {
+    fn train_batch(&mut self, batch: Vec<f32>, n: usize) -> EpochStats {
         let shape = self.model.input_shape(n);
-        let x = Tensor::from_vec(&shape, batch.to_vec()).expect("batch shape");
+        let x = Tensor::from_vec(&shape, batch).expect("batch shape");
         let latent_dim = self.model.config().latent_dim;
         let variant = self.config.variant;
 

@@ -9,13 +9,17 @@
 //! bytes. A kernel that is merely "close" fails; the optimizations must be
 //! reorderings the IEEE semantics cannot observe.
 //!
-//! The NN inference engine is held to the same contract: `gemm_into` and the
-//! `col2im` fold must match their scalar twins bitwise across every tile
-//! shape and tail, and the whole implicit-GEMM `ConvNd` path must reproduce
-//! the direct 7-deep loop it replaced bit for bit on hostile weights —
-//! across spatial ranks 2–3, strides, pads and odd edges, and on the three
-//! production geometries (`ae_stream_golden.rs` extends that lock to whole
-//! trained-autoencoder streams). The position-tiled GDN/iGDN and the
+//! The NN engine is held to the same contract: `gemm_into` and the
+//! accumulate entry `gemm_acc_into` must match their scalar twins bitwise
+//! across every tile shape and tail, and `ConvNd` must reproduce the direct
+//! 7-deep loops it replaced bit for bit on hostile finite values, in both
+//! directions — the implicit-GEMM forward against `conv_direct_reference`,
+//! and the GEMM-lowered backward (`dX`, `dW` accumulated over two calls,
+//! `db`) against `conv_backward_direct_reference` — across spatial ranks
+//! 2–3, strides, pads and odd edges, and on every convolution of the three
+//! production geometries (`ae_stream_golden.rs` extends the forward lock to
+//! whole trained-autoencoder streams, `training_golden.rs` the backward to
+//! multi-step training). The position-tiled GDN/iGDN and the
 //! row-copy `Upsample` face their per-element twins the same way, across
 //! every tile tail, up to 40 channels and factors 1–3, and on the layers of
 //! the three production models. `PROPTEST_CASES=1024` runs the properties
@@ -40,12 +44,14 @@ use aesz_repro::codec::lz::{
 use aesz_repro::metrics::{CodecId, ErrorBound};
 use aesz_repro::nn::conv::ConvNd;
 use aesz_repro::nn::gdn::{gdn_reference, Gdn};
-use aesz_repro::nn::gemm::{gemm_into, gemm_reference, GemmBias};
-use aesz_repro::nn::im2col::{col2im_into, col2im_reference, ConvGeom};
+use aesz_repro::nn::gemm::{
+    gemm_acc_into, gemm_acc_reference, gemm_into, gemm_reference, GemmBias,
+};
 use aesz_repro::nn::upsample::{upsample_reference, Upsample};
 use aesz_repro::nn::{AeConfig, ConvAutoencoder, Layer, NnScratch, Shape};
 use aesz_repro::predictors::{lorenzo, mean, regression, Quantizer};
 use aesz_repro::tensor::init::rng;
+use aesz_repro::tensor::Tensor;
 use proptest::prelude::*;
 
 /// Finite-but-hostile values spliced into random blocks: denormals on both
@@ -174,6 +180,99 @@ fn conv_direct_reference(
         }
     }
     out
+}
+
+/// The pre-GEMM `ConvNd::backward`: the direct 7-deep loop, skipping exact
+/// zero output gradients and out-of-bounds taps. For each position with a
+/// gradient `g` it adds `g` to the bias gradient and, per in-bounds tap,
+/// `g·x` to the weight gradient and `g·w` to the input gradient, so every
+/// sum runs in ascending `(n, co, position)` order. `gw` and `gb` accumulate
+/// onto what they hold; the returned input gradient starts from zero. The
+/// GEMM-lowered backward must match this bitwise on finite values.
+#[allow(clippy::too_many_arguments)]
+fn conv_backward_direct_reference(
+    x: &[f32],
+    go: &[f32],
+    n: usize,
+    in_c: usize,
+    out_c: usize,
+    in_dhw: [usize; 3],
+    kernel_dhw: [usize; 3],
+    stride_dhw: [usize; 3],
+    pad_dhw: [usize; 3],
+    w: &[f32],
+    gw: &mut [f32],
+    gb: &mut [f32],
+) -> Vec<f32> {
+    let [id_e, ih_e, iw_e] = in_dhw;
+    let [kd, kh, kw] = kernel_dhw;
+    let [pd, ph, pw] = pad_dhw.map(|p| p as isize);
+    let [sd, sh, sw] = stride_dhw;
+    let od_e = (id_e + 2 * pad_dhw[0] - kd) / sd + 1;
+    let oh_e = (ih_e + 2 * pad_dhw[1] - kh) / sh + 1;
+    let ow_e = (iw_e + 2 * pad_dhw[2] - kw) / sw + 1;
+    let k_elems = kd * kh * kw;
+    let mut gx = vec![0.0f32; x.len()];
+
+    let in_sample = in_c * id_e * ih_e * iw_e;
+    let out_sample = out_c * od_e * oh_e * ow_e;
+    for n in 0..n {
+        let x_n = &x[n * in_sample..(n + 1) * in_sample];
+        let go_n = &go[n * out_sample..(n + 1) * out_sample];
+        let gx_n = &mut gx[n * in_sample..(n + 1) * in_sample];
+        for co in 0..out_c {
+            let w_co = &w[co * in_c * k_elems..(co + 1) * in_c * k_elems];
+            let gw_co = &mut gw[co * in_c * k_elems..(co + 1) * in_c * k_elems];
+            for od in 0..od_e {
+                for oh in 0..oh_e {
+                    for ow in 0..ow_e {
+                        let g = go_n[(co * od_e + od) * oh_e * ow_e + oh * ow_e + ow];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        gb[co] += g;
+                        for ci in 0..in_c {
+                            let base_x = ci * id_e * ih_e * iw_e;
+                            let base_w = ci * k_elems;
+                            for dk in 0..kd {
+                                let id = od as isize * sd as isize - pd + dk as isize;
+                                if id < 0 || id >= id_e as isize {
+                                    continue;
+                                }
+                                for hk in 0..kh {
+                                    let ih = oh as isize * sh as isize - ph + hk as isize;
+                                    if ih < 0 || ih >= ih_e as isize {
+                                        continue;
+                                    }
+                                    for wk in 0..kw {
+                                        let iw = ow as isize * sw as isize - pw + wk as isize;
+                                        if iw < 0 || iw >= iw_e as isize {
+                                            continue;
+                                        }
+                                        let xi = base_x
+                                            + (id as usize * ih_e + ih as usize) * iw_e
+                                            + iw as usize;
+                                        let wi = base_w + (dk * kh + hk) * kw + wk;
+                                        gw_co[wi] += g * x_n[xi];
+                                        gx_n[xi] += g * w_co[wi];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    gx
+}
+
+/// Overwrite `buf[spot % len]` with the finite hostile value `picks` names.
+fn splice_finite(buf: &mut [f32], spots: &[usize], picks: &[usize]) {
+    let len = buf.len();
+    for (&spot, &pick) in spots.iter().zip(picks.iter()) {
+        buf[spot % len] = FINITE_SPECIALS[pick % FINITE_SPECIALS.len()];
+    }
 }
 
 proptest! {
@@ -432,48 +531,19 @@ proptest! {
         gemm_into(&a, &b, bias, m, k, p, &mut fast, ldc, &mut Vec::new());
         gemm_reference(&a, &b, bias, m, k, p, &mut slow, ldc);
         prop_assert_eq!(bits32(&fast), bits32(&slow));
+        // The accumulate entry on top of that product: every element is
+        // seeded from what C holds, and A's rows sit at a stride of their
+        // own, as the convolution backward hands it a run of dY.
+        let lda = k + slack;
+        let a_rows = make_block(&values, &[(m - 1) * lda + k], &spots, &picks);
+        gemm_acc_into(&a_rows, lda, &b, m, k, p, &mut fast, ldc, &mut Vec::new());
+        gemm_acc_reference(&a_rows, lda, &b, m, k, p, &mut slow, ldc);
+        prop_assert_eq!(bits32(&fast), bits32(&slow));
         for (i, &v) in fast.iter().enumerate() {
             if i % ldc >= p {
                 prop_assert_eq!(v.to_bits(), 9.25f32.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn col2im_kernels_match_their_references(
-        rank in 2usize..=3,
-        channels in 1usize..=3,
-        d in 1usize..=4,
-        h in 1usize..=6,
-        w in 1usize..=6,
-        kernel_pick in 0usize..=1,
-        sd in 1usize..=2,
-        sh in 1usize..=2,
-        sw in 1usize..=2,
-        values in proptest::collection::vec(-100.0f32..100.0, 16..64),
-        spots in proptest::collection::vec(0usize..1024, 0..6),
-        picks in proptest::collection::vec(0usize..SPECIALS.len(), 0..6),
-    ) {
-        // Same-padding geometry exactly as ConvNd builds it: 2D data rides
-        // in the depth-1 plane with a 1×k×k kernel. col2im must accumulate
-        // onto a pre-seeded buffer in the same pinned order on both sides.
-        let kk = [1usize, 3][kernel_pick];
-        let (dd, kd, psd) = if rank == 2 { (1, 1, 1) } else { (d, kk, sd) };
-        let g = ConvGeom::new(
-            channels,
-            [dd, h, w],
-            [kd, kk, kk],
-            [psd, sh, sw],
-            [kd / 2, kk / 2, kk / 2],
-        );
-        let rows = g.out_rows();
-        let np = g.out_spatial();
-        let col = make_block(&values, &[g.k_rows(), np], &spots, &picks);
-        let mut xf = make_block(&values, &[channels, dd, h, w], &[], &[]);
-        let mut xs = xf.clone();
-        col2im_into(&col, &g, 0, rows, &mut xf);
-        col2im_reference(&col, &g, 0, rows, &mut xs);
-        prop_assert_eq!(bits32(&xf), bits32(&xs));
     }
 
     #[test]
@@ -506,11 +576,7 @@ proptest! {
         let mut conv = ConvNd::new(rank, in_c, out_c, kernel, stride, &mut r);
         {
             let mut params = conv.params_mut();
-            let wv = params[0].value.as_mut_slice();
-            for (&spot, &pick) in wspots.iter().zip(wpicks.iter()) {
-                let n = wv.len();
-                wv[spot % n] = FINITE_SPECIALS[pick % FINITE_SPECIALS.len()];
-            }
+            splice_finite(params[0].value.as_mut_slice(), &wspots, &wpicks);
             let bv = params[1].value.as_mut_slice();
             for (i, bo) in bv.iter_mut().enumerate() {
                 let v = values[i % values.len()];
@@ -547,6 +613,81 @@ proptest! {
         prop_assert_eq!(out.len(), out_shape.len());
         prop_assert_eq!(bits32(&out), bits32(&direct));
     }
+
+    #[test]
+    fn conv_backward_matches_the_direct_loop(
+        rank in 2usize..=3,
+        n in 1usize..=3,
+        in_c in 1usize..=9,
+        out_c in 1usize..=9,
+        kernel_pick in 0usize..=1,
+        stride in 1usize..=2,
+        d in 1usize..=5,
+        h in 1usize..=20,
+        w in 1usize..=20,
+        seed in 0u64..1024,
+        values in proptest::collection::vec(-100.0f32..100.0, 16..64),
+        spots in proptest::collection::vec(0usize..1 << 16, 0..6),
+        picks in proptest::collection::vec(0usize..FINITE_SPECIALS.len(), 0..6),
+        zeros in proptest::collection::vec(0usize..1 << 16, 0..12),
+    ) {
+        // The GEMM-lowered backward against the direct loop it replaced:
+        // Kaiming weights, inputs and output gradients all spliced with
+        // finite hostile values (the documented bit-identity domain: a
+        // skipped term the GEMM adds is a ±0 product only while both
+        // factors are finite), plus exact +0/−0 output gradients, the
+        // positions the loop skips. Two calls: the second accumulates dW
+        // and db onto the first call's nonzero gradients. out_c and in_c up
+        // to 9 cross the 8/4/2/1 row tiles of dW and dX; w up to 20 with
+        // stride 2 crosses the column tails and the stuffed zeros.
+        let kernel = [1usize, 3][kernel_pick];
+        let (dd, kd, sd) = if rank == 2 { (1, 1, 1) } else { (d, kernel, stride) };
+        let mut conv = ConvNd::new(rank, in_c, out_c, kernel, stride, &mut rng(seed));
+        splice_finite(conv.params_mut()[0].value.as_mut_slice(), &spots, &picks);
+        let weights = conv.params()[0].value.as_slice().to_vec();
+
+        let dims = if rank == 2 { vec![n, in_c, h, w] } else { vec![n, in_c, dd, h, w] };
+        let mut x = make_block(&values, &dims, &[], &[]);
+        splice_finite(&mut x, &spots, &picks);
+        let x = Tensor::from_vec(&dims, x).expect("input shape");
+        let out_shape = conv.try_forward(&x).expect("valid shape").shape().to_vec();
+        let out_len: usize = out_shape.iter().product();
+        let grad = |phase: usize| {
+            let mut g: Vec<f32> = (0..out_len)
+                .map(|i| values[(i * 7 + phase) % values.len()] * 0.5)
+                .collect();
+            let shifted: Vec<usize> = spots.iter().map(|&s| s + 31 * phase).collect();
+            splice_finite(&mut g, &shifted, &picks);
+            for (j, &z) in zeros.iter().enumerate() {
+                g[(z + phase) % out_len] = if j % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            g
+        };
+
+        let (mut gw, mut gb) = (vec![0.0f32; weights.len()], vec![0.0f32; out_c]);
+        for phase in 0..2 {
+            let dy = grad(phase);
+            let gx = conv.backward(&Tensor::from_vec(&out_shape, dy.clone()).expect("shape"));
+            let gx_ref = conv_backward_direct_reference(
+                x.as_slice(),
+                &dy,
+                n,
+                in_c,
+                out_c,
+                [dd, h, w],
+                [kd, kernel, kernel],
+                [sd, stride, stride],
+                [kd / 2, kernel / 2, kernel / 2],
+                &weights,
+                &mut gw,
+                &mut gb,
+            );
+            let params = conv.params();
+            prop_assert_eq!(bits32(gx.as_slice()), bits32(&gx_ref));
+            prop_assert_eq!(bits32(params[0].grad.as_slice()), bits32(&gw));
+            prop_assert_eq!(bits32(params[1].grad.as_slice()), bits32(&gb));
+        }
+    }
 }
 
 proptest! {
@@ -579,10 +720,7 @@ proptest! {
             for (i, r) in raw.iter_mut().enumerate() {
                 *r = values[(i + p) % values.len()] * 0.01;
             }
-            for (&spot, &pick) in pspots.iter().zip(ppicks.iter()) {
-                let len = raw.len();
-                raw[spot % len] = FINITE_SPECIALS[pick % FINITE_SPECIALS.len()];
-            }
+            splice_finite(raw, &pspots, &ppicks);
         }
         let x = make_block(&values, &[n, channels, dd, h, w], &spots, &picks);
         let shape = if rank == 2 {
@@ -712,6 +850,76 @@ fn production_conv_geometries_match_the_direct_loop() {
                 bits32(&direct),
                 "rank {rank} block {block} conv {i}: {in_c}->{out_c} at {edge}, stride {stride}"
             );
+        }
+    }
+}
+
+/// The backward of every production convolution (same three models as
+/// above) against the direct loop: a two-sample batch, an output gradient
+/// with exact zeros, and two calls so the second accumulates.
+#[test]
+fn production_conv_backward_matches_the_direct_loop() {
+    for (rank, block, channels) in [
+        (3usize, 16usize, [8usize, 8]),
+        (2, 32, [8, 16]),
+        (3, 8, [8, 16]),
+    ] {
+        for (i, (in_c, out_c, edge, stride)) in
+            production_convs(block, &channels).into_iter().enumerate()
+        {
+            let mut conv = ConvNd::new(rank, in_c, out_c, 3, stride, &mut rng(200 + i as u64));
+            let weights = conv.params()[0].value.as_slice().to_vec();
+            let dd = if rank == 2 { 1 } else { edge };
+            let dims = if rank == 2 {
+                vec![2, in_c, edge, edge]
+            } else {
+                vec![2, in_c, edge, edge, edge]
+            };
+            let x: Vec<f32> = (0..dims.iter().product::<usize>())
+                .map(|v| (v as f32 * 0.37).sin())
+                .collect();
+            let x = Tensor::from_vec(&dims, x).expect("input shape");
+            let out_shape = conv.forward(&x).shape().to_vec();
+            let (kd, sd) = if rank == 2 { (1, 1) } else { (3, stride) };
+            let (mut gw, mut gb) = (vec![0.0f32; weights.len()], vec![0.0f32; out_c]);
+            for call in 0..2 {
+                let dy: Vec<f32> = (0..out_shape.iter().product::<usize>())
+                    .map(|v| match (v + call) % 13 {
+                        0 => 0.0,
+                        _ => (v as f32 * 0.61 + call as f32).cos(),
+                    })
+                    .collect();
+                let gx = conv.backward(&Tensor::from_vec(&out_shape, dy.clone()).expect("shape"));
+                let gx_ref = conv_backward_direct_reference(
+                    x.as_slice(),
+                    &dy,
+                    2,
+                    in_c,
+                    out_c,
+                    [dd, edge, edge],
+                    [kd, 3, 3],
+                    [sd, stride, stride],
+                    [kd / 2, 1, 1],
+                    &weights,
+                    &mut gw,
+                    &mut gb,
+                );
+                let what = format!(
+                    "rank {rank} block {block} conv {i}: {in_c}->{out_c} at {edge}, stride {stride}, call {call}"
+                );
+                let params = conv.params();
+                assert_eq!(bits32(gx.as_slice()), bits32(&gx_ref), "dX of {what}");
+                assert_eq!(
+                    bits32(params[0].grad.as_slice()),
+                    bits32(&gw),
+                    "dW of {what}"
+                );
+                assert_eq!(
+                    bits32(params[1].grad.as_slice()),
+                    bits32(&gb),
+                    "db of {what}"
+                );
+            }
         }
     }
 }
