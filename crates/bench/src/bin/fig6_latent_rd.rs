@@ -35,7 +35,10 @@ fn main() {
         for leb in [1e-4f64, 1e-3, 5e-3, 2e-2, 1e-1] {
             let codec = LatentCodec::new(leb);
             let indices = codec.quantize(&latents);
-            let bytes = codec.encode(&indices, opts.latent_dim).len();
+            let bytes = codec
+                .encode(&indices, opts.latent_dim)
+                .expect("latent indices span less than 2^32")
+                .len();
             let zd = codec.dequantize(&indices);
             let recon = model.decode_latents(&zd, blocks.len());
             // PSNR in the normalised block domain.

@@ -48,7 +48,10 @@ fn main() {
             // custo.: quantize with 0.1*e (normalised-domain bound = 2*eb) + Huffman/zlite.
             let codec = LatentCodec::new(0.1 * 2.0 * eb);
             let indices = codec.quantize(&latents);
-            let custo_bytes = codec.encode(&indices, latent_dim).len();
+            let custo_bytes = codec
+                .encode(&indices, latent_dim)
+                .expect("latent indices span less than 2^32")
+                .len();
             // SZ2.1-style: treat the latent matrix as a 2D field.
             let latent_field =
                 Field::from_vec(Dims::d2(n_vectors, latent_dim), latents.clone()).unwrap();

@@ -13,8 +13,44 @@
 //!   match:        0x01, uvarint len (>= MIN_MATCH), uvarint distance (>= 1)
 //! ```
 //!
-//! Matching uses a 4-byte hash chained over previous positions, with a bounded
-//! chain walk so worst-case inputs stay linear in practice.
+//! # Match finder
+//!
+//! The encoder is greedy: at each position it takes the longest match the
+//! search finds (the first one on ties), else emits a literal. The search is
+//! defined by a *bucket walk*: the four bytes at each position hash into one
+//! of 2^16 buckets, each bucket chains its earlier positions newest first,
+//! and the walk examines at most `MAX_CHAIN` (32) links of that chain, stopping
+//! early at the first link that leaves the 1 MiB window or at a match that
+//! reaches `limit` (the bytes left, at most `MAX_MATCH`). The encoder's
+//! scalar twin, `zlite_compress_reference` in `tests/kernel_differential.rs`,
+//! runs that walk literally.
+//!
+//! Most links of a bucket chain are hash collisions, each a dependent,
+//! cache-missing load. [`zlite_compress`] examines only the candidates the
+//! bucket walk examines whose first four bytes equal the current four, in
+//! the same order, so it picks the same `(len, dist)` and emits the same
+//! tokens:
+//!
+//! - a candidate whose first four bytes differ matches fewer than
+//!   `MIN_MATCH ≤ limit` bytes, so it can neither be emitted nor end the
+//!   walk at `limit`;
+//! - a candidate whose byte at `best_len` differs cannot beat `best_len`.
+//!
+//! It finds them on a *finer* hash chain whose buckets nest inside the
+//! 16-bit buckets: both hashes are the top bits of one multiplicative hash
+//! of the four bytes. Each 16-bit bucket counts its insertions and each
+//! position records its sequence number within its bucket, so a candidate's
+//! place in the bucket chain is `count − 1 − seq`. The walk stops when that
+//! rank reaches `MAX_CHAIN` or the candidate leaves the window, exactly where
+//! the bucket walk's link counter stops.
+//!
+//! The tables follow the input length. The finer hash has ⌊log2 len⌋ bits,
+//! clamped to 16–`MAX_FINE_BITS`. Below 128 KiB it has 16 bits: it is the
+//! bucket itself, a candidate's rank is the count of links walked, and the
+//! encoder allocates what the bucket walk needs, a 256 KiB head table and
+//! 4 B per input byte (at most the window). From 128 KiB on the finer head
+//! takes `4 · 2^bits` bytes, the count table 256 KiB and the sequence
+//! numbers another 4 B per input byte.
 
 use crate::varint::{read_uvarint, write_uvarint};
 
@@ -22,46 +58,185 @@ use crate::varint::{read_uvarint, write_uvarint};
 const MIN_MATCH: usize = 4;
 /// Maximum match length (keeps token lengths bounded; longer repeats split).
 const MAX_MATCH: usize = 1 << 16;
-/// Window size: how far back matches may reach.
+/// Window size: how far back matches may reach. A power of two, so a
+/// position's slot in the window-sized rings is `pos & (WINDOW - 1)`.
 const WINDOW: usize = 1 << 20;
-/// Maximum number of chain links examined per position.
+/// Maximum number of bucket-chain links examined per position.
 const MAX_CHAIN: usize = 32;
+/// Bits of the bucket hash whose chain bounds the walk.
+const BUCKET_BITS: u32 = 16;
+/// Most bits of the finer hash (a 1 MiB head table).
+const MAX_FINE_BITS: u32 = 18;
 
-const HASH_BITS: u32 = 16;
-const HASH_SIZE: usize = 1 << HASH_BITS;
-
+/// The four bytes at `pos` as a little-endian word, if `pos` can start a
+/// match.
 #[inline]
-fn hash4(data: &[u8], pos: usize) -> usize {
-    let w = data
-        .get(pos..pos + 4)
-        .map_or([0; 4], |w| [w[0], w[1], w[2], w[3]]);
-    // The fold keeps HASH_BITS (= 16) significant bits, so the hash fits a
-    // u16 and widens losslessly.
-    let folded = (u32::from_le_bytes(w).wrapping_mul(2654435761) >> (32 - HASH_BITS)) as u16;
-    usize::from(folded)
+fn key_at(data: &[u8], pos: usize) -> Option<u32> {
+    let w = data.get(pos..pos.checked_add(MIN_MATCH)?)?;
+    Some(u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
 }
 
-/// Widen a stored chain stamp to an index. `u32` always fits `usize` on the
-/// platforms we build for; the fallback is the empty-chain sentinel.
+/// The multiplicative hash whose top bits are both the bucket and the finer
+/// hash of a key, so finer buckets nest inside the 16-bit ones.
 #[inline]
-fn stamp_to_index(v: u32) -> usize {
+fn mix(key: u32) -> u32 {
+    key.wrapping_mul(2654435761)
+}
+
+/// Widen a `u32` table entry or hash to an index; `u32` always fits `usize`
+/// on the platforms we build for.
+#[inline]
+fn widen(v: u32) -> usize {
     usize::try_from(v).unwrap_or(0)
 }
 
-/// Record position `p` in the hash chain. Positions past `u32::MAX - 1` are
-/// silently not indexed (matches are simply not found there) rather than
-/// wrapping into a bogus chain entry.
+/// Length of the common prefix of `a` and `b`, compared a word at a time.
 #[inline]
-fn chain_insert(head: &mut [u32], prev: &mut [u32], h: usize, p: usize) {
-    let Ok(stamp) = u32::try_from(p + 1) else {
-        return;
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |c: &[u8]| <[u8; 8]>::try_from(c).map_or(0, u64::from_le_bytes);
+    let words = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .take_while(|(x, y)| word(x) == word(y))
+        .count();
+    let n = words * 8;
+    let tail = match (a.get(n..), b.get(n..)) {
+        (Some(x), Some(y)) => x.iter().zip(y).take_while(|(p, q)| p == q).count(),
+        _ => 0,
     };
-    let old = head.get(h).copied().unwrap_or(0);
-    if let Some(slot) = prev.get_mut(p % prev.len().max(1)) {
-        *slot = old;
+    n + tail
+}
+
+/// The hash chains of one [`zlite_compress`] call (see the module docs).
+struct MatchFinder {
+    /// `32 - bits` of the finer hash.
+    shift: u32,
+    /// `head[h]`: most recent position with finer hash `h`, plus one
+    /// (0 = empty).
+    head: Vec<u32>,
+    /// `prev[p & (WINDOW - 1)]`: the previous position with `p`'s finer
+    /// hash, plus one.
+    prev: Vec<u32>,
+    /// Insertions per 16-bit bucket; empty while the finer hash is the
+    /// bucket.
+    count: Vec<u32>,
+    /// `seq[p & (WINDOW - 1)]`: `count` of `p`'s bucket before `p` was
+    /// inserted; empty with `count`.
+    seq: Vec<u32>,
+}
+
+impl MatchFinder {
+    fn new(len: usize) -> MatchFinder {
+        let bits = (usize::BITS - len.leading_zeros())
+            .saturating_sub(1)
+            .clamp(BUCKET_BITS, MAX_FINE_BITS);
+        let ring = len.min(WINDOW);
+        let ranked = bits > BUCKET_BITS;
+        MatchFinder {
+            shift: u32::BITS - bits,
+            head: vec![0; 1 << bits],
+            prev: vec![0; ring],
+            count: if ranked {
+                vec![0; 1 << BUCKET_BITS]
+            } else {
+                Vec::new()
+            },
+            seq: if ranked { vec![0; ring] } else { Vec::new() },
+        }
     }
-    if let Some(slot) = head.get_mut(h) {
-        *slot = stamp;
+
+    /// Record position `p`. Positions that cannot start a match, and those
+    /// past `u32::MAX - 1`, are not indexed.
+    #[inline]
+    fn insert(&mut self, data: &[u8], p: usize) {
+        let (Some(key), Ok(stamp)) = (key_at(data, p), u32::try_from(p + 1)) else {
+            return;
+        };
+        let h = mix(key);
+        let slot = p & (WINDOW - 1);
+        if let Some(head) = self.head.get_mut(widen(h >> self.shift)) {
+            if let Some(link) = self.prev.get_mut(slot) {
+                *link = *head;
+            }
+            *head = stamp;
+        }
+        if let Some(count) = self.count.get_mut(widen(h >> (u32::BITS - BUCKET_BITS))) {
+            if let Some(seq) = self.seq.get_mut(slot) {
+                *seq = *count;
+            }
+            *count = count.wrapping_add(1);
+        }
+    }
+
+    /// The longest match for `pos` among the candidates of the bucket walk,
+    /// as `(len, dist)`; `len` is 0 when no candidate shares the four bytes
+    /// at `pos`.
+    #[inline]
+    fn longest(&self, data: &[u8], pos: usize) -> (usize, usize) {
+        let (mut best_len, mut best_dist) = (0usize, 0usize);
+        let Some(key) = key_at(data, pos) else {
+            return (best_len, best_dist);
+        };
+        let h = mix(key);
+        // Insertions into this position's bucket so far, when a rank needs
+        // sequence numbers. Links walked on the finer chain are bucket
+        // entries too, so in a bucket of at most `MAX_CHAIN` entries their
+        // count stays below the cutoff just as every rank does, and the
+        // walk need not read `seq`.
+        let inserted = self
+            .count
+            .get(widen(h >> (u32::BITS - BUCKET_BITS)))
+            .copied()
+            .filter(|&n| widen(n) > MAX_CHAIN);
+        let limit = (data.len() - pos).min(MAX_MATCH);
+        let current = data.get(pos..pos + limit).unwrap_or_default();
+        let mut candidate = widen(self.head.get(widen(h >> self.shift)).copied().unwrap_or(0));
+        let mut links = 0usize;
+        while let Some(cand_pos) = candidate.checked_sub(1) {
+            if cand_pos >= pos || pos - cand_pos > WINDOW {
+                break;
+            }
+            let slot = cand_pos & (WINDOW - 1);
+            let rank = match inserted {
+                Some(n) => widen(
+                    n.wrapping_sub(self.seq.get(slot).copied().unwrap_or(0))
+                        .wrapping_sub(1),
+                ),
+                None => links,
+            };
+            if rank >= MAX_CHAIN {
+                break;
+            }
+            // The candidate's window ends before `data.len()` because
+            // `cand_pos < pos`, so the `get` always succeeds.
+            let prior = data.get(cand_pos..cand_pos + limit).unwrap_or_default();
+            if key_at(prior, 0) == Some(key) && prior.get(best_len) == current.get(best_len) {
+                let len = MIN_MATCH
+                    + common_prefix(
+                        prior.get(MIN_MATCH..).unwrap_or_default(),
+                        current.get(MIN_MATCH..).unwrap_or_default(),
+                    );
+                if len > best_len {
+                    best_len = len;
+                    best_dist = pos - cand_pos;
+                    if len >= limit {
+                        break;
+                    }
+                }
+            }
+            candidate = widen(self.prev.get(slot).copied().unwrap_or(0));
+            links += 1;
+        }
+        (best_len, best_dist)
+    }
+}
+
+/// Append one literal-run token (nothing for an empty run).
+fn flush_literals(out: &mut Vec<u8>, literals: &[u8]) {
+    if !literals.is_empty() {
+        out.push(0x00);
+        write_uvarint(out, literals.len() as u64);
+        out.extend_from_slice(literals);
     }
 }
 
@@ -72,85 +247,30 @@ pub fn zlite_compress(data: &[u8]) -> Vec<u8> {
     if data.is_empty() {
         return out;
     }
-
-    // head[h] = most recent position with hash h (+1, 0 = empty);
-    // prev[i % WINDOW] = previous position with the same hash as i.
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut prev = vec![0u32; data.len().min(WINDOW)];
-
-    let mut literals: Vec<u8> = Vec::new();
+    let mut finder = MatchFinder::new(data.len());
+    let mut literal_start = 0usize;
     let mut pos = 0usize;
-
-    let flush_literals = |out: &mut Vec<u8>, literals: &mut Vec<u8>| {
-        if !literals.is_empty() {
-            out.push(0x00);
-            write_uvarint(out, literals.len() as u64);
-            out.extend_from_slice(literals);
-            literals.clear();
-        }
-    };
-
-    let prev_len = prev.len();
     while pos < data.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash4(data, pos);
-            let mut candidate = stamp_to_index(head.get(h).copied().unwrap_or(0));
-            let mut chain = 0;
-            while candidate > 0 && chain < MAX_CHAIN {
-                let cand_pos = candidate - 1;
-                if cand_pos >= pos || pos - cand_pos > WINDOW.min(pos) {
-                    break;
-                }
-                // Extend the match: both windows end before `data.len()`
-                // because `cand_pos < pos`, so the `get`s always succeed.
-                let limit = (data.len() - pos).min(MAX_MATCH);
-                let len = match (
-                    data.get(cand_pos..cand_pos + limit),
-                    data.get(pos..pos + limit),
-                ) {
-                    (Some(cand), Some(cur)) => {
-                        cand.iter().zip(cur).take_while(|(a, b)| a == b).count()
-                    }
-                    _ => 0,
-                };
-                if len > best_len {
-                    best_len = len;
-                    best_dist = pos - cand_pos;
-                    if len >= limit {
-                        break;
-                    }
-                }
-                candidate = stamp_to_index(prev.get(cand_pos % prev_len).copied().unwrap_or(0));
-                chain += 1;
-            }
-        }
-
-        if best_len >= MIN_MATCH {
-            flush_literals(&mut out, &mut literals);
+        let (len, dist) = finder.longest(data, pos);
+        if len >= MIN_MATCH {
+            flush_literals(&mut out, data.get(literal_start..pos).unwrap_or_default());
             out.push(0x01);
-            write_uvarint(&mut out, best_len as u64);
-            write_uvarint(&mut out, best_dist as u64);
-            // Insert hash entries for the skipped positions so later matches
-            // can still reference them.
-            let end = pos + best_len;
-            while pos < end && pos + MIN_MATCH <= data.len() {
-                chain_insert(&mut head, &mut prev, hash4(data, pos), pos);
+            write_uvarint(&mut out, len as u64);
+            write_uvarint(&mut out, dist as u64);
+            // Index the covered positions so later matches can still
+            // reference them.
+            let end = pos + len;
+            while pos < end {
+                finder.insert(data, pos);
                 pos += 1;
             }
-            pos = end;
+            literal_start = end;
         } else {
-            if pos + MIN_MATCH <= data.len() {
-                chain_insert(&mut head, &mut prev, hash4(data, pos), pos);
-            }
-            if let Some(&b) = data.get(pos) {
-                literals.push(b);
-            }
+            finder.insert(data, pos);
             pos += 1;
         }
     }
-    flush_literals(&mut out, &mut literals);
+    flush_literals(&mut out, data.get(literal_start..).unwrap_or_default());
     out
 }
 
@@ -212,50 +332,6 @@ pub fn zlite_decompress_capped(buf: &[u8], max_len: usize) -> Option<Vec<u8>> {
                         src += chunk;
                         remaining -= chunk;
                     }
-                }
-            }
-            _ => return None,
-        }
-    }
-    if out.len() == original_len {
-        Some(out)
-    } else {
-        None
-    }
-}
-
-/// Scalar twin of [`zlite_decompress_capped`]: identical parsing and
-/// validation, with matches copied one byte at a time. The differential
-/// harness asserts both decoders agree on every stream.
-pub fn zlite_decompress_capped_reference(buf: &[u8], max_len: usize) -> Option<Vec<u8>> {
-    let mut pos = 0usize;
-    let original_len = read_uvarint(buf, &mut pos)?;
-    if original_len > max_len as u64 {
-        return None;
-    }
-    let original_len = usize::try_from(original_len).ok()?;
-    let mut out = Vec::with_capacity(original_len.min(buf.len().saturating_mul(8).max(4096)));
-    while out.len() < original_len {
-        let tag = *buf.get(pos)?;
-        pos += 1;
-        match tag {
-            0x00 => {
-                let len = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
-                let bytes = buf.get(pos..pos.checked_add(len)?)?;
-                pos += len;
-                out.extend_from_slice(bytes);
-            }
-            0x01 => {
-                let len = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
-                let dist = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
-                if dist == 0 || dist > out.len() || !(MIN_MATCH..=MAX_MATCH).contains(&len) {
-                    return None;
-                }
-                let start = out.len() - dist;
-                // Overlapping copies are valid (and common for runs).
-                for i in 0..len {
-                    let b = *out.get(start + i)?;
-                    out.push(b);
                 }
             }
             _ => return None,
@@ -356,39 +432,6 @@ mod tests {
         crate::varint::write_uvarint(&mut buf, (MAX_MATCH + 1) as u64);
         crate::varint::write_uvarint(&mut buf, 1);
         assert_eq!(zlite_decompress(&buf), None);
-    }
-
-    #[test]
-    fn bulk_copy_decoder_matches_reference() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let mut cases: Vec<Vec<u8>> = vec![
-            Vec::new(),
-            vec![7u8; 100_000],
-            b"abc".iter().cycle().take(3000).copied().collect(),
-            (0..64u8).cycle().take(64 * 200).collect(),
-            (0..50_000).map(|_| rng.gen()).collect(),
-        ];
-        // Structured payload with long aligned repeats.
-        let mut structured = Vec::new();
-        for i in 0..2000u32 {
-            structured.extend_from_slice(&(i / 7).to_le_bytes());
-        }
-        cases.push(structured);
-        for data in &cases {
-            let enc = zlite_compress(data);
-            assert_eq!(
-                zlite_decompress_capped(&enc, usize::MAX),
-                zlite_decompress_capped_reference(&enc, usize::MAX)
-            );
-            // Truncations must fail identically.
-            if enc.len() > 3 {
-                let cut = &enc[..enc.len() - 3];
-                assert_eq!(
-                    zlite_decompress_capped(cut, usize::MAX),
-                    zlite_decompress_capped_reference(cut, usize::MAX)
-                );
-            }
-        }
     }
 
     #[test]

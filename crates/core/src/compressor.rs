@@ -452,6 +452,15 @@ impl AeSz {
         } else {
             (Vec::new(), Vec::new())
         };
+        // The latent codec refuses index spans past `u32` (tiny bounds on
+        // large or infinite latents). The kept latents are a subset of
+        // these, so when all of them fit, the AE blocks can be coded;
+        // otherwise no block uses the AE.
+        let (ae_preds, latent_indices) = if LatentCodec::fits(&latent_indices) {
+            (ae_preds, latent_indices)
+        } else {
+            (Vec::new(), Vec::new())
+        };
         let block_len = self.model.config().block_len().max(1);
 
         // --- Per-block predictor selection and quantization, chunked ---
@@ -616,8 +625,17 @@ impl AeSz {
             unpredictable.extend_from_slice(&out.unpredictable);
         }
 
+        // The AE predictions (a padded copy of the field) are spent: release
+        // them before the entropy coders allocate their tables.
+        drop(ae_preds);
+        drop(latent_indices);
+
         // --- Assemble the stream ---
-        let latent_section = latent_codec.encode(&kept_latent_indices, latent_dim);
+        let latent_section = latent_codec
+            .encode(&kept_latent_indices, latent_dim)
+            .ok_or(CompressError::UnsupportedField(
+                "latent indices span more than u32",
+            ))?;
         let means_bytes: Vec<u8> = means.iter().flat_map(|v| v.to_le_bytes()).collect();
         let means_section = compress_bytes(&means_bytes);
         let codes_section = encode_codes(all_codes);

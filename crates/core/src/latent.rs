@@ -22,9 +22,11 @@ pub struct LatentCodec {
 }
 
 impl LatentCodec {
-    /// Codec with the given absolute per-element error bound.
+    /// Codec with the given absolute per-element error bound, which must be
+    /// finite and positive (debug builds check it; AE-SZ derives it from a
+    /// validated bound and floors it at `1e-9`).
     pub fn new(abs_bound: f64) -> Self {
-        assert!(abs_bound > 0.0 && abs_bound.is_finite());
+        debug_assert!(abs_bound > 0.0 && abs_bound.is_finite());
         LatentCodec { abs_bound }
     }
 
@@ -71,22 +73,37 @@ impl LatentCodec {
         self.dequantize(&self.quantize(latent))
     }
 
+    /// Whether [`LatentCodec::encode`] can code `indices`: their span
+    /// (maximum − minimum) must fit a `u32` symbol.
+    pub fn fits(indices: &[i64]) -> bool {
+        let (Some(&min), Some(&max)) = (indices.iter().min(), indices.iter().max()) else {
+            return true;
+        };
+        max.checked_sub(min)
+            .is_some_and(|span| u32::try_from(span).is_ok())
+    }
+
     /// Entropy-encode a set of quantized latent vectors (all of equal length).
     ///
     /// The indices are mapped to unsigned symbols by offsetting with the
     /// stream minimum, then Huffman + zlite coded; the minimum, the vector
-    /// length and the vector count go into a small header.
-    pub fn encode(&self, indices: &[i64], latent_dim: usize) -> Vec<u8> {
+    /// length and the vector count go into a small header. Returns `None`
+    /// when the indices do not [fit](LatentCodec::fits) `u32` symbols, so
+    /// the round trip is exact or refused.
+    pub fn encode(&self, indices: &[i64], latent_dim: usize) -> Option<Vec<u8>> {
+        let min = indices.iter().copied().min().unwrap_or(0);
+        let symbols = indices
+            .iter()
+            .map(|&i| u32::try_from(i.checked_sub(min)?).ok())
+            .collect::<Option<Vec<u32>>>()?;
         let mut out = Vec::new();
         write_uvarint(&mut out, latent_dim as u64);
         write_uvarint(&mut out, indices.len() as u64);
-        let min = indices.iter().copied().min().unwrap_or(0);
         write_ivarint(&mut out, min);
-        let symbols: Vec<u32> = indices.iter().map(|&i| (i - min) as u32).collect();
         let payload = encode_codes(&symbols);
         write_uvarint(&mut out, payload.len() as u64);
         out.extend_from_slice(&payload);
-        out
+        Some(out)
     }
 
     /// Decode a buffer produced by [`LatentCodec::encode`]; returns
@@ -105,16 +122,20 @@ impl LatentCodec {
     ) -> Result<(Vec<i64>, usize), CodecError> {
         let mut pos = 0usize;
         let latent_dim =
-            read_uvarint(bytes, &mut pos).ok_or(CodecError::Malformed("latent_dim"))? as usize;
-        let count = read_uvarint(bytes, &mut pos).ok_or(CodecError::Malformed("count"))? as usize;
-        if count > max_indices {
+            read_uvarint(bytes, &mut pos).ok_or(CodecError::Malformed("latent_dim"))?;
+        let latent_dim =
+            usize::try_from(latent_dim).map_err(|_| CodecError::Malformed("latent_dim"))?;
+        let count = read_uvarint(bytes, &mut pos).ok_or(CodecError::Malformed("count"))?;
+        if count > max_indices as u64 {
             return Err(CodecError::Malformed("latent count exceeds cap"));
         }
+        let count = usize::try_from(count).map_err(|_| CodecError::Malformed("count"))?;
         let min = read_ivarint(bytes, &mut pos).ok_or(CodecError::Malformed("min"))?;
         let payload_len =
-            read_uvarint(bytes, &mut pos).ok_or(CodecError::Malformed("payload_len"))? as usize;
-        let end = pos
-            .checked_add(payload_len)
+            read_uvarint(bytes, &mut pos).ok_or(CodecError::Malformed("payload_len"))?;
+        let end = usize::try_from(payload_len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
             .ok_or(CodecError::Malformed("payload length overflow"))?;
         let payload = bytes
             .get(pos..end)
@@ -126,7 +147,7 @@ impl LatentCodec {
         Ok((
             symbols
                 .into_iter()
-                .map(|s| (s as i64).wrapping_add(min))
+                .map(|s| i64::from(s).wrapping_add(min))
                 .collect(),
             latent_dim,
         ))
@@ -153,7 +174,7 @@ mod tests {
         let codec = LatentCodec::new(0.005);
         let latent: Vec<f32> = (0..256).map(|i| ((i % 13) as f32 - 6.0) * 0.1).collect();
         let indices = codec.quantize(&latent);
-        let bytes = codec.encode(&indices, 16);
+        let bytes = codec.encode(&indices, 16).unwrap();
         let (decoded, dim) = codec.decode(&bytes).unwrap();
         assert_eq!(decoded, indices);
         assert_eq!(dim, 16);
@@ -162,7 +183,7 @@ mod tests {
     #[test]
     fn empty_latent_set_is_fine() {
         let codec = LatentCodec::new(0.01);
-        let bytes = codec.encode(&[], 8);
+        let bytes = codec.encode(&[], 8).unwrap();
         let (decoded, dim) = codec.decode(&bytes).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(dim, 8);
@@ -171,14 +192,14 @@ mod tests {
     #[test]
     fn corrupted_buffer_is_an_error() {
         let codec = LatentCodec::new(0.01);
-        let bytes = codec.encode(&[1, 2, 3, 4], 2);
+        let bytes = codec.encode(&[1, 2, 3, 4], 2).unwrap();
         assert!(codec.decode(&bytes[..3]).is_err());
     }
 
     #[test]
     fn capped_decode_rejects_oversized_counts() {
         let codec = LatentCodec::new(0.01);
-        let bytes = codec.encode(&[1, 2, 3, 4], 2);
+        let bytes = codec.encode(&[1, 2, 3, 4], 2).unwrap();
         assert!(codec.decode_capped(&bytes, 4).is_ok());
         assert!(codec.decode_capped(&bytes, 3).is_err());
         // A hostile count prefix alone must not drive an allocation.
@@ -189,12 +210,32 @@ mod tests {
     }
 
     #[test]
+    fn index_spans_past_u32_are_refused_not_truncated() {
+        let codec = LatentCodec::new(0.01);
+        // Truncated to `u32`, this span of 2^32 + 8 decodes the middle index
+        // as 5.
+        let wide = [0, (1i64 << 32) + 5, -3];
+        assert!(!LatentCodec::fits(&wide));
+        assert_eq!(codec.encode(&wide, 3), None);
+        // Saturated indices (from ±inf latents) must not overflow `i - min`.
+        let saturated = [i64::MAX, 0, i64::MIN];
+        assert!(!LatentCodec::fits(&saturated));
+        assert_eq!(codec.encode(&saturated, 1), None);
+        // The widest span that fits round-trips exactly.
+        let widest = [-7, i64::from(u32::MAX) - 7, 0];
+        assert!(LatentCodec::fits(&widest));
+        let bytes = codec.encode(&widest, 3).unwrap();
+        assert_eq!(codec.decode(&bytes).unwrap(), (widest.to_vec(), 3));
+        assert!(LatentCodec::fits(&[]));
+    }
+
+    #[test]
     fn compresses_smooth_latents_well() {
         // Latents whose values cluster tightly should cost far less than 4 bytes each.
         let codec = LatentCodec::new(0.01);
         let latent: Vec<f32> = (0..4096).map(|i| ((i % 7) as f32) * 0.005).collect();
         let indices = codec.quantize(&latent);
-        let bytes = codec.encode(&indices, 16);
+        let bytes = codec.encode(&indices, 16).unwrap();
         assert!(bytes.len() * 4 < latent.len() * 4, "{} bytes", bytes.len());
     }
 
@@ -209,7 +250,7 @@ mod tests {
             let bound = 10f64.powi(bound_exp);
             let codec = LatentCodec::new(bound);
             let indices = codec.quantize(&latent);
-            let bytes = codec.encode(&indices, latent.len());
+            let bytes = codec.encode(&indices, latent.len()).unwrap();
             let (decoded, _) = codec.decode(&bytes).unwrap();
             prop_assert_eq!(&decoded, &indices);
             // The reconstructed latent is stored as f32, so allow one f32 ULP of

@@ -22,8 +22,12 @@
 //! multi-step training). The position-tiled GDN/iGDN and the
 //! row-copy `Upsample` face their per-element twins the same way, across
 //! every tile tail, up to 40 channels and factors 1–3, and on the layers of
-//! the three production models. `PROPTEST_CASES=1024` runs the properties
-//! deep; the default is 64 cases each.
+//! the three production models. The zlite encoder must emit the tokens of
+//! the bucket walk it replaced (`zlite_compress_reference`, kept here with
+//! the byte-at-a-time decoder twin) byte for byte, on inputs sized to hit
+//! its chain cutoff, match caps, short tails and window wrap.
+//! `PROPTEST_CASES=1024` runs the properties deep; the default is 64 cases
+//! each.
 //!
 //! The second half locks whole streams: each of the seven codecs must emit
 //! byte-identical output across repeated runs and across fork boundaries
@@ -38,9 +42,8 @@ use aesz_repro::codec::huffman::{
     huffman_decode_capped, huffman_decode_capped_reference, huffman_encode,
     huffman_encode_reference,
 };
-use aesz_repro::codec::lz::{
-    zlite_compress, zlite_decompress_capped, zlite_decompress_capped_reference,
-};
+use aesz_repro::codec::lz::{zlite_compress, zlite_decompress_capped};
+use aesz_repro::codec::varint::{read_uvarint, write_uvarint};
 use aesz_repro::metrics::{CodecId, ErrorBound};
 use aesz_repro::nn::conv::ConvNd;
 use aesz_repro::nn::gdn::{gdn_reference, Gdn};
@@ -275,6 +278,251 @@ fn splice_finite(buf: &mut [f32], spots: &[usize], picks: &[usize]) {
     }
 }
 
+// --- zlite twins ---------------------------------------------------------
+//
+// `zlite_compress` examines only the bucket-walk candidates that share the
+// current four bytes (see `crates/codec/src/lz.rs`); the walk it replaced,
+// and the byte-at-a-time decoder beside the bulk-copy one, live here as
+// the references both must match byte for byte.
+
+/// Minimum match length worth emitting (shorter matches cost more than literals).
+const MIN_MATCH: usize = 4;
+/// Maximum match length (keeps token lengths bounded; longer repeats split).
+const MAX_MATCH: usize = 1 << 16;
+/// Window size: how far back matches may reach.
+const WINDOW: usize = 1 << 20;
+/// Maximum number of chain links examined per position.
+const MAX_CHAIN: usize = 32;
+
+const HASH_BITS: u32 = 16;
+const HASH_SIZE: usize = 1 << HASH_BITS;
+
+#[inline]
+fn hash4(data: &[u8], pos: usize) -> usize {
+    let w = data
+        .get(pos..pos + 4)
+        .map_or([0; 4], |w| [w[0], w[1], w[2], w[3]]);
+    // The fold keeps HASH_BITS (= 16) significant bits, so the hash fits a
+    // u16 and widens losslessly.
+    let folded = (u32::from_le_bytes(w).wrapping_mul(2654435761) >> (32 - HASH_BITS)) as u16;
+    usize::from(folded)
+}
+
+/// Widen a stored chain stamp to an index. `u32` always fits `usize` on the
+/// platforms we build for; the fallback is the empty-chain sentinel.
+#[inline]
+fn stamp_to_index(v: u32) -> usize {
+    usize::try_from(v).unwrap_or(0)
+}
+
+/// Record position `p` in the hash chain. Positions past `u32::MAX - 1` are
+/// silently not indexed (matches are simply not found there) rather than
+/// wrapping into a bogus chain entry.
+#[inline]
+fn chain_insert(head: &mut [u32], prev: &mut [u32], h: usize, p: usize) {
+    let Ok(stamp) = u32::try_from(p + 1) else {
+        return;
+    };
+    let old = head.get(h).copied().unwrap_or(0);
+    if let Some(slot) = prev.get_mut(p % prev.len().max(1)) {
+        *slot = old;
+    }
+    if let Some(slot) = head.get_mut(h) {
+        *slot = stamp;
+    }
+}
+
+/// The bucket walk `zlite_compress` replaced, verbatim: up to `MAX_CHAIN`
+/// links of the 16-bit hash chain per position, collisions included.
+fn zlite_compress_reference(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    write_uvarint(&mut out, data.len() as u64);
+    if data.is_empty() {
+        return out;
+    }
+
+    // head[h] = most recent position with hash h (+1, 0 = empty);
+    // prev[i % WINDOW] = previous position with the same hash as i.
+    let mut head = vec![0u32; HASH_SIZE];
+    let mut prev = vec![0u32; data.len().min(WINDOW)];
+
+    let mut literals: Vec<u8> = Vec::new();
+    let mut pos = 0usize;
+
+    let flush_literals = |out: &mut Vec<u8>, literals: &mut Vec<u8>| {
+        if !literals.is_empty() {
+            out.push(0x00);
+            write_uvarint(out, literals.len() as u64);
+            out.extend_from_slice(literals);
+            literals.clear();
+        }
+    };
+
+    let prev_len = prev.len();
+    while pos < data.len() {
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        if pos + MIN_MATCH <= data.len() {
+            let h = hash4(data, pos);
+            let mut candidate = stamp_to_index(head.get(h).copied().unwrap_or(0));
+            let mut chain = 0;
+            while candidate > 0 && chain < MAX_CHAIN {
+                let cand_pos = candidate - 1;
+                if cand_pos >= pos || pos - cand_pos > WINDOW.min(pos) {
+                    break;
+                }
+                // Extend the match: both windows end before `data.len()`
+                // because `cand_pos < pos`, so the `get`s always succeed.
+                let limit = (data.len() - pos).min(MAX_MATCH);
+                let len = match (
+                    data.get(cand_pos..cand_pos + limit),
+                    data.get(pos..pos + limit),
+                ) {
+                    (Some(cand), Some(cur)) => {
+                        cand.iter().zip(cur).take_while(|(a, b)| a == b).count()
+                    }
+                    _ => 0,
+                };
+                if len > best_len {
+                    best_len = len;
+                    best_dist = pos - cand_pos;
+                    if len >= limit {
+                        break;
+                    }
+                }
+                candidate = stamp_to_index(prev.get(cand_pos % prev_len).copied().unwrap_or(0));
+                chain += 1;
+            }
+        }
+
+        if best_len >= MIN_MATCH {
+            flush_literals(&mut out, &mut literals);
+            out.push(0x01);
+            write_uvarint(&mut out, best_len as u64);
+            write_uvarint(&mut out, best_dist as u64);
+            // Insert hash entries for the skipped positions so later matches
+            // can still reference them.
+            let end = pos + best_len;
+            while pos < end && pos + MIN_MATCH <= data.len() {
+                chain_insert(&mut head, &mut prev, hash4(data, pos), pos);
+                pos += 1;
+            }
+            pos = end;
+        } else {
+            if pos + MIN_MATCH <= data.len() {
+                chain_insert(&mut head, &mut prev, hash4(data, pos), pos);
+            }
+            if let Some(&b) = data.get(pos) {
+                literals.push(b);
+            }
+            pos += 1;
+        }
+    }
+    flush_literals(&mut out, &mut literals);
+    out
+}
+
+/// Scalar twin of `zlite_decompress_capped`: identical parsing and
+/// validation, with matches copied one byte at a time.
+fn zlite_decompress_capped_reference(buf: &[u8], max_len: usize) -> Option<Vec<u8>> {
+    let mut pos = 0usize;
+    let original_len = read_uvarint(buf, &mut pos)?;
+    if original_len > max_len as u64 {
+        return None;
+    }
+    let original_len = usize::try_from(original_len).ok()?;
+    let mut out = Vec::with_capacity(original_len.min(buf.len().saturating_mul(8).max(4096)));
+    while out.len() < original_len {
+        let tag = *buf.get(pos)?;
+        pos += 1;
+        match tag {
+            0x00 => {
+                let len = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
+                let bytes = buf.get(pos..pos.checked_add(len)?)?;
+                pos += len;
+                out.extend_from_slice(bytes);
+            }
+            0x01 => {
+                let len = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
+                let dist = usize::try_from(read_uvarint(buf, &mut pos)?).ok()?;
+                if dist == 0 || dist > out.len() || !(MIN_MATCH..=MAX_MATCH).contains(&len) {
+                    return None;
+                }
+                let start = out.len() - dist;
+                // Overlapping copies are valid (and common for runs).
+                for i in 0..len {
+                    let b = *out.get(start + i)?;
+                    out.push(b);
+                }
+            }
+            _ => return None,
+        }
+    }
+    if out.len() == original_len {
+        Some(out)
+    } else {
+        None
+    }
+}
+
+/// SplitMix64: the deterministic byte source of the zlite inputs.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (up to a negligible modulo bias).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn byte(&mut self) -> u8 {
+        (self.next() >> 56) as u8
+    }
+}
+
+/// A zlite test input of about `len` bytes, from `seed`:
+/// - `kind` 0: uniform random bytes;
+/// - 1: a skewed alphabet of 2–5 symbols, so a 16-bit bucket holds far more
+///   than `MAX_CHAIN` live positions and the chain cutoff binds;
+/// - 2: runs of one byte up to 80 000 long between random stretches, so
+///   matches reach `MAX_MATCH` and the bytes left (`limit`);
+/// - 3: random bytes and a repeat of their head, ending in 1–3 random
+///   bytes that cannot start a match.
+fn zlite_input(kind: usize, len: usize, seed: u64) -> Vec<u8> {
+    let mut r = SplitMix(seed);
+    let mut out = Vec::with_capacity(len + 4);
+    match kind {
+        0 => out.extend((0..len).map(|_| r.byte())),
+        1 => {
+            let symbols = 2 + r.below(4) as u8;
+            out.extend((0..len).map(|_| b'a' + r.byte() % symbols));
+        }
+        2 => {
+            while out.len() < len {
+                let byte = r.byte();
+                let run = (1 + r.below(80_000)).min(len - out.len());
+                out.resize(out.len() + run, byte);
+                let noise = r.below(64).min(len - out.len());
+                out.extend((0..noise).map(|_| r.byte()));
+            }
+        }
+        _ => {
+            out.extend((0..len - len / 2).map(|_| r.byte()));
+            out.extend_from_within(..len / 2);
+            let tail = 1 + r.below(3);
+            out.extend((0..tail).map(|_| r.byte()));
+        }
+    }
+    out
+}
+
 proptest! {
     #[test]
     fn lorenzo_kernels_match_their_references(
@@ -499,6 +747,23 @@ proptest! {
                 zlite_decompress_capped_reference(&bad, cap)
             );
         }
+    }
+
+    #[test]
+    fn zlite_encoder_matches_the_bucket_walk(
+        kind in 0usize..4,
+        size_class in 0usize..5,
+        size in 0usize..4096,
+        seed in 0u64..1 << 48,
+    ) {
+        // Four in five inputs stay under 4 KiB, where the finer hash is the
+        // 16-bit bucket itself; the fifth spans 128–192 KiB, where walks
+        // run on a finer chain and rank candidates by sequence number.
+        let len = if size_class == 0 { (128 << 10) + size * 16 } else { size };
+        let input = zlite_input(kind, len, seed);
+        let packed = zlite_compress(&input);
+        prop_assert_eq!(&packed, &zlite_compress_reference(&input));
+        prop_assert_eq!(zlite_decompress_capped(&packed, input.len()), Some(input));
     }
 
     #[test]
@@ -1043,6 +1308,65 @@ fn all_seven_codecs_emit_bit_identical_streams_across_forks() {
             let (recon, id) = registry.decompress_any(&one).expect("stream decodes");
             assert_eq!(id, codec);
             assert_eq!(recon.dims(), field.dims());
+        }
+    }
+}
+
+/// Inputs longer than the 1 MiB window reuse the position rings: slots of
+/// positions that left the window hold newer positions' links, and the
+/// walk must stop at the window edge exactly as the bucket walk does. Each
+/// input repeats earlier stretches at distances on both sides of the
+/// window.
+#[test]
+fn zlite_encoder_matches_the_bucket_walk_past_the_window() {
+    for (kind, seed) in [(0usize, 1u64), (1, 2), (3, 3)] {
+        let mut input = zlite_input(kind, 300_000, seed);
+        let mut r = SplitMix(seed);
+        while input.len() < WINDOW + 400_000 {
+            let back = [WINDOW - 8, WINDOW, WINDOW + 8, 1 + r.below(WINDOW)][r.below(4)];
+            let from = input.len().saturating_sub(back);
+            let take = (1 + r.below(4000)).min(input.len() - from);
+            input.extend_from_within(from..from + take);
+            input.push(r.byte());
+        }
+        let packed = zlite_compress(&input);
+        assert_eq!(packed, zlite_compress_reference(&input), "kind {kind}");
+        assert_eq!(
+            zlite_decompress_capped(&packed, input.len()).as_deref(),
+            Some(&input[..])
+        );
+    }
+}
+
+#[test]
+fn bulk_copy_decoder_matches_reference() {
+    let mut r = SplitMix(23);
+    let mut cases: Vec<Vec<u8>> = vec![
+        Vec::new(),
+        vec![7u8; 100_000],
+        b"abc".iter().cycle().take(3000).copied().collect(),
+        (0..64u8).cycle().take(64 * 200).collect(),
+        (0..50_000).map(|_| r.byte()).collect(),
+    ];
+    // Structured payload with long aligned repeats.
+    let mut structured = Vec::new();
+    for i in 0..2000u32 {
+        structured.extend_from_slice(&(i / 7).to_le_bytes());
+    }
+    cases.push(structured);
+    for data in &cases {
+        let enc = zlite_compress(data);
+        assert_eq!(
+            zlite_decompress_capped(&enc, usize::MAX),
+            zlite_decompress_capped_reference(&enc, usize::MAX)
+        );
+        // Truncations must fail identically.
+        if enc.len() > 3 {
+            let cut = &enc[..enc.len() - 3];
+            assert_eq!(
+                zlite_decompress_capped(cut, usize::MAX),
+                zlite_decompress_capped_reference(cut, usize::MAX)
+            );
         }
     }
 }
