@@ -12,18 +12,23 @@
 //! trained network (pre-model-id AE-B payloads are not decodable by this
 //! version — like AE-A, such streams were never usable outside the training
 //! process, so nothing compatible is lost).
+//!
+//! Both directions run on lanes of [`aesz_tensor::lanes`]. Decode lanes own
+//! whole z-slabs and write each decoded block, denormalised, through the
+//! field's one slab writer ([`aesz_tensor::engine::write_to_slab`]).
 
 use aesz_codec::varint::{read_f32, write_f32, write_uvarint};
 use aesz_metrics::container::MODEL_ID_LEN;
 use aesz_metrics::{
     CodecId, CompressError, Compressor, DecompressError, EmbeddedModel, ErrorBound, ModelId,
 };
-use aesz_nn::lanes::{self, LaneScratch, Lanes};
 use aesz_nn::models::conv_ae::{AeConfig, ConvAutoencoder};
 use aesz_nn::models::zoo::AeVariant;
 use aesz_nn::serialize::{load_model, model_id, save_model, ModelError};
 use aesz_nn::train::{TrainConfig, Trainer};
 use aesz_nn::{NnError, NnScratch};
+use aesz_tensor::engine::write_to_slab;
+use aesz_tensor::lanes::{self, LaneScratch, Lanes};
 use aesz_tensor::{BlockSpec, Dims, Field};
 
 use crate::common::{read_dims, read_len, write_dims};
@@ -211,6 +216,11 @@ impl Compressor for AeB {
             ));
         }
         let range = hi - lo;
+        if !range.is_finite() {
+            return Err(CompressError::UnsupportedField(
+                "the value range overflows f32",
+            ));
+        }
         let dims = field.dims();
         let n_blocks = field.block_count(BLOCK);
         let mut out = Vec::new();
@@ -277,7 +287,7 @@ impl Compressor for AeB {
         };
         let lo = read_f32(bytes, &mut pos).ok_or(DecompressError::Truncated("lo"))?;
         let hi = read_f32(bytes, &mut pos).ok_or(DecompressError::Truncated("hi"))?;
-        if !lo.is_finite() || !hi.is_finite() {
+        if !lo.is_finite() || !hi.is_finite() || !(hi - lo).is_finite() {
             return Err(DecompressError::InvalidHeader("data range"));
         }
         let n_blocks = read_len(bytes, &mut pos, "block count")?;
@@ -348,7 +358,10 @@ impl Compressor for AeB {
                         .map_err(|_| DecompressError::Inconsistent("latent batch shape"))?;
                     for (i, block) in (first..).zip(sc.decoded.chunks_exact(BLOCK_LEN)) {
                         let spec = BlockSpec::of(dims, BLOCK, i);
-                        write_to_slab(out, slabs.start * BLOCK, (ny, nx), &spec, block, lo, range)
+                        let planes = block.chunks_exact(BLOCK * BLOCK).take(spec.size[0]);
+                        let rows = planes.flat_map(|p| p.chunks_exact(BLOCK).take(spec.size[1]));
+                        let denorm = |v: f32| ((v as f64 + 1.0) * 0.5 * range + lo as f64) as f32;
+                        write_to_slab(out, slabs.start * slab_len, dims, &spec, rows, denorm)
                             .ok_or(DecompressError::Inconsistent("block outside its lane"))?;
                     }
                 }
@@ -361,32 +374,6 @@ impl Compressor for AeB {
     fn is_error_bounded(&self) -> bool {
         false
     }
-}
-
-/// Write the denormalised valid region of decoded block `spec` into `slab`,
-/// the field planes (each `ny × nx`) from plane `z0` on; `None` when the
-/// block does not lie inside the slab.
-fn write_to_slab(
-    slab: &mut [f32],
-    z0: usize,
-    (ny, nx): (usize, usize),
-    spec: &BlockSpec,
-    block: &[f32],
-    lo: f32,
-    range: f64,
-) -> Option<()> {
-    let planes = block.chunks_exact(BLOCK * BLOCK).take(spec.size[0]);
-    for (bz, plane) in planes.enumerate() {
-        let z = (spec.origin[0] + bz).checked_sub(z0)?;
-        for (by, row) in plane.chunks_exact(BLOCK).take(spec.size[1]).enumerate() {
-            let start = (z * ny + spec.origin[1] + by) * nx + spec.origin[2];
-            let dst = slab.get_mut(start..start + spec.size[2])?;
-            for (d, &v) in dst.iter_mut().zip(row) {
-                *d = ((v as f64 + 1.0) * 0.5 * range + lo as f64) as f32;
-            }
-        }
-    }
-    Some(())
 }
 
 #[cfg(test)]

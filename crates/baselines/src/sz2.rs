@@ -9,30 +9,25 @@
 //! regression coefficients are stored (lossily quantized to f32) per
 //! regression block, exactly the overhead the AE latents replace in AE-SZ.
 //!
-//! Compression runs the select–quantize block loop on *block-row lanes*
-//! ([`aesz_nn::lanes`]): one lane per 2^18 values, at most one per core.
-//! Blocks are row-major over the block grid, so the blocks of one
-//! slowest-axis block row are contiguous in block order and their codes are
-//! one contiguous range of the code buffer. Each lane takes whole block rows
-//! and writes its codes straight into its slice of the field-sized code
-//! buffer and one flag per block into its slice of the flag buffer; its
-//! regression coefficients and escaped values are concatenated in lane
-//! order. Every block's choice and codes depend only on its own values, so
-//! any lane split emits the same bytes as one lane. Fields under 2^18
-//! values (archive chunks, served fields) run on the calling thread.
-//!
-//! Decompression stays serial. Huffman decoding is about 60% of it (33 of
-//! 53 ms on the 8 MB Nyx field) and is serial by format, which leaves lanes
-//! little to win.
+//! Both directions run on the block-row lanes of [`aesz_tensor::engine`],
+//! the engine SZ2.1 shares with AE-SZ: one lane per 2^18 values, at most one
+//! per core, so archive chunks and served fields run on the calling thread.
+//! Each lane writes its codes straight into its slice of the field-sized
+//! code buffer and one flag per block into its slice of the flag buffer; the
+//! regression coefficients are the side section, concatenated with the
+//! escapes in lane order. On decode each lane rebuilds its block rows
+//! straight into its slab of the field, indexing the coefficients by the
+//! number of regression blocks before each block. Every block's choice and
+//! codes depend only on its own values, so any lane split emits the same
+//! bytes and reconstruction as one lane.
 
 use aesz_codec::varint::write_uvarint;
 use aesz_codec::{compress_bytes, decompress_bytes_capped};
 use aesz_metrics::{CodecId, CompressError, Compressor, DecompressError, ErrorBound};
-use aesz_nn::lanes::{self, Lanes};
 use aesz_predictors::regression::{self, RegressionCoeffs};
 use aesz_predictors::{lorenzo, QuantizedBlock, Quantizer, DEFAULT_QUANT_BINS};
+use aesz_tensor::engine::{Block, BlockRows, Scratch};
 use aesz_tensor::{BlockSpec, Field};
-use std::ops::Range;
 
 use crate::common::{assemble, parse, read_len, resolve_bound, take, BaseHeader};
 
@@ -56,186 +51,63 @@ impl Sz2 {
     }
 }
 
-/// Values per compress lane: one lane per `LANE_VALUES` values, at most one
-/// per core, so an 8 MB field fans out while archive chunks and served
-/// fields stay on the calling thread and spawn nothing.
-const LANE_VALUES: usize = 1 << 18;
-
-/// Per-lane scratch buffers reused across every block of the lane, so the
-/// per-block loop performs no heap allocation after the first block warms the
-/// buffers up (see `tests/allocation_discipline.rs`).
-#[derive(Default)]
-struct BlockScratch {
-    valid: Vec<f32>,
-    codes: Vec<u32>,
-    unpredictable: Vec<f32>,
-    recon: Vec<f32>,
-    coeffs: RegressionCoeffs,
-}
-
-/// One lane's scratch and its share of the side sections, which the caller
-/// concatenates in lane order.
-#[derive(Default)]
-struct Lane {
-    scratch: BlockScratch,
-    /// Regression coefficients of the lane's regression blocks, in block
-    /// order.
-    coeff_bytes: Vec<u8>,
-    /// Escaped values of the lane's blocks, in block order.
-    unpredictable: Vec<f32>,
-}
-
-impl Lane {
-    /// A lane for `blocks` blocks of `field`, its buffers reserved up front
-    /// for every block it may quantize. The caller builds its lanes, so the
-    /// workers allocate only for escaped values: an allocation on a worker
-    /// thread lands in that thread's malloc arena, which stays resident
-    /// after the thread exits.
-    fn new(field: &Field, block_size: usize, blocks: usize) -> Lane {
-        let rank = field.dims().rank();
-        // A block holds at most `block_size^rank` values and never more than
-        // the field. A regression block holds more values than coefficients,
-        // so coefficients take at most 4 bytes per value of the field.
-        let block_len = block_size
-            .max(1)
-            .saturating_pow(u32::try_from(rank).unwrap_or(u32::MAX))
-            .min(field.len());
-        let coeff_len = blocks.saturating_mul(4 * (rank + 1)).min(4 * field.len());
-        let coeff_bytes = Vec::with_capacity(coeff_len);
-        let scratch = BlockScratch {
-            valid: Vec::with_capacity(block_len),
-            codes: Vec::with_capacity(block_len),
-            unpredictable: Vec::with_capacity(block_len),
-            recon: Vec::with_capacity(block_len),
-            coeffs: RegressionCoeffs {
-                slopes: Vec::with_capacity(rank),
-                intercept: 0.0,
-            },
-        };
-        Lane {
-            scratch,
-            coeff_bytes,
-            unpredictable: Vec::new(),
-        }
-    }
-
-    /// Select a predictor for each block of `blocks` and quantize it,
-    /// writing the blocks' codes back to back into `codes` and whether
-    /// regression predicts each block into `flags`.
-    fn encode(
-        &mut self,
-        field: &Field,
-        block_size: usize,
-        quantizer: &Quantizer,
-        blocks: Range<usize>,
-        codes: &mut [u32],
-        flags: &mut [bool],
-    ) -> Result<(), CompressError> {
-        let scratch = &mut self.scratch;
-        let mut at = 0usize;
-        for (bi, flag) in blocks.zip(flags) {
-            let spec = BlockSpec::of(field.dims(), block_size, bi);
-            field.read_block_valid_into(&spec, &mut scratch.valid);
-            let valid = &scratch.valid;
-            // Choose by comparing l1 losses of ideal predictions. The fit
-            // is computed once into scratch and reused for compression —
-            // `l1_loss` / `compress_into` would each refit identically.
-            let lorenzo_loss = lorenzo::l1_loss(valid, &spec.size);
-            regression::fit_into(valid, &spec.size, &mut scratch.coeffs);
-            let reg_loss = regression::l1_loss_with(&scratch.coeffs, valid, &spec.size);
-            *flag = reg_loss < lorenzo_loss && spec.valid_len() > spec.size.len() + 1;
-            if *flag {
-                regression::compress_with_coeffs_into(
-                    &scratch.coeffs,
-                    valid,
-                    &spec.size,
-                    quantizer,
-                    &mut scratch.codes,
-                    &mut scratch.unpredictable,
-                    &mut scratch.recon,
-                );
-                let coeffs = &scratch.coeffs;
-                for &v in coeffs
-                    .slopes
-                    .iter()
-                    .chain(std::iter::once(&coeffs.intercept))
-                {
-                    self.coeff_bytes.extend_from_slice(&v.to_le_bytes());
-                }
-            } else {
-                lorenzo::compress_into(
-                    valid,
-                    &spec.size,
-                    quantizer,
-                    &mut scratch.codes,
-                    &mut scratch.unpredictable,
-                    &mut scratch.recon,
-                );
-            }
-            // The lane's blocks are whole block rows, whose codes fill the
-            // lane's slice of the code buffer exactly.
-            let end = at + scratch.codes.len();
-            codes
-                .get_mut(at..end)
-                .ok_or(CompressError::UnsupportedField(
-                    "block codes overrun their block row",
-                ))?
-                .copy_from_slice(&scratch.codes);
-            at = end;
-            self.unpredictable.extend_from_slice(&scratch.unpredictable);
-        }
-        Ok(())
+/// A regression fit with room for `rank` slopes (at most 3), built on the
+/// calling thread.
+fn fit_for(rank: usize) -> RegressionCoeffs {
+    RegressionCoeffs {
+        slopes: Vec::with_capacity(rank.min(3)),
+        intercept: 0.0,
     }
 }
 
 impl Sz2 {
     /// [`Compressor::compress_payload`] with the block loop on at most
-    /// `lanes` lanes of whole slowest-axis block rows. The stream does not
-    /// depend on the lane count.
+    /// `lanes` lanes of whole slowest-axis block rows (`None`: the engine's
+    /// rule). The stream does not depend on the lane count.
     fn compress_on_lanes(
         &self,
         field: &Field,
         bound: ErrorBound,
-        lanes: usize,
+        lanes: Option<usize>,
     ) -> Result<Vec<u8>, CompressError> {
         let (abs_eb, _, _) = resolve_bound(field, bound)?;
         let quantizer = Quantizer::new(abs_eb, DEFAULT_QUANT_BINS);
-
-        // Blocks are row-major over the block grid, so the blocks of one
-        // slowest-axis block row are contiguous in block order and their
-        // codes are one contiguous range of the code buffer: `row_values`
-        // codes for every full row, fewer for a partial last row.
-        let grid = field.dims().block_grid(self.block_size);
-        let block_rows = grid.first().copied().unwrap_or(0);
-        let row_blocks: usize = grid.iter().skip(1).product();
-        let row_values: usize =
-            self.block_size.max(1) * field.dims().extents().iter().skip(1).product::<usize>();
-        let plan = Lanes::over(block_rows, lanes);
-
+        let rank = field.dims().rank();
+        let rows = BlockRows::new(field.dims(), self.block_size, lanes);
         let mut codes = vec![0u32; field.len()];
         // One flag per block; every block holds at least one value.
-        let mut block_flags = vec![false; field.block_count(self.block_size).min(field.len())];
-        let mut lane_outs: Vec<Lane> = plan
-            .ranges()
-            .map(|rows| Lane::new(field, self.block_size, rows.len() * row_blocks))
-            .collect();
-        let work = plan
-            .ranges()
-            .zip(plan.split_mut(&mut codes, row_values))
-            .zip(plan.split_mut(&mut block_flags, row_blocks))
-            .zip(lane_outs.iter_mut());
-        lanes::run(work, |(((rows, codes), flags), lane)| {
-            let blocks = rows.start * row_blocks..rows.end * row_blocks;
-            lane.encode(field, self.block_size, &quantizer, blocks, codes, flags)
-        })?;
-
-        let mut lane_outs = lane_outs.into_iter();
-        let first = lane_outs.next().unwrap_or_default();
-        let (mut unpredictable, mut coeff_bytes) = (first.unpredictable, first.coeff_bytes);
-        for lane in lane_outs {
-            unpredictable.extend_from_slice(&lane.unpredictable);
-            coeff_bytes.extend_from_slice(&lane.coeff_bytes);
-        }
+        let mut block_flags = vec![false; rows.blocks().min(field.len())];
+        let step = |spec: &BlockSpec, sc: &mut Scratch<RegressionCoeffs>, coeffs: &mut Vec<f32>| {
+            let Scratch {
+                valid,
+                codes,
+                escapes,
+                recon,
+                extra: fit,
+            } = sc;
+            // Choose by comparing l1 losses of ideal predictions. The fit is
+            // computed once into scratch and reused for compression —
+            // `l1_loss` / `compress_into` would each refit identically.
+            let lorenzo_loss = lorenzo::l1_loss(valid, &spec.size);
+            regression::fit_into(valid, &spec.size, fit);
+            let reg_loss = regression::l1_loss_with(fit, valid, &spec.size);
+            let use_regression = reg_loss < lorenzo_loss && spec.valid_len() > spec.size.len() + 1;
+            if use_regression {
+                let (q, size) = (&quantizer, &spec.size);
+                regression::compress_with_coeffs_into(fit, valid, size, q, codes, escapes, recon);
+                coeffs.extend(fit.slopes.iter().chain([&fit.intercept]));
+            } else {
+                lorenzo::compress_into(valid, &spec.size, &quantizer, codes, escapes, recon);
+            }
+            use_regression
+        };
+        let fit = || fit_for(rank);
+        let (unpredictable, coeffs) = rows
+            .encode(field, rank + 1, &mut codes, &mut block_flags, fit, step)
+            .ok_or(CompressError::UnsupportedField(
+                "block codes overrun their block row",
+            ))?;
+        let coeff_bytes: Vec<u8> = coeffs.iter().flat_map(|v| v.to_le_bytes()).collect();
         // Extra section: per-block flag (1 bit per block, packed) + coefficients.
         let flags: Vec<u8> = block_flags
             .chunks(8)
@@ -266,27 +138,15 @@ impl Sz2 {
             &extra,
         )
     }
-}
 
-impl Compressor for Sz2 {
-    fn codec_id(&self) -> CodecId {
-        CodecId::Sz2
-    }
-
-    fn fork(&self) -> Box<dyn Compressor> {
-        Box::new(self.clone())
-    }
-
-    fn compress_payload(
-        &mut self,
-        field: &Field,
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CompressError> {
-        let lanes = Lanes::for_batches(field.len(), LANE_VALUES).count();
-        self.compress_on_lanes(field, bound, lanes)
-    }
-
-    fn decompress_payload(&mut self, bytes: &[u8]) -> Result<Field, DecompressError> {
+    /// [`Compressor::decompress_payload`] with the block loop on at most
+    /// `lanes` lanes of whole slowest-axis block rows (`None`: the engine's
+    /// rule).
+    fn decompress_on_lanes(
+        &self,
+        bytes: &[u8],
+        lanes: Option<usize>,
+    ) -> Result<Field, DecompressError> {
         // The blocks of any block size partition the field, so the code
         // count always equals the element count.
         let (header, all, extra) = parse(bytes, |h| h.dims.len())?;
@@ -312,15 +172,16 @@ impl Compressor for Sz2 {
 
         let mut field = Field::zeros(header.dims);
         let rank = header.dims.rank();
-        let specs: Vec<BlockSpec> = field.blocks(block_size).collect();
-        if flags.len() != specs.len().div_ceil(8) {
+        let rows = BlockRows::new(header.dims, block_size, lanes);
+        if flags.len() != rows.blocks().div_ceil(8) {
             return Err(DecompressError::Inconsistent(
                 "flag count does not match block grid",
             ));
         }
-        let n_regression: usize = (0..specs.len())
-            .filter(|bi| flags.get(bi / 8).is_some_and(|b| b >> (bi % 8) & 1 == 1))
-            .count();
+        let use_regression: Vec<bool> = (0..rows.blocks())
+            .map(|bi| flags.get(bi / 8).is_some_and(|b| b >> (bi % 8) & 1 == 1))
+            .collect();
+        let n_regression = use_regression.iter().filter(|&&r| r).count();
         let expected_coeffs = n_regression * (rank + 1) * 4;
         let coeff_bytes = decompress_bytes_capped(coeff_section, expected_coeffs)?;
         if coeff_bytes.len() != expected_coeffs {
@@ -334,49 +195,59 @@ impl Compressor for Sz2 {
             .collect();
 
         let quantizer = Quantizer::new(header.abs_eb, DEFAULT_QUANT_BINS);
-        let mut code_pos = 0usize;
-        let mut unpred_pos = 0usize;
-        let mut coeff_pos = 0usize;
-        let mut valid: Vec<f32> = Vec::new();
-        let mut block_coeffs = RegressionCoeffs::default();
-        for (bi, spec) in specs.iter().enumerate() {
-            let n = spec.valid_len();
-            let codes = all
-                .codes
-                .get(code_pos..code_pos + n)
-                .ok_or(DecompressError::Inconsistent("codes underrun"))?;
-            code_pos += n;
-            let escapes = codes.iter().filter(|&&c| c == 0).count();
-            let unpredictable = all
-                .unpredictable
-                .get(unpred_pos..unpred_pos + escapes)
-                .ok_or(DecompressError::Inconsistent("unpredictable underrun"))?;
-            unpred_pos += escapes;
-            let use_regression = flags.get(bi / 8).is_some_and(|b| b >> (bi % 8) & 1 == 1);
-            if use_regression {
-                // Sized exactly by the `expected_coeffs` check above, but read
-                // through `get` so the invariant is local, not load-bearing.
-                let section = coeffs
-                    .get(coeff_pos..coeff_pos + rank + 1)
-                    .ok_or(DecompressError::Inconsistent("coefficient underrun"))?;
-                block_coeffs.copy_from_slice(section);
-                coeff_pos += rank + 1;
+        // The regression ordinal of a block indexes its coefficients.
+        let step = |spec: &BlockSpec, b: Block<'_, bool>, sc: &mut Scratch<RegressionCoeffs>| {
+            let (codes, escapes, size) = (b.codes, b.escapes, &spec.size);
+            if b.choice {
+                let at = b.ordinal * (rank + 1);
+                sc.extra.copy_from_slice(coeffs.get(at..at + rank + 1)?);
                 regression::decompress_into(
-                    &block_coeffs,
+                    &sc.extra,
                     codes,
-                    unpredictable,
-                    &spec.size,
+                    escapes,
+                    size,
                     &quantizer,
-                    &mut valid,
+                    &mut sc.valid,
                 );
             } else {
-                lorenzo::decompress_into(codes, unpredictable, &spec.size, &quantizer, &mut valid);
+                lorenzo::decompress_into(codes, escapes, size, &quantizer, &mut sc.valid);
             }
-            // Write back the valid region directly; blocks partition the
-            // field, so no padded staging buffer is needed.
-            field.write_block_valid(spec, &valid);
-        }
+            Some(())
+        };
+        rows.decode(
+            &use_regression,
+            &all.codes,
+            &all.unpredictable,
+            field.as_mut_slice(),
+            || fit_for(rank),
+            step,
+        )
+        .ok_or(DecompressError::Inconsistent(
+            "block sections do not match the block grid",
+        ))?;
         Ok(field)
+    }
+}
+
+impl Compressor for Sz2 {
+    fn codec_id(&self) -> CodecId {
+        CodecId::Sz2
+    }
+
+    fn fork(&self) -> Box<dyn Compressor> {
+        Box::new(self.clone())
+    }
+
+    fn compress_payload(
+        &mut self,
+        field: &Field,
+        bound: ErrorBound,
+    ) -> Result<Vec<u8>, CompressError> {
+        self.compress_on_lanes(field, bound, None)
+    }
+
+    fn decompress_payload(&mut self, bytes: &[u8]) -> Result<Field, DecompressError> {
+        self.decompress_on_lanes(bytes, None)
     }
 }
 
@@ -476,14 +347,14 @@ mod tests {
                 // The finest bound overflows the quantizer's bins, so
                 // escaped values are concatenated across lanes too.
                 for bound in [ErrorBound::rel(1e-3), ErrorBound::rel(1e-8)] {
-                    let serial = sz.compress_on_lanes(field, bound, 1).unwrap();
+                    let serial = sz.compress_on_lanes(field, bound, Some(1)).unwrap();
+                    let recon = sz.decompress_on_lanes(&serial, Some(1)).unwrap();
                     for lanes in 2..=4 {
-                        assert_eq!(
-                            sz.compress_on_lanes(field, bound, lanes).unwrap(),
-                            serial,
-                            "{} block {block_size} {bound:?} on {lanes} lanes",
-                            field.dims()
-                        );
+                        let what = format!("{} block {block_size} {bound:?}", field.dims());
+                        let bytes = sz.compress_on_lanes(field, bound, Some(lanes)).unwrap();
+                        assert_eq!(bytes, serial, "{what} compressed on {lanes} lanes");
+                        let field = sz.decompress_on_lanes(&serial, Some(lanes)).unwrap();
+                        assert_eq!(field, recon, "{what} decoded on {lanes} lanes");
                     }
                     let (_, all, extra) = parse(&serial, |h| h.dims.len()).unwrap();
                     escapes += all.unpredictable.len();

@@ -157,6 +157,31 @@ impl Zfp {
         abs_eb / 3.75f64.powi(rank as i32)
     }
 
+    /// Whether the lifting of a rank-`rank` field whose values lie within
+    /// `±m`, coded at absolute bound `abs_eb`, stays finite in `f32` in both
+    /// directions.
+    ///
+    /// Forward: the steps of [`fwd_lift`] peak at twice their largest input
+    /// (`x += w`) and its outputs stay within it (each row of the forward
+    /// matrix has L1 norm at most 1), so every axis pass starts within `m`
+    /// and peaks at `2m`.
+    ///
+    /// Inverse: a coefficient `c` (`|c| ≤ m`) comes back verbatim (escaped)
+    /// or within `min(step, |c|)` of itself (it rounds to zero when
+    /// `|c| < step`), where `step = abs_eb / 3.75^rank`. Each inverse pass
+    /// scales that error by at most 3.75 (the L∞ norm of [`inv_lift`]),
+    /// while the exact part of its input stays within `m` (it is the field
+    /// lifted forward along the axes not yet inverted). So every pass starts
+    /// within `m + min(abs_eb / 3.75, 3.75^(rank−1)·m)`, and the steps of
+    /// [`inv_lift`] peak at 4× their largest input (`x -= w`), which also
+    /// covers the forward `2m`. Doubled for `f32` rounding, that peak must
+    /// stay below `f32::MAX`.
+    fn lifts_finitely(m: f64, abs_eb: f64, rank: usize) -> bool {
+        let passes = i32::try_from(rank).unwrap_or(3) - 1;
+        let error = (abs_eb / 3.75).min(3.75f64.powi(passes) * m);
+        2.0 * 4.0 * (m + error) <= f64::from(f32::MAX)
+    }
+
     /// Number of quantization codes a ZFP stream over `dims` carries: one per
     /// element of every padded 4^rank block.
     fn code_count(dims: Dims) -> usize {
@@ -179,8 +204,13 @@ impl Compressor for Zfp {
         field: &Field,
         bound: ErrorBound,
     ) -> Result<Vec<u8>, CompressError> {
-        let (abs_eb, _, _) = resolve_bound(field, bound)?;
+        let (abs_eb, lo, hi) = resolve_bound(field, bound)?;
         let rank = field.dims().rank();
+        if !Self::lifts_finitely(f64::from(lo.abs().max(hi.abs())), abs_eb, rank) {
+            return Err(CompressError::UnsupportedField(
+                "field magnitude overflows the f32 lifting transform",
+            ));
+        }
         let step = Self::coeff_step(abs_eb, rank);
         let quantizer = Quantizer::new(step, DEFAULT_QUANT_BINS);
         let specs: Vec<BlockSpec> = field.blocks(BLOCK).collect();
@@ -331,6 +361,33 @@ mod tests {
         let mut zfp = Zfp::new();
         let bytes = zfp.compress(&field, ErrorBound::rel(1e-2)).unwrap();
         assert!(bytes.len() * 4 < field.len() * 4, "{} bytes", bytes.len());
+    }
+
+    #[test]
+    fn huge_fields_rebuild_finite_within_the_bound_or_are_refused() {
+        // Near `f32::MAX / 8` the check in `lifts_finitely` decides: fields it
+        // accepts must come back finite and within the bound.
+        for (app, dims) in [
+            (Application::CesmCldhgh, Dims::d2(32, 32)),
+            (Application::NyxBaryonDensity, Dims::d3(16, 16, 16)),
+        ] {
+            let (unit, _, _) = app.generate(dims, 6).normalize_pm1();
+            for scale in [1e36f32, 4e37, 5e37, 3e38] {
+                let values = unit.as_slice().iter().map(|v| v * scale).collect();
+                let field = Field::from_vec(dims, values).unwrap();
+                for bound in [ErrorBound::rel(1e-3), ErrorBound::rel(0.5)] {
+                    let Ok(bytes) = Zfp::new().compress(&field, bound) else {
+                        assert!(scale > 1e36, "{dims} at {scale:e} refused at {bound}");
+                        continue;
+                    };
+                    let recon = Zfp::new().decompress(&bytes).unwrap();
+                    assert!(recon.as_slice().iter().all(|v| v.is_finite()));
+                    let abs = bound.resolve(&field);
+                    let max_err = aesz_metrics::max_abs_error(field.as_slice(), recon.as_slice());
+                    assert!(max_err <= abs, "{dims} at {scale:e}: {max_err:e} > {abs:e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,31 +11,34 @@
 //!   the workspace container frame; the inherent methods work on the
 //!   unframed stream.
 //! * **Parallel** — AE inference runs in contiguous *lanes* of blocks, at
-//!   most one per core ([`aesz_nn::lanes`]): each lane owns a resident
+//!   most one per core ([`aesz_tensor::lanes`]): each lane owns a resident
 //!   network scratch and a disjoint range of the flat prediction and
 //!   latent-index buffers, and walks it in batches of `AE_BATCH` blocks. The
-//!   per-block predictor/quantization work is partitioned into contiguous
-//!   chunks of [`AeSzConfig::chunk_blocks`] blocks and fanned out with rayon.
-//!   A sample's inference does not depend on which blocks share its batch,
-//!   and chunk outputs are merged in block order, so the parallel path
-//!   produces **byte-identical** streams and reports to the serial reference
+//!   per-block select–quantize and reconstruct loops run on the block-row
+//!   lanes of [`aesz_tensor::engine`], which AE-SZ shares with SZ2.1: each
+//!   block row's codes go straight into the field-sized code buffer, its
+//!   block means are the side section, and decode rebuilds each lane's rows
+//!   straight into its slab of the field. A sample's inference does not
+//!   depend on which blocks share its batch, and a block's choice and codes
+//!   depend only on its own values, so the parallel path produces
+//!   **byte-identical** streams and reports to the serial reference
 //!   ([`AeSz::compress_with_report_serial`] / [`AeSz::try_decompress_serial`]),
 //!   which runs the same loops on one lane.
 
 use aesz_codec::{compress_bytes, decode_codes_capped_into, decompress_bytes_capped, encode_codes};
 use aesz_metrics::{CodecId, CompressError, Compressor, EmbeddedModel, ErrorBound, ModelId};
-use aesz_nn::lanes::{self, LaneScratch, Lanes};
 use aesz_nn::models::conv_ae::ConvAutoencoder;
 use aesz_nn::serialize::save_model;
 use aesz_nn::{NnError, NnScratch};
 use aesz_predictors::{lorenzo, mean, Quantizer};
-use aesz_tensor::{BlockSpec, Dims, Field};
-use rayon::prelude::*;
+use aesz_tensor::engine::{Block, BlockRows, Scratch};
+use aesz_tensor::lanes::{self, LaneScratch, Lanes};
+use aesz_tensor::{BlockSpec, Field};
 
 use crate::config::{AeSzConfig, PredictorPolicy};
 use crate::error::DecompressError;
 use crate::latent::LatentCodec;
-use crate::stream::{BlockPredictor, Header, Stream, MAX_FIELD_ELEMS};
+use crate::stream::{BlockPredictor, Header, Stream};
 
 /// Per-compression statistics (drives Fig. 10 and the section-size analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,30 +131,6 @@ struct AeSzLane {
 /// Blocks per network call on every lane.
 const AE_BATCH: usize = 32;
 
-/// Everything the per-block compression stage produces for one *chunk* of
-/// blocks. Chunk-level outputs (instead of per-block `QuantizedBlock`s) keep
-/// the hot loop at O(1) heap allocations per chunk: block-level buffers live
-/// in [`BlockScratch`] and are appended here.
-struct ChunkOut {
-    /// `(predictor choice, block mean)` per block, in block order; the mean
-    /// is meaningful only when the choice is [`BlockPredictor::Mean`].
-    choices: Vec<(BlockPredictor, f32)>,
-    codes: Vec<u32>,
-    unpredictable: Vec<f32>,
-}
-
-/// Scratch buffers reused across every block of one chunk, so the per-block
-/// predictor-selection/quantization loop performs no heap allocation after
-/// the first block warms the buffers up.
-#[derive(Default)]
-struct BlockScratch {
-    valid: Vec<f32>,
-    pred_valid: Vec<f32>,
-    codes: Vec<u32>,
-    unpredictable: Vec<f32>,
-    recon: Vec<f32>,
-}
-
 impl AeSz {
     /// Build a compressor around a pre-trained model.
     ///
@@ -236,10 +215,6 @@ impl AeSz {
         }
     }
 
-    fn rank(dims: Dims) -> usize {
-        dims.rank()
-    }
-
     /// Extract the valid-region values of a padded block buffer into a
     /// caller-owned buffer (cleared first) with row-contiguous copies.
     fn padded_to_valid_into(padded: &[f32], spec: &BlockSpec, rank: usize, out: &mut Vec<f32>) {
@@ -266,12 +241,11 @@ impl AeSz {
     }
 
     /// The lanes of an AE stage over `blocks` blocks: one per core (at most
-    /// one per batch) on the parallel path, a single lane on the serial one.
-    fn ae_lanes(blocks: usize, parallel: bool) -> Lanes {
-        if parallel {
-            Lanes::for_batches(blocks, AE_BATCH)
-        } else {
-            Lanes::over(blocks, 1)
+    /// one per batch) by default, or at most `lanes`.
+    fn ae_lanes(blocks: usize, lanes: Option<usize>) -> Lanes {
+        match lanes {
+            None => Lanes::for_batches(blocks, AE_BATCH),
+            Some(lanes) => Lanes::over(blocks, lanes),
         }
     }
 
@@ -293,13 +267,13 @@ impl AeSz {
         lo: f32,
         range: f64,
         latent_codec: &LatentCodec,
-        parallel: bool,
+        lanes: Option<usize>,
     ) -> Result<(Vec<f32>, Vec<i64>), NnError> {
         let latent_dim = self.model.config().latent_dim.max(1);
         let block_len = self.model.config().block_len().max(1);
         let mut preds = vec![0.0f32; specs.len() * block_len];
         let mut indices = vec![0i64; specs.len() * latent_dim];
-        let plan = Self::ae_lanes(specs.len(), parallel);
+        let plan = Self::ae_lanes(specs.len(), lanes);
         let model = &self.model;
         let norm = |v: f32| 2.0 * (v - lo) / range as f32 - 1.0;
         let work = plan
@@ -340,7 +314,7 @@ impl AeSz {
         lo: f32,
         range: f64,
         latent_codec: &LatentCodec,
-        parallel: bool,
+        lanes: Option<usize>,
     ) -> Result<Vec<f32>, DecompressError> {
         let latent_dim = self.model.config().latent_dim.max(1);
         let block_len = self.model.config().block_len().max(1);
@@ -350,7 +324,7 @@ impl AeSz {
             .checked_mul(block_len)
             .ok_or(DecompressError::InvalidHeader("prediction buffer overflow"))?;
         let mut preds = vec![0.0f32; n_preds];
-        let plan = Self::ae_lanes(n_ae, parallel);
+        let plan = Self::ae_lanes(n_ae, lanes);
         let model = &self.model;
         let work = plan
             .split(latent_indices, latent_dim)
@@ -385,7 +359,7 @@ impl AeSz {
         field: &Field,
         bound: ErrorBound,
     ) -> Result<(Vec<u8>, CompressionReport), CompressError> {
-        self.compress_impl(field, bound, true)
+        self.compress_on_lanes(field, bound, None)
     }
 
     /// Serial reference implementation of [`AeSz::compress_with_report`];
@@ -396,26 +370,34 @@ impl AeSz {
         field: &Field,
         bound: ErrorBound,
     ) -> Result<(Vec<u8>, CompressionReport), CompressError> {
-        self.compress_impl(field, bound, false)
+        self.compress_on_lanes(field, bound, Some(1))
     }
 
-    fn compress_impl(
+    /// [`AeSz::compress_with_report`] with every stage on at most `lanes`
+    /// lanes (`None`: each stage's own rule). The stream does not depend on
+    /// the lane count.
+    fn compress_on_lanes(
         &mut self,
         field: &Field,
         bound: ErrorBound,
-        parallel: bool,
+        lanes: Option<usize>,
     ) -> Result<(Vec<u8>, CompressionReport), CompressError> {
         bound.validate()?;
         if field.is_empty() {
             return Err(CompressError::UnsupportedField("field has no elements"));
         }
         let dims = field.dims();
-        let rank = Self::rank(dims);
+        let rank = dims.rank();
         let bs = self.config.block_size;
         let (lo, hi) = field.min_max();
         if !lo.is_finite() || !hi.is_finite() {
             return Err(CompressError::UnsupportedField(
                 "field contains non-finite values; the error bound is undefined",
+            ));
+        }
+        if !(hi - lo).is_finite() {
+            return Err(CompressError::UnsupportedField(
+                "the value range overflows f32; the error bound is undefined",
             ));
         }
         let range = (hi - lo) as f64;
@@ -447,7 +429,7 @@ impl AeSz {
             && range > 0.0
             && rank == self.model.config().spatial_rank;
         let (ae_preds, latent_indices) = if use_ae {
-            self.ae_predict_blocks(field, &specs, lo, range, &latent_codec, parallel)
+            self.ae_predict_blocks(field, &specs, lo, range, &latent_codec, lanes)
                 .map_err(|_| CompressError::UnsupportedField("block batch shape"))?
         } else {
             (Vec::new(), Vec::new())
@@ -463,166 +445,93 @@ impl AeSz {
         };
         let block_len = self.model.config().block_len().max(1);
 
-        // --- Per-block predictor selection and quantization, chunked ---
+        // --- Per-block predictor selection and quantization, on block-row
+        // lanes; the block means are the side section ---
         let policy = self.config.policy;
-        // Selects the predictor and quantizes one block; the quantized codes
-        // and escapes land in `scratch.codes` / `scratch.unpredictable`.
-        let compute_block = |spec: &BlockSpec,
-                             ae_pred: Option<&[f32]>,
-                             scratch: &mut BlockScratch|
-         -> (BlockPredictor, f32) {
-            field.read_block_valid_into(spec, &mut scratch.valid);
+        let step = |spec: &BlockSpec, sc: &mut Scratch<Vec<f32>>, means: &mut Vec<f32>| {
+            let Scratch {
+                valid,
+                codes,
+                escapes,
+                recon,
+                extra: pred_valid,
+            } = sc;
             if range == 0.0 {
                 // Constant field: store the exact constant as the block mean
                 // so reconstruction is bit-exact (see `abs_bound`).
-                mean::compress_into(
-                    &scratch.valid,
-                    lo,
-                    &quantizer,
-                    &mut scratch.codes,
-                    &mut scratch.unpredictable,
-                    &mut scratch.recon,
-                );
-                return (BlockPredictor::Mean, lo);
+                mean::compress_into(valid, lo, &quantizer, codes, escapes, recon);
+                means.push(lo);
+                return BlockPredictor::Mean;
             }
             // AE candidate: valid-region prediction plus its L1 loss.
-            let ae_loss = ae_pred.map(|pred| {
-                Self::padded_to_valid_into(pred, spec, rank, &mut scratch.pred_valid);
-                scratch
-                    .valid
-                    .iter()
-                    .zip(scratch.pred_valid.iter())
-                    .map(|(&a, &b)| (a as f64 - b as f64).abs())
-                    .sum::<f64>()
-            });
-            let lorenzo_loss = lorenzo::l1_loss(&scratch.valid, &spec.size);
-            let mean_value = mean::block_mean(&scratch.valid);
-            let mean_loss = mean::mean_l1_loss(&scratch.valid);
-
-            let choice = match policy {
-                PredictorPolicy::AeOnly if ae_loss.is_some() => BlockPredictor::Ae,
-                PredictorPolicy::LorenzoOnly | PredictorPolicy::AeOnly => {
-                    if mean_loss < lorenzo_loss {
-                        BlockPredictor::Mean
-                    } else {
-                        BlockPredictor::Lorenzo
-                    }
-                }
-                PredictorPolicy::Adaptive => {
-                    let lor_best = lorenzo_loss.min(mean_loss);
-                    match ae_loss {
-                        Some(al) if al < lor_best => BlockPredictor::Ae,
-                        _ => {
-                            if mean_loss < lorenzo_loss {
-                                BlockPredictor::Mean
-                            } else {
-                                BlockPredictor::Lorenzo
-                            }
-                        }
-                    }
-                }
+            let ae_loss = ae_preds
+                .chunks_exact(block_len)
+                .nth(spec.index)
+                .map(|pred| {
+                    Self::padded_to_valid_into(pred, spec, rank, pred_valid);
+                    valid
+                        .iter()
+                        .zip(pred_valid.iter())
+                        .map(|(&a, &b)| (a as f64 - b as f64).abs())
+                        .sum::<f64>()
+                });
+            let lorenzo_loss = lorenzo::l1_loss(valid, &spec.size);
+            let mean_value = mean::block_mean(valid);
+            let mean_loss = mean::mean_l1_loss(valid);
+            let lorenzo_or_mean = if mean_loss < lorenzo_loss {
+                BlockPredictor::Mean
+            } else {
+                BlockPredictor::Lorenzo
             };
-
+            let choice = match (policy, ae_loss) {
+                (PredictorPolicy::AeOnly, Some(_)) => BlockPredictor::Ae,
+                (PredictorPolicy::Adaptive, Some(al)) if al < lorenzo_loss.min(mean_loss) => {
+                    BlockPredictor::Ae
+                }
+                _ => lorenzo_or_mean,
+            };
             match choice {
                 // `choice` is only Ae when an AE prediction exists, so
-                // `scratch.pred_valid` was filled by the loss pass above.
-                BlockPredictor::Ae => quantizer.quantize_buffer_into(
-                    &scratch.valid,
-                    &scratch.pred_valid,
-                    &mut scratch.codes,
-                    &mut scratch.unpredictable,
-                    &mut scratch.recon,
-                ),
-                BlockPredictor::Lorenzo => lorenzo::compress_into(
-                    &scratch.valid,
-                    &spec.size,
-                    &quantizer,
-                    &mut scratch.codes,
-                    &mut scratch.unpredictable,
-                    &mut scratch.recon,
-                ),
-                BlockPredictor::Mean => mean::compress_into(
-                    &scratch.valid,
-                    mean_value,
-                    &quantizer,
-                    &mut scratch.codes,
-                    &mut scratch.unpredictable,
-                    &mut scratch.recon,
-                ),
-            }
-            (choice, mean_value)
-        };
-
-        let chunk = self.config.chunk_blocks.max(1);
-        let n_chunks = n_blocks.div_ceil(chunk);
-        let mut slots: Vec<Option<ChunkOut>> = (0..n_chunks).map(|_| None).collect();
-        let fill_chunk = |ci: usize| -> ChunkOut {
-            let start = ci * chunk;
-            let end = (start + chunk).min(n_blocks);
-            let chunk_specs = specs.get(start..end).unwrap_or(&[]);
-            let mut scratch = BlockScratch::default();
-            let mut out = ChunkOut {
-                choices: Vec::with_capacity(chunk_specs.len()),
-                codes: Vec::with_capacity(chunk_specs.iter().map(|s| s.valid_len()).sum()),
-                unpredictable: Vec::new(),
-            };
-            for (spec, bi) in chunk_specs.iter().zip(start..) {
-                let ae_pred = ae_preds.chunks_exact(block_len).nth(bi);
-                let (choice, mean_value) = compute_block(spec, ae_pred, &mut scratch);
-                out.choices.push((choice, mean_value));
-                out.codes.extend_from_slice(&scratch.codes);
-                out.unpredictable.extend_from_slice(&scratch.unpredictable);
-            }
-            out
-        };
-        if parallel {
-            slots.par_chunks_mut(1).enumerate().for_each(|(ci, group)| {
-                if let Some(slot) = group.first_mut() {
-                    *slot = Some(fill_chunk(ci));
+                // `pred_valid` was filled by the loss pass above.
+                BlockPredictor::Ae => {
+                    quantizer.quantize_buffer_into(valid, pred_valid, codes, escapes, recon)
                 }
-            });
-        } else {
-            for (ci, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(fill_chunk(ci));
+                BlockPredictor::Lorenzo => {
+                    lorenzo::compress_into(valid, &spec.size, &quantizer, codes, escapes, recon)
+                }
+                BlockPredictor::Mean => {
+                    mean::compress_into(valid, mean_value, &quantizer, codes, escapes, recon);
+                    means.push(mean_value);
+                }
             }
-        }
-
-        // --- Deterministic merge in block order ---
-        let mut predictors = Vec::with_capacity(n_blocks.min(MAX_FIELD_ELEMS));
+            choice
+        };
+        let rows = BlockRows::new(dims, bs, lanes);
+        let mut predictors = vec![BlockPredictor::Lorenzo; rows.blocks().min(field.len())];
         let all_codes = &mut self.codes.0;
         all_codes.clear();
-        all_codes.reserve(field.len());
-        let mut unpredictable: Vec<f32> = Vec::new();
-        let mut means: Vec<f32> = Vec::new();
-        let mut kept_latent_indices: Vec<i64> = Vec::new();
+        all_codes.resize(field.len(), 0);
+        let pred_valid = || Vec::with_capacity(block_len.min(field.len()));
+        let (unpredictable, means) = rows
+            .encode(field, 1, all_codes, &mut predictors, pred_valid, step)
+            .ok_or(CompressError::UnsupportedField(
+                "block codes overrun their block row",
+            ))?;
         let mut report = CompressionReport {
             total_blocks: n_blocks,
             ..CompressionReport::default()
         };
-        let mut bi = 0usize;
-        for slot in slots {
-            #[expect(clippy::expect_used)]
-            // lint:allow(R1): fill_chunk writes every slot (slots covers the
-            // same chunk grid) before this merge runs
-            let out = slot.expect("every chunk fills its slot");
-            for &(choice, mean_value) in &out.choices {
-                match choice {
-                    BlockPredictor::Ae => {
-                        report.ae_blocks += 1;
-                        let idx = latent_indices.chunks_exact(latent_dim.max(1)).nth(bi);
-                        kept_latent_indices.extend_from_slice(idx.unwrap_or_default());
-                    }
-                    BlockPredictor::Lorenzo => report.lorenzo_blocks += 1,
-                    BlockPredictor::Mean => {
-                        report.mean_blocks += 1;
-                        means.push(mean_value);
-                    }
+        let mut kept_latent_indices: Vec<i64> = Vec::new();
+        for (bi, choice) in predictors.iter().enumerate() {
+            match choice {
+                BlockPredictor::Ae => {
+                    report.ae_blocks += 1;
+                    let idx = latent_indices.chunks_exact(latent_dim.max(1)).nth(bi);
+                    kept_latent_indices.extend_from_slice(idx.unwrap_or_default());
                 }
-                predictors.push(choice);
-                bi += 1;
+                BlockPredictor::Lorenzo => report.lorenzo_blocks += 1,
+                BlockPredictor::Mean => report.mean_blocks += 1,
             }
-            all_codes.extend_from_slice(&out.codes);
-            unpredictable.extend_from_slice(&out.unpredictable);
         }
 
         // The AE predictions (a padded copy of the field) are spent: release
@@ -638,7 +547,7 @@ impl AeSz {
             ))?;
         let means_bytes: Vec<u8> = means.iter().flat_map(|v| v.to_le_bytes()).collect();
         let means_section = compress_bytes(&means_bytes);
-        let codes_section = encode_codes(all_codes);
+        let codes_section = encode_codes(&self.codes.0);
         let unpred_bytes: Vec<u8> = unpredictable.iter().flat_map(|v| v.to_le_bytes()).collect();
         let unpredictable_section = compress_bytes(&unpred_bytes);
 
@@ -676,35 +585,41 @@ impl AeSz {
     /// any malformed, truncated or inconsistent input (never panicking and
     /// never allocating more than the validated header implies).
     pub fn try_decompress(&mut self, bytes: &[u8]) -> Result<Field, DecompressError> {
-        self.decompress_impl(bytes, true)
+        self.decompress_on_lanes(bytes, None)
     }
 
     /// Serial reference implementation of [`AeSz::try_decompress`]; produces
     /// identical fields (kept for benchmarking and differential testing).
     pub fn try_decompress_serial(&mut self, bytes: &[u8]) -> Result<Field, DecompressError> {
-        self.decompress_impl(bytes, false)
+        self.decompress_on_lanes(bytes, Some(1))
     }
 
-    fn decompress_impl(&mut self, bytes: &[u8], parallel: bool) -> Result<Field, DecompressError> {
+    /// [`AeSz::try_decompress`] with every stage on at most `lanes` lanes
+    /// (`None`: each stage's own rule).
+    fn decompress_on_lanes(
+        &mut self,
+        bytes: &[u8],
+        lanes: Option<usize>,
+    ) -> Result<Field, DecompressError> {
         // Lend the resident code buffer to the call and take it back
         // whatever the outcome.
         let mut codes = std::mem::take(&mut self.codes);
-        let field = self.decompress_with(bytes, parallel, &mut codes.0);
+        let field = self.decompress_with(bytes, lanes, &mut codes.0);
         self.codes = codes;
         field
     }
 
-    /// [`AeSz::decompress_impl`] with the code buffer lent out of `self`.
+    /// [`AeSz::decompress_on_lanes`] with the code buffer lent out of `self`.
     fn decompress_with(
         &mut self,
         bytes: &[u8],
-        parallel: bool,
+        lanes: Option<usize>,
         all_codes: &mut Vec<u32>,
     ) -> Result<Field, DecompressError> {
         let stream = Stream::from_bytes(bytes)?;
         let h = &stream.header;
         let dims = h.dims;
-        let rank = Self::rank(dims);
+        let rank = dims.rank();
         let bs = h.block_size;
         let (lo, hi) = (h.data_min, h.data_max);
         let range = (hi - lo) as f64;
@@ -725,7 +640,6 @@ impl AeSz {
 
         // --- Payload-level consistency checks (counts before contents) ---
         let n_points = dims.len();
-        let n_blocks = stream.predictors.len();
         decode_codes_capped_into(&stream.codes_section, n_points, all_codes)?;
         let all_codes: &[u32] = all_codes;
         if all_codes.len() != n_points {
@@ -745,11 +659,8 @@ impl AeSz {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
-        let n_mean = stream
-            .predictors
-            .iter()
-            .filter(|&&p| p == BlockPredictor::Mean)
-            .count();
+        let count = |want| stream.predictors.iter().filter(|&&p| p == want).count();
+        let n_mean = count(BlockPredictor::Mean);
         let means_bytes = decompress_bytes_capped(&stream.means_section, n_mean * 4)?;
         if means_bytes.len() != n_mean * 4 {
             return Err(DecompressError::Inconsistent(
@@ -761,11 +672,7 @@ impl AeSz {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
 
-        let n_ae = stream
-            .predictors
-            .iter()
-            .filter(|&&p| p == BlockPredictor::Ae)
-            .count();
+        let n_ae = count(BlockPredictor::Ae);
         if n_ae > 0 {
             // Provenance first: a version-3 stream names the exact network
             // that encoded it, and holding a *different* model — even one
@@ -811,128 +718,47 @@ impl AeSz {
 
         // --- Lane-parallel AE decode over all AE blocks ---
         let ae_preds = if n_ae > 0 {
-            self.ae_decode_latents(&latent_indices, lo, range, &latent_codec, parallel)?
+            self.ae_decode_latents(&latent_indices, lo, range, &latent_codec, lanes)?
         } else {
             Vec::new()
         };
         let block_len = self.model.config().block_len().max(1);
 
-        // --- Per-block offsets so chunks can work independently ---
+        // --- Block-row lanes rebuild their slabs of the field; the ordinal
+        // of an AE or mean block indexes its prediction or mean ---
         let mut field = Field::zeros(dims);
-        let specs: Vec<BlockSpec> = field.blocks(bs).collect();
-        debug_assert_eq!(specs.len(), n_blocks, "validated by Stream::from_bytes");
-        let mut code_off = Vec::with_capacity((n_blocks + 1).min(MAX_FIELD_ELEMS));
-        let mut code_end = 0usize;
-        code_off.push(0usize);
-        for spec in &specs {
-            code_end = code_end.saturating_add(spec.valid_len());
-            code_off.push(code_end);
-        }
-        if code_end != n_points {
-            return Err(DecompressError::Inconsistent(
-                "block geometry does not cover the field",
-            ));
-        }
-        let mut esc_off = Vec::with_capacity((n_blocks + 1).min(MAX_FIELD_ELEMS));
-        let mut mean_off = Vec::with_capacity(n_blocks.min(MAX_FIELD_ELEMS));
-        let mut ae_ord = Vec::with_capacity(n_blocks.min(MAX_FIELD_ELEMS));
-        let (mut esc, mut me, mut ae) = (0usize, 0usize, 0usize);
-        esc_off.push(0usize);
-        let mut code_rest = all_codes;
-        for (p, spec) in stream.predictors.iter().zip(&specs) {
-            mean_off.push(me);
-            ae_ord.push(ae);
-            match p {
-                BlockPredictor::Mean => me += 1,
-                BlockPredictor::Ae => ae += 1,
-                BlockPredictor::Lorenzo => {}
-            }
-            let (block_codes, rest) = code_rest.split_at(spec.valid_len().min(code_rest.len()));
-            code_rest = rest;
-            esc += block_codes.iter().filter(|&&c| c == 0).count();
-            esc_off.push(esc);
-        }
-
-        // --- Chunked parallel reconstruction, then ordered write-back ---
-        // Every offset table is exact by the payload checks above, so the
-        // lookups below cannot fail; `None` is still surfaced as an error
-        // rather than trusted away. Each chunk reconstructs its blocks
-        // through reused scratch buffers and concatenates the valid-region
-        // values into one buffer (O(1) allocations per chunk).
-        let predictors = &stream.predictors;
-        let reconstruct_block = |bi: usize, scratch: &mut BlockScratch| -> Option<()> {
-            let spec = specs.get(bi)?;
-            let codes = all_codes.get(*code_off.get(bi)?..*code_off.get(bi + 1)?)?;
-            let unpred = unpredictable.get(*esc_off.get(bi)?..*esc_off.get(bi + 1)?)?;
-            match predictors.get(bi)? {
+        let rows = BlockRows::new(dims, bs, lanes);
+        let pred_valid = || Vec::with_capacity(block_len.min(n_points));
+        let step = |spec: &BlockSpec, b: Block<'_, BlockPredictor>, sc: &mut Scratch<Vec<f32>>| {
+            let (codes, escapes, valid) = (b.codes, b.escapes, &mut sc.valid);
+            match b.choice {
                 BlockPredictor::Ae => {
-                    let pred = ae_preds.chunks_exact(block_len).nth(*ae_ord.get(bi)?)?;
-                    Self::padded_to_valid_into(pred, spec, rank, &mut scratch.pred_valid);
-                    quantizer.dequantize_buffer_into(
-                        codes,
-                        unpred,
-                        &scratch.pred_valid,
-                        &mut scratch.valid,
-                    );
+                    let pred = ae_preds.chunks_exact(block_len).nth(b.ordinal)?;
+                    Self::padded_to_valid_into(pred, spec, rank, &mut sc.extra);
+                    quantizer.dequantize_buffer_into(codes, escapes, &sc.extra, valid);
                 }
                 BlockPredictor::Lorenzo => {
-                    lorenzo::decompress_into(
-                        codes,
-                        unpred,
-                        &spec.size,
-                        &quantizer,
-                        &mut scratch.valid,
-                    );
+                    lorenzo::decompress_into(codes, escapes, &spec.size, &quantizer, valid);
                 }
                 BlockPredictor::Mean => {
-                    let mean = *means.get(*mean_off.get(bi)?)?;
-                    mean::decompress_into(codes, unpred, mean, &quantizer, &mut scratch.valid);
+                    let mean = *means.get(b.ordinal)?;
+                    mean::decompress_into(codes, escapes, mean, &quantizer, valid);
                 }
             }
             Some(())
         };
-        let chunk = self.config.chunk_blocks.max(1);
-        let n_chunks = n_blocks.div_ceil(chunk);
-        let mut slots: Vec<Option<Vec<f32>>> = (0..n_chunks).map(|_| None).collect();
-        let fill_chunk = |ci: usize| -> Option<Vec<f32>> {
-            let start = ci * chunk;
-            let end = (start + chunk).min(n_blocks);
-            let mut scratch = BlockScratch::default();
-            let mut buf: Vec<f32> = Vec::new();
-            for bi in start..end {
-                reconstruct_block(bi, &mut scratch)?;
-                buf.extend_from_slice(&scratch.valid);
-            }
-            Some(buf)
-        };
-        if parallel {
-            slots.par_chunks_mut(1).enumerate().for_each(|(ci, group)| {
-                if let Some(slot) = group.first_mut() {
-                    *slot = fill_chunk(ci);
-                }
-            });
-        } else {
-            for (ci, slot) in slots.iter_mut().enumerate() {
-                *slot = fill_chunk(ci);
-            }
-        }
-        let mut bi = 0usize;
-        for slot in slots.iter_mut() {
-            let buf = slot.take().ok_or(DecompressError::Inconsistent(
-                "internal: block reconstruction left a hole",
-            ))?;
-            let end = (bi + chunk).min(n_blocks);
-            let mut off = 0usize;
-            for spec in specs.get(bi..end).unwrap_or(&[]) {
-                let n = spec.valid_len();
-                let vals = buf.get(off..off + n).ok_or(DecompressError::Inconsistent(
-                    "internal: chunk buffer underrun",
-                ))?;
-                field.write_block_valid(spec, vals);
-                off += n;
-            }
-            bi = end;
-        }
+        let (choices, escapes) = (&stream.predictors, &unpredictable);
+        rows.decode(
+            choices,
+            all_codes,
+            escapes,
+            field.as_mut_slice(),
+            pred_valid,
+            step,
+        )
+        .ok_or(DecompressError::Inconsistent(
+            "block sections do not match the block grid",
+        ))?;
         Ok(field)
     }
 }
@@ -976,6 +802,7 @@ mod tests {
     use crate::training::{train_swae_for_field, TrainingOptions};
     use aesz_datagen::Application;
     use aesz_metrics::verify_error_bound;
+    use aesz_tensor::Dims;
 
     /// A quickly trained 2D compressor shared by the tests in this module.
     fn quick_aesz_2d(field: &Field) -> AeSz {
@@ -1183,19 +1010,84 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_does_not_change_the_stream() {
-        let field = Application::CesmCldhgh.generate(Dims::d2(64, 64), 56);
-        let mut aesz = quick_aesz_2d(&field);
-        let (reference, _) = aesz
-            .compress_with_report(&field, ErrorBound::rel(1e-2))
-            .expect("valid input");
-        for chunk_blocks in [1, 3, 1000] {
-            aesz.config.chunk_blocks = chunk_blocks;
-            let (bytes, _) = aesz
-                .compress_with_report(&field, ErrorBound::rel(1e-2))
-                .expect("valid input");
-            assert_eq!(bytes, reference, "chunk_blocks={chunk_blocks}");
+    fn lanes_match_one_lane() {
+        // Odd shapes whose last block row is partial, fields shorter than
+        // one block row, a constant field, and block-row offsets under
+        // noise so mean blocks (and their side values) land in every lane.
+        let noisy = |dims: Dims| {
+            Field::from_fn(dims, |c| {
+                let hash = c.iter().fold(17usize, |h, &x| h * 31 + x * 7);
+                (c[0] / 8) as f32 * 10.0 + (hash % 13) as f32 * 0.1
+            })
+        };
+        let field_2d = Application::CesmCldhgh.generate(Dims::d2(37, 21), 8);
+        let aesz_2d = quick_aesz_2d(&field_2d);
+        let field_3d = Application::NyxBaryonDensity.generate(Dims::d3(27, 13, 10), 8);
+        let opts = TrainingOptions {
+            block_size: 8,
+            latent_dim: 8,
+            channels: vec![4, 8],
+            epochs: 1,
+            max_blocks: 16,
+            seed: 17,
+            ..TrainingOptions::default_for_rank(3)
+        };
+        let model = train_swae_for_field(std::slice::from_ref(&field_3d), &opts);
+        let aesz_3d = AeSz::new(model, AeSzConfig::default_3d());
+        let cases = [
+            (
+                aesz_2d,
+                vec![
+                    Field::from_fn(Dims::d1(333), |c| ((c[0] as f32) * 0.1).sin()),
+                    field_2d,
+                    Application::CesmCldhgh.generate(Dims::d2(5, 70), 8),
+                    Field::from_vec(Dims::d2(37, 21), vec![4.2; 37 * 21]).unwrap(),
+                    noisy(Dims::d2(45, 29)),
+                ],
+            ),
+            (
+                aesz_3d,
+                vec![
+                    field_3d,
+                    Application::NyxBaryonDensity.generate(Dims::d3(6, 9, 17), 8),
+                    noisy(Dims::d3(19, 9, 11)),
+                ],
+            ),
+        ];
+        let (mut ae, mut mean, mut escapes) = (0, 0, 0);
+        for (mut aesz, fields) in cases {
+            for field in &fields {
+                for policy in [
+                    PredictorPolicy::Adaptive,
+                    PredictorPolicy::AeOnly,
+                    PredictorPolicy::LorenzoOnly,
+                ] {
+                    aesz.set_policy(policy);
+                    // The finest bound overflows the quantizer's bins, so
+                    // escaped values are concatenated across lanes too.
+                    for bound in [ErrorBound::rel(1e-3), ErrorBound::rel(1e-8)] {
+                        let what = format!("{} {policy:?} {bound}", field.dims());
+                        let (bytes, report) =
+                            aesz.compress_on_lanes(field, bound, Some(1)).unwrap();
+                        let recon = aesz.decompress_on_lanes(&bytes, Some(1)).unwrap();
+                        for lanes in 2..=4 {
+                            let got = aesz.compress_on_lanes(field, bound, Some(lanes)).unwrap();
+                            assert_eq!(got, (bytes.clone(), report), "{what} on {lanes} lanes");
+                            let decoded = aesz.decompress_on_lanes(&bytes, Some(lanes)).unwrap();
+                            assert_eq!(decoded, recon, "{what} decoded on {lanes} lanes");
+                        }
+                        let stream = Stream::from_bytes(&bytes).unwrap();
+                        let unpred = &stream.unpredictable_section;
+                        escapes += decompress_bytes_capped(unpred, field.len() * 4)
+                            .unwrap()
+                            .len();
+                        ae += report.ae_blocks;
+                        mean += report.mean_blocks;
+                    }
+                }
+            }
         }
+        assert!(ae > 0 && mean > 0 && escapes > 0);
     }
 
     #[test]

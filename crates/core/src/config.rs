@@ -27,11 +27,6 @@ pub struct AeSzConfig {
     pub latent_eb_fraction: f64,
     /// Predictor selection policy (Fig. 11 ablation).
     pub policy: PredictorPolicy,
-    /// Number of consecutive blocks each parallel work unit processes in the
-    /// rayon fan-out of [`crate::AeSz`]. Larger chunks amortize scheduling,
-    /// smaller ones balance load; the produced stream is identical for every
-    /// value (including the serial path). Values below 1 are treated as 1.
-    pub chunk_blocks: usize,
 }
 
 impl Default for AeSzConfig {
@@ -41,7 +36,6 @@ impl Default for AeSzConfig {
             quant_bins: 65_536,
             latent_eb_fraction: 0.1,
             policy: PredictorPolicy::Adaptive,
-            chunk_blocks: 64,
         }
     }
 }
@@ -72,7 +66,6 @@ mod tests {
         assert_eq!(c2.quant_bins, 65_536);
         assert!((c2.latent_eb_fraction - 0.1).abs() < 1e-12);
         assert_eq!(c2.policy, PredictorPolicy::Adaptive);
-        assert!(c2.chunk_blocks >= 1);
         assert_eq!(AeSzConfig::default_3d().block_size, 8);
     }
 }

@@ -87,6 +87,14 @@ impl BlockPredictor {
     }
 }
 
+/// The two-bit wire code, which indexes the block engine's per-choice
+/// ordinals.
+impl From<BlockPredictor> for usize {
+    fn from(p: BlockPredictor) -> usize {
+        usize::from(p as u8)
+    }
+}
+
 /// Parsed header of an AE-SZ stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Header {

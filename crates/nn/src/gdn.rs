@@ -21,8 +21,9 @@
 //! bitwise (`tests/kernel_differential.rs`), but every step is a contiguous
 //! 8-wide vector operation instead of a gather from channel planes one
 //! `spatial` stride apart. Tails run the same kernel at the next power of two
-//! (at least 8 lanes) over zero-padded squares and store only their live
-//! lanes; the channel count is unbounded because the tile lives in
+//! (at least 8 SIMD lanes, not the codecs' block lanes) over zero-padded
+//! squares and store only their live SIMD lanes; the channel count is
+//! unbounded because the tile lives in
 //! [`NnScratch`].
 
 use crate::conv::Act5;

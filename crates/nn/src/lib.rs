@@ -20,9 +20,6 @@
 //!   zero-padded, phase-split copy of each sample through a tap-offset
 //!   table; all buffers are caller-owned [`infer::NnScratch`], so a
 //!   resident compressor performs no per-call allocation once warm.
-//! * [`lanes`] — the lane split the codecs' NN block loops share: at most
-//!   one contiguous range of blocks per core, each with its own resident
-//!   scratch and a disjoint slice of the outputs, bit-identical to one lane.
 //! * [`sequential`] — ordered layer stacks with joint backward.
 //! * [`loss`] — reconstruction losses (MSE, L1, log-cosh) and the
 //!   distribution-matching regularizers that differentiate the autoencoder
@@ -41,7 +38,7 @@
 //!
 //! Everything is deterministic given a seed. Layers and training run on the
 //! calling thread; the only parallelism is the codecs' block-level fan-out
-//! through [`lanes`].
+//! through `aesz_tensor::lanes`.
 
 #![forbid(unsafe_code)]
 
@@ -52,7 +49,6 @@ pub mod gdn;
 pub mod gemm;
 pub mod im2col;
 pub mod infer;
-pub mod lanes;
 pub mod layer;
 pub mod loss;
 pub mod models;

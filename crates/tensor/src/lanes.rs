@@ -1,13 +1,15 @@
-//! Lane-parallel batched inference.
+//! Lane-parallel block loops.
 //!
-//! A codec's NN block loop splits its work units (blocks, or whole slabs of
-//! blocks) into at most one contiguous *lane* per core. Each lane owns its
-//! resident [`LaneScratch`] slot and a disjoint `&mut` slice of every output
-//! ([`Lanes::split_mut`]), and walks its range in the codec's usual batch
-//! size. Inference of one sample never depends on which other samples share
-//! its batch, so any lane split produces the same bits as a single lane —
-//! which is what the serial reference paths run ([`Lanes::over`] with one
-//! lane).
+//! A codec's block loop splits its work units (blocks, block rows, or slabs
+//! of blocks) into at most one contiguous *lane* per core. Each lane owns a
+//! disjoint `&mut` slice of every output ([`Lanes::split_mut`]) and, for the
+//! AE stages of AE-SZ and AE-B, its resident [`LaneScratch`] slot, which it
+//! walks in the codec's batch size. A unit's result never depends on which
+//! lane computes it (inference of one sample does not depend on which other
+//! samples share its batch), so any lane split produces the same bits as a
+//! single lane, which is what the serial reference paths run
+//! ([`Lanes::over`] with one lane). [`crate::engine`] runs AE-SZ's and
+//! SZ2.1's select–quantize and reconstruct loops on lanes of block rows.
 
 use rayon::prelude::*;
 use std::ops::Range;

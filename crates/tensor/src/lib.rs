@@ -12,14 +12,42 @@
 //!   mini deep-learning framework (batched activations, convolution kernels,
 //!   latent vectors).
 //!
+//! Beside them sit the codecs' parallel block machinery: [`lanes`], the split
+//! of a block loop into at most one contiguous lane per core, and
+//! [`engine`], the block-row lane engine that runs AE-SZ's and SZ2.1's
+//! select–quantize and reconstruct loops.
+//!
 //! The crate is dependency-light on purpose; everything else in the workspace
 //! builds on top of it.
 
 #![forbid(unsafe_code)]
 
 pub mod dims;
+// The block-row engine and its lane split run the SZ-style decoders on
+// offsets derived from wire data, so they are in the `aesz-lint` deny-set
+// (see the repo-root lint.toml) and must not panic on attacker-shaped
+// bytes; the clippy headers enforce rule R1 at the compiler level. Tests
+// are exempt via clippy.toml's allow-*-in-tests keys.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+pub mod engine;
 pub mod field;
 pub mod init;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+pub mod lanes;
 pub mod ops;
 pub mod tensor;
 

@@ -4,6 +4,7 @@
 //! degenerate inputs, and reject — never panic on — truncated streams at
 //! every offset, both at the frame level and inside the payload.
 
+use aesz_repro::datagen::Application;
 use aesz_repro::metrics::{
     container, max_abs_error, verify_error_bound, CodecId, CompressError, ErrorBound,
 };
@@ -50,6 +51,46 @@ fn roundtrip_honours_both_bound_modes() {
                         .all(|&v| v.is_finite() && v >= lo - slack && v <= hi + slack),
                     "{id} reconstruction left the data envelope"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn fields_whose_range_overflows_f32_are_refused_or_rebuilt_finite() {
+    // Finite fields spanning ±3e38, whose max − min overflows f32: each codec
+    // refuses them with a typed error or rebuilds every value finite, and
+    // within the bound when it is error-bounded.
+    let scaled = |field: Field| {
+        let (unit, _, _) = field.normalize_pm1();
+        let values = unit.as_slice().iter().map(|v| v * 3e38).collect();
+        Field::from_vec(field.dims(), values).unwrap()
+    };
+    let fields = [
+        scaled(Application::CesmCldhgh.generate(Dims::d2(64, 64), 4)),
+        scaled(Application::NyxBaryonDensity.generate(Dims::d3(16, 16, 16), 4)),
+    ];
+    let mut registry = trained_registry();
+    for id in CodecId::all() {
+        for field in &fields {
+            for bound in [ErrorBound::rel(1e-3), ErrorBound::abs(1e35)] {
+                let codec = registry.get_mut(id).expect("registered");
+                let Ok(bytes) = codec.compress(field, bound) else {
+                    continue;
+                };
+                let what = format!("{id} on {} at {bound}", field.dims());
+                let recon = codec
+                    .decompress(&bytes)
+                    .unwrap_or_else(|e| panic!("{what} failed to decode its own stream: {e}"));
+                assert!(
+                    recon.as_slice().iter().all(|v| v.is_finite()),
+                    "{what} rebuilt non-finite values"
+                );
+                if codec.is_error_bounded() {
+                    let resolved = bound.resolve(field);
+                    verify_error_bound(field.as_slice(), recon.as_slice(), resolved, 0.0)
+                        .unwrap_or_else(|e| panic!("{what} violated its bound: {e}"));
+                }
             }
         }
     }

@@ -15,12 +15,18 @@
 //! kernel regression breaks the build instead of silently eating the
 //! speedup. The `@nyx` rows are not gated.
 //!
+//! Each row's codec is forked once and called `1 + REPS` times in each
+//! direction: one untimed warm-up call, then `REPS` timed ones, with the
+//! rows interleaved round-robin so host load drifting during the run falls
+//! on every codec alike. A row reports its fastest repetition, the
+//! throughput the code reaches rather than the load it happened to meet.
+//!
 //! Timings only mean something under the optimized profile, so the
 //! suite is ignored in debug builds (CI runs it via
 //! `cargo test --release -q --test speed_bench`).
 
 use aesz_repro::datagen::Application;
-use aesz_repro::metrics::{CodecId, ErrorBound};
+use aesz_repro::metrics::{CodecId, Compressor, ErrorBound};
 use aesz_repro::nn::{AeConfig, ConvAutoencoder, NnScratch, Shape};
 use aesz_repro::{Dims, Field, Registry};
 use std::fmt::Write as _;
@@ -41,7 +47,13 @@ fn key(id: CodecId) -> &'static str {
     }
 }
 
-struct Measured {
+/// Timed repetitions per direction, after one untimed warm-up call.
+const REPS: usize = 5;
+
+struct Measured<'a> {
+    id: CodecId,
+    field: &'a Field,
+    codec: Box<dyn Compressor>,
     key: String,
     name: String,
     field_desc: String,
@@ -54,41 +66,53 @@ struct Measured {
     gated: bool,
 }
 
-/// One whole-field compress + decompress round through a fresh fork.
-fn measure(
-    registry: &Registry,
-    id: CodecId,
-    field: &Field,
-    row_key: String,
-    field_desc: String,
-    gated: bool,
-) -> Measured {
-    let raw_bytes = field.len() * 4;
-    let bound = ErrorBound::rel(1e-3);
-    let mut codec = registry.fork(id).expect("every codec is registered");
+impl<'a> Measured<'a> {
+    /// A row measuring `id` on `field` through its own fork.
+    fn new(
+        registry: &Registry,
+        id: CodecId,
+        field: &'a Field,
+        key: String,
+        field_desc: String,
+        gated: bool,
+    ) -> Self {
+        Measured {
+            id,
+            field,
+            codec: registry.fork(id).expect("every codec is registered"),
+            key,
+            name: id.name().to_string(),
+            field_desc,
+            raw_bytes: field.len() * 4,
+            stream_bytes: 0,
+            compress_mbps: 0.0,
+            decompress_mbps: 0.0,
+            gated,
+        }
+    }
 
-    let t0 = Instant::now();
-    let stream = codec.compress(field, bound).expect("compress");
-    let compress_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let recon = codec.decompress(&stream).expect("decompress");
-    let decompress_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        recon.dims(),
-        field.dims(),
-        "{id:?} round trip lost the dims"
-    );
-
-    let mbps = |secs: f64| raw_bytes as f64 / 1e6 / secs;
-    Measured {
-        key: row_key,
-        name: id.name().to_string(),
-        field_desc,
-        raw_bytes,
-        stream_bytes: stream.len(),
-        compress_mbps: mbps(compress_s),
-        decompress_mbps: mbps(decompress_s),
-        gated,
+    /// One whole-field compress + decompress round; a timed round raises
+    /// the row's best throughput in each direction.
+    fn round(&mut self, timed: bool) {
+        let bound = ErrorBound::rel(1e-3);
+        let t0 = Instant::now();
+        let stream = self.codec.compress(self.field, bound).expect("compress");
+        let compress_s = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let recon = self.codec.decompress(&stream).expect("decompress");
+        let decompress_s = t0.elapsed().as_secs_f64();
+        assert_eq!(
+            recon.dims(),
+            self.field.dims(),
+            "{:?} round trip lost the dims",
+            self.id
+        );
+        self.stream_bytes = stream.len();
+        if timed {
+            let mbps = |secs: f64| self.raw_bytes as f64 / 1e6 / secs;
+            self.compress_mbps = self.compress_mbps.max(mbps(compress_s));
+            self.decompress_mbps = self.decompress_mbps.max(mbps(decompress_s));
+        }
     }
 }
 
@@ -220,7 +244,7 @@ fn per_codec_throughput_is_recorded_and_gated() {
             CodecId::AeB => (&field_3d, format!("nyx-baryon {dims_3d}")),
             _ => (&field_2d, format!("cesm {dims_2d}")),
         };
-        results.push(measure(
+        results.push(Measured::new(
             &registry,
             id,
             field,
@@ -240,7 +264,7 @@ fn per_codec_throughput_is_recorded_and_gated() {
         CodecId::SzInterp,
         CodecId::AeA,
     ] {
-        results.push(measure(
+        results.push(Measured::new(
             &registry,
             id,
             &field_3d,
@@ -248,6 +272,12 @@ fn per_codec_throughput_is_recorded_and_gated() {
             format!("nyx-baryon {dims_3d}"),
             false,
         ));
+    }
+    // One warm-up round, then the timed ones, every row per round.
+    for round in 0..=REPS {
+        for row in &mut results {
+            row.round(round > 0);
+        }
     }
 
     let layer_timings = nn_layer_breakdown();
