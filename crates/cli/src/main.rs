@@ -110,8 +110,10 @@ the model inside the archive; `decompress` also resolves sidecar files
 given via --model. With --train, --model names where to SAVE the model.
 apps for gen/train: cesm, cesm-freqsh, exafel, nyx, nyx-temp, nyx-dm,
 hurricane-u, hurricane-qvapor, rtm.
-`-` streams stdin/stdout with memory bounded by one chunk band: piped
-compression needs --abs (a pipe cannot be re-scanned for the value range).
+`-` streams stdin/stdout with memory bounded by one chunk band plus one
+window of chunks (`decompress --input -` decodes each --window of chunk
+frames in parallel as they arrive): piped compression needs --abs (a pipe
+cannot be re-scanned for the value range).
 File and piped archives share one layout (AESA v3, no index table), which
 `aesz append` extends in place without a capacity limit; append takes the
 appended slab's DIMS (matching every axis but the slowest).
@@ -1016,7 +1018,7 @@ fn cmd_decompress(mut args: Vec<String>) -> Result<(), String> {
     }
     let registry = registry;
     if piped_in {
-        return decompress_stdin(&registry, &output, piped_out);
+        return decompress_stdin(&registry, &output, piped_out, window);
     }
     let bytes = std::fs::read(&input).map_err(|e| format!("read {input}: {e}"))?;
     let t0 = Instant::now();
@@ -1096,13 +1098,19 @@ fn cmd_decompress(mut args: Vec<String>) -> Result<(), String> {
 }
 
 /// `decompress --input -`: drive the push-based [`StreamFieldDecoder`] off
-/// stdin. Chunks are written as they decode — with seeks into the output
-/// file, or forwarded band by band when the output is stdout too — so
-/// resident memory is one band plus the parser's bounded buffer, never the
-/// archive or the field.
-fn decompress_stdin(registry: &Registry, output: &str, piped_out: bool) -> Result<(), String> {
+/// stdin, decoding `window` chunks at a time in parallel as their frames
+/// arrive. Chunks are written as each window decodes — with seeks into the
+/// output file, or forwarded band by band when the output is stdout too —
+/// so resident memory is one band plus one window of chunks plus the
+/// parser's bounded buffer, never the archive or the field.
+fn decompress_stdin(
+    registry: &Registry,
+    output: &str,
+    piped_out: bool,
+    window: usize,
+) -> Result<(), String> {
     let t0 = Instant::now();
-    let mut decoder = StreamFieldDecoder::new(registry);
+    let mut decoder = StreamFieldDecoder::with_window(registry, window);
     let mut input = std::io::stdin().lock();
     let mut file_sink: Option<RawFileSink> = None;
     let mut band_sink: Option<BandSink<BufWriter<std::io::StdoutLock>>> = None;

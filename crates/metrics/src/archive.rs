@@ -33,8 +33,6 @@
 
 use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 
-use rayon::prelude::*;
-
 use crate::bound::ErrorBound;
 use crate::compressor::Compressor;
 use crate::container::{
@@ -43,7 +41,7 @@ use crate::container::{
 };
 use crate::error::{CompressError, DecompressError};
 use crate::stream::{read_archive, seek_archive};
-use aesz_tensor::{BlockSpec, Dims, Field};
+use aesz_tensor::{lanes, BlockSpec, Dims, Field};
 
 /// Chunking and batching knobs of the archive writer/reader, built fluently:
 ///
@@ -306,19 +304,6 @@ pub type CompressorFork = Result<Box<dyn Compressor>, CompressError>;
 /// What the reader's per-chunk decoder factory returns.
 pub type DecoderFork = Result<Box<dyn Compressor>, DecompressError>;
 
-/// Run every job of a window, each on its own thread-confined `&mut` state.
-///
-/// Chunk size 1 is deliberate: the vendored rayon shim only implements the
-/// `par_chunks_mut` shape (no `par_iter_mut`), and one-job chunks give it
-/// exactly per-job granularity — the inner loop runs once per job.
-fn run_jobs<J: Send>(jobs: &mut [J], run: impl Fn(&mut J) + Sync) {
-    jobs.par_chunks_mut(1).for_each(|one| {
-        for job in one {
-            run(job);
-        }
-    });
-}
-
 /// Compress a field pulled from `source` into the multi-chunk archive
 /// format, streaming the archive into `sink` — a file, a pipe, a socket,
 /// stdout or an in-memory buffer.
@@ -333,7 +318,7 @@ fn run_jobs<J: Send>(jobs: &mut [J], run: impl Fn(&mut J) + Sync) {
 /// `codecs` is called once per chunk (in index order) and must hand back a
 /// *dedicated* compressor instance — typically [`Compressor::fork`] of a
 /// registered codec; different chunks may use different codecs. Chunks are
-/// compressed in rayon-parallel windows of [`ArchiveOptions::window`]; only
+/// compressed in parallel windows of [`ArchiveOptions::window`]; only
 /// one window of raw chunk data is resident at a time. The archive starts at
 /// the sink's current position, so it may be embedded in a larger stream.
 pub fn write_archive_stream<W: Write>(
@@ -419,8 +404,9 @@ fn resolve_write_request(
 }
 
 /// The windowed compression core every writer shares: pull chunks from
-/// `source` over `dims`, compress them in rayon-parallel windows, and hand
-/// each finished frame to `on_frame` in index order.
+/// `source` over `dims`, compress them in parallel windows (one job per
+/// chunk on [`lanes::run`]), and hand each finished frame to `on_frame` in
+/// index order, up to the first failure.
 ///
 /// `spec_for_codec` maps the source-local [`BlockSpec`] to the spec the
 /// codec factory sees — the identity for a plain write, a global-coordinate
@@ -445,7 +431,6 @@ fn compress_chunk_frames(
         id: CodecId,
         field: Field,
         codec: Box<dyn Compressor>,
-        out: Option<Result<Vec<u8>, CompressError>>,
     }
 
     let count: usize = dims.block_grid(chunk).iter().product();
@@ -487,26 +472,29 @@ fn compress_chunk_frames(
                 id: codec.codec_id(),
                 field,
                 codec,
-                out: None,
             });
         }
         let window_raw: usize = jobs.iter().map(|j| j.field.len() * 4).sum();
         peak_window_raw_bytes = peak_window_raw_bytes.max(window_raw);
-        run_jobs(&mut jobs, |job| {
-            job.out = Some(job.codec.compress(&job.field, chunk_bound));
-        });
-        for job in jobs {
-            #[expect(clippy::expect_used)]
-            // lint:allow(R1): `run_jobs` invokes the closure on every job in
-            // the window exactly once, so `out` is always populated here
-            let out = job.out.expect("window ran");
-            let frame = out.map_err(|error| ArchiveWriteError::Compress {
-                chunk: job.index,
-                error,
-            })?;
+        let mut frames: Vec<Option<Vec<u8>>> = jobs.iter().map(|_| None).collect();
+        let compressed: Result<(), ArchiveWriteError> =
+            lanes::run(jobs.iter_mut().zip(frames.iter_mut()), |(job, frame)| {
+                let bytes = job
+                    .codec
+                    .compress(&job.field, chunk_bound)
+                    .map_err(|error| ArchiveWriteError::Compress {
+                        chunk: job.index,
+                        error,
+                    })?;
+                *frame = Some(bytes);
+                Ok(())
+            });
+        // Every job before the first failure produced its frame.
+        for (job, frame) in jobs.iter().zip(frames.into_iter().map_while(|f| f)) {
             raw_bytes += job.field.len() * 4;
             on_frame(job.index, job.id, frame)?;
         }
+        compressed?;
         next += batch;
     }
     Ok((raw_bytes, peak_window_raw_bytes))
@@ -955,14 +943,15 @@ impl<'a> ArchiveReader<'a> {
         Ok(field)
     }
 
-    /// Decode every chunk into `sink` in rayon-parallel windows of `window`
-    /// chunks, forking one compressor per in-flight chunk via `codecs`
+    /// Decode every chunk into `sink` in parallel windows of `window` chunks
+    /// (one job per chunk on [`lanes::run`]; window 0 acts as 1), forking
+    /// one compressor per in-flight chunk via `codecs`
     /// (called with each chunk's index and its index-entry codec id — the
     /// index is what lets a factory hand *different* trained models of the
     /// same codec to different chunks).
     ///
     /// Peak resident decoded payload is one window of chunks; the sink
-    /// receives chunks in index order.
+    /// receives chunks in index order, up to the first failure.
     pub fn decode_into(
         &self,
         window: usize,
@@ -974,7 +963,6 @@ impl<'a> ArchiveReader<'a> {
             spec: BlockSpec,
             frame: &'b [u8],
             codec: Box<dyn Compressor>,
-            out: Option<Result<Field, DecompressError>>,
         }
 
         let window = window.max(1);
@@ -999,31 +987,29 @@ impl<'a> ArchiveReader<'a> {
                     spec: self.chunk_spec(index).ok_or_else(out_of_range)?,
                     frame: self.chunk_frame(index).ok_or_else(out_of_range)?,
                     codec,
-                    out: None,
                 });
             }
-            run_jobs(&mut jobs, |job| {
-                job.out = Some(job.codec.decompress(job.frame));
-            });
-            for job in jobs {
-                #[expect(clippy::expect_used)]
-                // lint:allow(R1): `run_jobs` invokes the closure on every
-                // job in the window exactly once, so `out` is always set
-                let out = job.out.expect("window ran");
-                let field = out.map_err(|error| ArchiveReadError::Chunk {
-                    chunk: job.index,
-                    error,
-                })?;
-                if field.dims() != chunk_dims(&job.spec) {
-                    return Err(ArchiveReadError::Chunk {
+            let mut fields: Vec<Option<Field>> = jobs.iter().map(|_| None).collect();
+            let decoded: Result<(), ArchiveReadError> =
+                lanes::run(jobs.iter_mut().zip(fields.iter_mut()), |(job, out)| {
+                    let chunk_error = |error| ArchiveReadError::Chunk {
                         chunk: job.index,
-                        error: DecompressError::Inconsistent(
+                        error,
+                    };
+                    let field = job.codec.decompress(job.frame).map_err(chunk_error)?;
+                    if field.dims() != chunk_dims(&job.spec) {
+                        return Err(chunk_error(DecompressError::Inconsistent(
                             "chunk reconstruction disagrees with the archive grid",
-                        ),
-                    });
-                }
+                        )));
+                    }
+                    *out = Some(field);
+                    Ok(())
+                });
+            // Every job before the first failure produced its chunk.
+            for (job, field) in jobs.iter().zip(fields.into_iter().map_while(|f| f)) {
                 sink.write_chunk(&job.spec, &field)?;
             }
+            decoded?;
             next += batch;
         }
         Ok(())

@@ -101,7 +101,8 @@ pub fn nrmse(original: &[f32], reconstructed: &[f32]) -> f64 {
 
 /// Check the error-bound invariant of an error-bounded compressor:
 /// every reconstructed value must be within `abs_bound` of the original,
-/// with `slack` absorbing one ULP of quantization rounding.
+/// with `slack` absorbing one ULP of quantization rounding. A NaN or
+/// infinite reconstruction of a finite original is a violation.
 pub fn verify_error_bound(
     original: &[f32],
     reconstructed: &[f32],
@@ -111,7 +112,8 @@ pub fn verify_error_bound(
     assert_eq!(original.len(), reconstructed.len());
     for (i, (&a, &b)) in original.iter().zip(reconstructed.iter()).enumerate() {
         let diff = (a as f64 - b as f64).abs();
-        if diff > abs_bound + slack {
+        // `diff > bound` alone is false for a NaN reconstruction.
+        if diff > abs_bound + slack || (a.is_finite() && !b.is_finite()) {
             return Err(format!(
                 "error bound violated at index {i}: |{a} - {b}| = {diff} > {abs_bound} (+{slack})"
             ));
@@ -184,5 +186,18 @@ mod tests {
         assert!(verify_error_bound(&orig, &ok, 0.1, 1e-6).is_ok());
         let err = verify_error_bound(&orig, &bad, 0.1, 1e-6).unwrap_err();
         assert!(err.contains("index 1"));
+    }
+
+    #[test]
+    fn verify_error_bound_rejects_non_finite_reconstructions() {
+        let orig = vec![0.0f32, 1.0, 2.0];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let recon = vec![0.0f32, bad, 2.0];
+            let err = verify_error_bound(&orig, &recon, 0.1, 1e-6).unwrap_err();
+            assert!(err.contains("index 1"), "{bad}: {err}");
+        }
+        // A non-finite original has no finite bound to check against.
+        let orig = vec![f32::NAN, f32::INFINITY];
+        assert!(verify_error_bound(&orig, &orig, 0.1, 1e-6).is_ok());
     }
 }

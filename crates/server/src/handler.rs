@@ -80,8 +80,9 @@ pub fn handle_buffered(
 
 /// Serve a `Decompress` body directly from the socket through the
 /// library's stream-to-field loop ([`StreamFieldDecoder::read_field`]), so
-/// per-connection residency is one slab plus the decoder's own bounded
-/// buffer — never the whole compressed body.
+/// per-connection residency is one slab, one window of archive chunks
+/// (decoded in parallel) and the decoder's own bounded buffer — never the
+/// whole compressed body. A single frame decodes as soon as it completes.
 ///
 /// No registry lock is held across the socket reads: the decoder accesses
 /// the shared registry through [`aesz_repro::RegistryAccess`], which scopes

@@ -618,3 +618,47 @@ fn the_buffered_handler_decodes_frames_and_archives_like_the_socket_path() {
         1
     );
 }
+
+/// An archive whose chunk-1 frame decodes to a 4×4 or 16×16 field where
+/// the grid has an 8×8 cell is answered with a typed `Error`, never a
+/// panic or a field holding the wrong frame's values.
+#[test]
+fn archives_with_a_chunk_that_misses_its_grid_cell_get_a_typed_error() {
+    let state = ServerState::new(
+        ServerConfig::default(),
+        aesz_repro::SharedRegistry::with_defaults(),
+    );
+    let registry = Registry::with_defaults();
+    let field = Field::from_fn(Dims::d2(8, 16), |c| (c[0] * 16 + c[1]) as f32 * 0.01);
+    let bound = ErrorBound::abs(1e-3);
+    let opts = aesz_repro::archive::ArchiveOptions::new()
+        .chunk(8)
+        .window(2);
+    for edge in [4, 16] {
+        let (mut archive, _) =
+            aesz_repro::archive::compress_field(&registry, &field, bound, &opts, CodecId::Zfp)
+                .expect("archive");
+        let misfit = registry
+            .fork(CodecId::Zfp)
+            .expect("registered")
+            .compress(&Field::zeros(Dims::d2(edge, edge)), bound)
+            .expect("frame");
+        // The inline layout ends with chunk 1's frame: swap it out whole.
+        let entry = aesz_repro::archive::ArchiveReader::open(&archive)
+            .expect("open")
+            .entries()[1];
+        archive.truncate(entry.offset as usize);
+        archive.extend_from_slice(&misfit);
+        let got = aesz_server::handler::handle_buffered(
+            &state,
+            None,
+            wire::MsgType::Decompress,
+            &archive,
+        );
+        let wire::Response::Error { code, message } = got else {
+            panic!("{edge}×{edge} chunk: expected a typed Error, got {got:?}");
+        };
+        assert_eq!(code, wire::ErrorCode::Malformed, "{message}");
+        assert!(message.contains("archive grid"), "{message}");
+    }
+}

@@ -10,6 +10,8 @@
 //! single lane, which is what the serial reference paths run
 //! ([`Lanes::over`] with one lane). [`crate::engine`] runs AE-SZ's and
 //! SZ2.1's select–quantize and reconstruct loops on lanes of block rows.
+//! [`run`] is the one fan-out: the lanes above, and the chunk windows of
+//! the archive writer, reader and push decoder, one job per chunk.
 
 use rayon::prelude::*;
 use std::ops::Range;
@@ -72,10 +74,12 @@ impl Lanes {
     }
 }
 
-/// Run `lane` once per work item — one item per lane, each on its own core
-/// when there are several (a single item runs on the calling thread) — and
-/// return the first error in lane order. A panicking lane re-panics in the
-/// caller once every lane has finished.
+/// Run `lane` once per work item and return the first error in item order;
+/// every item runs, also after an error. Items are dealt round-robin to one
+/// scoped thread per core, so they may outnumber the cores (the archive
+/// layer runs one item per chunk of a window); a single item, or a single
+/// core, runs everything on the calling thread. A panicking item re-panics
+/// in the caller once every item has finished.
 pub fn run<W, E, F>(work: impl IntoIterator<Item = W>, lane: F) -> Result<(), E>
 where
     W: Send,
@@ -181,6 +185,22 @@ mod tests {
 
         let failed = run(0..4, |i| if i >= 2 { Err(i) } else { Ok(()) });
         assert_eq!(failed, Err(2));
+    }
+
+    #[test]
+    fn run_deals_more_items_than_cores_and_runs_each_once() {
+        let mut hits = vec![0usize; 37];
+        let failed = run(hits.iter_mut().enumerate(), |(i, hit)| {
+            *hit += 1;
+            if i % 10 == 9 {
+                Err(i)
+            } else {
+                Ok(())
+            }
+        });
+        // Items after a failure still ran; the first failure is reported.
+        assert_eq!(failed, Err(9));
+        assert!(hits.iter().all(|&h| h == 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Registry-driven entry points to the streaming archive layer.
 //!
 //! [`aesz_metrics::archive`] owns the mechanics (chunk grid, windowed
-//! rayon-parallel batches, bounded-memory sources/sinks, the validated
+//! parallel batches, bounded-memory sources/sinks, the validated
 //! on-disk format of [`aesz_metrics::container`]); this module binds them to
 //! the codec [`Registry`], which is where per-chunk codec heterogeneity and
 //! trained-model lookup live:
@@ -86,8 +86,8 @@ pub fn compress_field_embedding(
 }
 
 /// Decode a whole archive into an in-memory field, dispatching every chunk
-/// to the registered codec its index entry names, in rayon-parallel windows
-/// of `window` chunks. Returns the field and the codec that decoded each
+/// to the registered codec its index entry names, in parallel windows of
+/// `window` chunks. Returns the field and the codec that decoded each
 /// chunk (index order).
 ///
 /// Learned chunks resolve their trained models per chunk, by the model id

@@ -3,10 +3,12 @@
 //!
 //! * the push-based [`StreamFieldDecoder`] must reconstruct the same field
 //!   as the buffered [`ArchiveReader`] decode, at *any* feed granularity
-//!   (down to one byte at a time), across all seven codecs — including
-//!   learned chunks whose embedded models only arrive in the archive tail;
+//!   (down to one byte at a time) and any decode window, across all seven
+//!   codecs — including learned chunks whose embedded models only arrive in
+//!   the archive tail;
 //! * a truncated or header-corrupted stream must error in both paths —
-//!   never a panic, never a silent partial field;
+//!   never a panic, never a silent partial field — and a chunk frame that
+//!   does not fill its grid cell must fail both with the same error;
 //! * an archive grown in place with [`ArchiveAppender`] must reopen as a
 //!   plain archive whose chunks — old and new — random-access decode, with
 //!   the original payload bytes untouched.
@@ -18,11 +20,11 @@ use aesz_repro::archive::{
     compress_field, compress_field_embedding, decompress, decompress_chunk, ArchiveAppender,
     ArchiveOptions, ArchiveReadError, ArchiveReader, FieldSource,
 };
-use aesz_repro::metrics::container::{ArchiveHeader, FRAME_LEN};
+use aesz_repro::metrics::container::{peek, ArchiveHeader, FRAME_LEN};
 use aesz_repro::metrics::legacy::{relay, Layout};
 use aesz_repro::metrics::CodecId;
 use aesz_repro::stream::{decompress_reader, StreamFieldDecoder, StreamOutput};
-use aesz_repro::{Dims, ErrorBound, Field, Registry};
+use aesz_repro::{DecompressError, Dims, ErrorBound, Field, Registry};
 use proptest::prelude::*;
 
 mod common;
@@ -56,18 +58,25 @@ fn seven_codec_archives() -> &'static ([Vec<u8>; 2], Field, usize) {
     })
 }
 
-/// Push `bytes` through a [`StreamFieldDecoder`] in packets of `step`,
-/// assembling the reconstruction like a consumer would.
-fn decode_pushed(registry: &Registry, bytes: &[u8], step: usize) -> (Field, usize, usize) {
-    let mut decoder = StreamFieldDecoder::new(registry);
+/// Push `bytes` through a [`StreamFieldDecoder`] decoding windows of
+/// `window` chunks, in packets of `step`, assembling the reconstruction
+/// like a consumer would: the field, the chunk indices in the order they
+/// arrived, and the parser's buffer high-water mark.
+fn push_decode(
+    registry: &Registry,
+    bytes: &[u8],
+    step: usize,
+    window: usize,
+) -> Result<(Field, Vec<usize>, usize), DecompressError> {
+    let mut decoder = StreamFieldDecoder::with_window(registry, window);
     let mut recon: Option<Field> = None;
-    let mut chunks = 0usize;
-    let drain = |d: &mut StreamFieldDecoder, recon: &mut Option<Field>, chunks: &mut usize| {
-        while let Some(out) = d.poll().expect("stream decode") {
+    let mut order = Vec::new();
+    let drain = |d: &mut StreamFieldDecoder, recon: &mut Option<Field>, order: &mut Vec<usize>| {
+        while let Some(out) = d.poll()? {
             match out {
                 StreamOutput::Header(h) => *recon = Some(Field::zeros(h.dims)),
                 StreamOutput::Chunk(spec, chunk) => {
-                    *chunks += 1;
+                    order.push(spec.index);
                     recon
                         .as_mut()
                         .expect("header precedes chunks")
@@ -76,30 +85,51 @@ fn decode_pushed(registry: &Registry, bytes: &[u8], step: usize) -> (Field, usiz
                 StreamOutput::Field(field) => *recon = Some(field),
             }
         }
+        Ok::<(), DecompressError>(())
     };
     for packet in bytes.chunks(step.max(1)) {
         decoder.feed(packet);
-        drain(&mut decoder, &mut recon, &mut chunks);
+        drain(&mut decoder, &mut recon, &mut order)?;
     }
     decoder.finish();
-    drain(&mut decoder, &mut recon, &mut chunks);
+    drain(&mut decoder, &mut recon, &mut order)?;
     let peak = decoder.peak_buffered();
-    (recon.expect("stream yielded a field"), chunks, peak)
+    Ok((recon.expect("stream yielded a field"), order, peak))
 }
 
 proptest! {
-    /// Incremental decode is granularity-independent: whatever packet size
-    /// the bytes arrive in — one byte, a weird prime, bigger than the
-    /// archive — the reconstruction is bit-identical to the buffered
-    /// reader's, every chunk is emitted exactly once, and the parser's
-    /// buffer high-water mark stays below the whole stream.
+    /// Incremental decode is granularity- and window-independent: whatever
+    /// packet size the bytes arrive in — one byte, a weird prime, bigger
+    /// than the archive — and however many chunks decode per window, the
+    /// reconstruction is bit-identical to the buffered reader's, every
+    /// chunk is emitted exactly once, chunks leave in index order except
+    /// the learned ones parked until their model streams in (which leave in
+    /// index order per model), and the parser's buffer high-water mark
+    /// stays below the whole stream.
     #[test]
-    fn incremental_decode_matches_buffered_at_any_granularity(step in 1usize..3000) {
+    fn incremental_decode_matches_buffered_at_any_granularity(
+        step in 1usize..3000,
+        window in 1usize..10,
+    ) {
         let (archives, buffered, chunk_count) = seven_codec_archives();
         let fresh = Registry::with_defaults();
         for bytes in archives {
-            let (recon, chunks, peak) = decode_pushed(&fresh, bytes, step);
-            prop_assert_eq!(chunks, *chunk_count);
+            let (recon, order, peak) =
+                push_decode(&fresh, bytes, step, window).expect("stream decode");
+            let mut once = order.clone();
+            once.sort_unstable();
+            prop_assert_eq!(once, (0..*chunk_count).collect::<Vec<_>>());
+            // The model each chunk names; `None` chunks are never parked.
+            let reader = ArchiveReader::open(bytes).unwrap();
+            let model = |i: usize| peek(reader.chunk_frame(i).unwrap()).unwrap().model_id;
+            for parked_on in order.iter().map(|&i| model(i)) {
+                let same: Vec<usize> =
+                    order.iter().copied().filter(|&i| model(i) == parked_on).collect();
+                prop_assert!(
+                    same.windows(2).all(|w| w[0] < w[1]),
+                    "window {}: chunks of model {:?} left as {:?}", window, parked_on, same
+                );
+            }
             prop_assert_eq!(recon.dims(), buffered.dims());
             prop_assert_eq!(recon.as_slice(), buffered.as_slice());
             prop_assert!(peak < bytes.len(), "peak {} vs stream {}", peak, bytes.len());
@@ -224,8 +254,8 @@ proptest! {
 
             // Buffered and pushed full decodes agree bit for bit.
             let (buffered, _) = decompress(&registry, &grown, 3).unwrap();
-            let (pushed, chunks, _) = decode_pushed(&registry, &grown, 61);
-            prop_assert_eq!(chunks, reader.chunk_count());
+            let (pushed, order, _) = push_decode(&registry, &grown, 61, 2).unwrap();
+            prop_assert_eq!(order, (0..reader.chunk_count()).collect::<Vec<_>>());
             prop_assert_eq!(pushed.as_slice(), buffered.as_slice());
         }
     }
@@ -238,8 +268,74 @@ fn one_byte_packets_decode_identically() {
     let (archives, buffered, chunk_count) = seven_codec_archives();
     let fresh = Registry::with_defaults();
     for bytes in archives {
-        let (recon, chunks, _) = decode_pushed(&fresh, bytes, 1);
-        assert_eq!(chunks, *chunk_count);
+        let (recon, order, _) = push_decode(&fresh, bytes, 1, 8).expect("stream decode");
+        assert_eq!(order.len(), *chunk_count);
         assert_eq!(recon.as_slice(), buffered.as_slice());
+    }
+}
+
+/// An 8×16 ZFP archive of two 8×8 chunks whose chunk-1 frame is replaced
+/// by a valid ZFP frame of an `edge`×`edge` field: well-formed bytes, a
+/// chunk that does not fill its grid cell.
+fn archive_with_a_misfit_chunk(registry: &Registry, edge: usize) -> Vec<u8> {
+    let field = Field::from_fn(Dims::d2(8, 16), |c| (c[0] * 16 + c[1]) as f32 * 0.01);
+    let bound = ErrorBound::abs(1e-3);
+    let opts = ArchiveOptions::new().chunk(8).window(2);
+    let (mut bytes, _) = compress_field(registry, &field, bound, &opts, CodecId::Zfp).unwrap();
+    let misfit = registry
+        .fork(CodecId::Zfp)
+        .unwrap()
+        .compress(&Field::zeros(Dims::d2(edge, edge)), bound)
+        .unwrap();
+    // The inline layout ends with chunk 1's frame: swap it out whole.
+    let entry = ArchiveReader::open(&bytes).unwrap().entries()[1];
+    bytes.truncate(entry.offset as usize);
+    bytes.extend_from_slice(&misfit);
+    bytes
+}
+
+/// A frame that decodes to too few (4×4) or too many (16×16) values for
+/// its 8×8 cell fails the push decoder with the buffered reader's error —
+/// at one-byte and whole-stream packets, serial and windowed — and never
+/// reaches the sink.
+#[test]
+fn chunks_that_miss_their_grid_cell_fail_both_paths_alike() {
+    let registry = Registry::with_defaults();
+    for edge in [4, 16] {
+        let bytes = archive_with_a_misfit_chunk(&registry, edge);
+        let want = match decompress(&registry, &bytes, 2) {
+            Err(ArchiveReadError::Chunk { chunk: 1, error }) => error,
+            other => panic!("{edge}×{edge}: buffered decode gave {other:?}"),
+        };
+        assert_eq!(
+            want,
+            DecompressError::Inconsistent("chunk reconstruction disagrees with the archive grid")
+        );
+        for step in [1, bytes.len()] {
+            for window in [1, 8] {
+                match push_decode(&registry, &bytes, step, window) {
+                    Err(error) => assert_eq!(error, want, "{edge}×{edge}, step {step}"),
+                    Ok(_) => panic!("{edge}×{edge}, step {step}: push decode accepted it"),
+                }
+            }
+            let mut trickle = Trickle(&bytes, step);
+            match decompress_reader(&registry, &mut trickle) {
+                Err(ArchiveReadError::Archive(error)) => assert_eq!(error, want),
+                other => panic!("{edge}×{edge}, step {step}: reader gave {other:?}"),
+            }
+        }
+    }
+}
+
+/// A reader handing out at most `.1` bytes per call.
+struct Trickle<'a>(&'a [u8], usize);
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.1.min(buf.len()).min(self.0.len());
+        let (head, rest) = self.0.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.0 = rest;
+        Ok(n)
     }
 }
