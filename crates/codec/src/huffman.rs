@@ -133,7 +133,7 @@ fn canonical_codes(lengths: &[(u32, u8)]) -> HashMap<u32, (u64, u8)> {
 
 /// Encode a slice of symbols. The output is self-describing (header with the
 /// canonical table plus the packed code stream) and decodable with
-/// [`huffman_decode`].
+/// [`huffman_decode_capped`].
 ///
 /// Fast path for compact alphabets (symbols < `DENSE_SYMBOL_LIMIT`, which
 /// covers every quantizer stream): frequencies are counted into a dense
@@ -283,17 +283,8 @@ pub fn huffman_encode_reference(symbols: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Decode a buffer produced by [`huffman_encode`].
-/// Returns `None` if the buffer is malformed or truncated.
-///
-/// The declared symbol count is trusted for the degenerate single-symbol
-/// layout, whose output size a tiny input can inflate arbitrarily — decode
-/// untrusted bytes with [`huffman_decode_capped`] instead.
-pub fn huffman_decode(buf: &[u8]) -> Option<Vec<u32>> {
-    huffman_decode_capped(buf, usize::MAX)
-}
-
-/// [`huffman_decode`] with an upper bound on the declared symbol count.
+/// Decode a buffer produced by [`huffman_encode`] holding at most
+/// `max_symbols` symbols.
 ///
 /// Returns `None` when the stream is malformed *or* declares more than
 /// `max_symbols` symbols, so a corrupt count prefix on untrusted input is
@@ -515,7 +506,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let enc = huffman_encode(&[]);
-        assert_eq!(huffman_decode(&enc), Some(vec![]));
+        assert_eq!(huffman_decode_capped(&enc, 0), Some(vec![]));
     }
 
     #[test]
@@ -527,14 +518,14 @@ mod tests {
             "degenerate stream should be tiny: {}",
             enc.len()
         );
-        assert_eq!(huffman_decode(&enc), Some(data));
+        assert_eq!(huffman_decode_capped(&enc, data.len()), Some(data));
     }
 
     #[test]
     fn two_symbols_roundtrip() {
         let data: Vec<u32> = (0..257).map(|i| if i % 3 == 0 { 5 } else { 9 }).collect();
         let enc = huffman_encode(&data);
-        assert_eq!(huffman_decode(&enc), Some(data));
+        assert_eq!(huffman_decode_capped(&enc, data.len()), Some(data));
     }
 
     #[test]
@@ -551,7 +542,7 @@ mod tests {
             enc.len(),
             data.len()
         );
-        assert_eq!(huffman_decode(&enc), Some(data));
+        assert_eq!(huffman_decode_capped(&enc, data.len()), Some(data));
     }
 
     #[test]
@@ -560,7 +551,7 @@ mod tests {
             .map(|i| (i * 2654435761u64 % 60000) as u32)
             .collect();
         let enc = huffman_encode(&data);
-        assert_eq!(huffman_decode(&enc), Some(data));
+        assert_eq!(huffman_decode_capped(&enc, data.len()), Some(data));
     }
 
     #[test]
@@ -615,15 +606,18 @@ mod tests {
         write_uvarint(&mut buf, 10); // count
         write_uvarint(&mut buf, u32::MAX as u64); // table_len ≫ input
         buf.extend_from_slice(&[0u8; 16]);
-        assert_eq!(huffman_decode(&buf), None);
+        assert_eq!(huffman_decode_capped(&buf, 10), None);
     }
 
     #[test]
     fn truncated_stream_fails_cleanly() {
         let data: Vec<u32> = (0..100).map(|i| i % 17).collect();
         let enc = huffman_encode(&data);
-        assert_eq!(huffman_decode(&enc[..enc.len() - 3]), None);
-        assert_eq!(huffman_decode(&enc[..2]), None);
+        assert_eq!(
+            huffman_decode_capped(&enc[..enc.len() - 3], data.len()),
+            None
+        );
+        assert_eq!(huffman_decode_capped(&enc[..2], data.len()), None);
     }
 
     #[test]
@@ -694,7 +688,7 @@ mod tests {
             huffman_decode_capped(&enc, usize::MAX),
             huffman_decode_capped_reference(&enc, usize::MAX)
         );
-        assert_eq!(huffman_decode(&enc), Some(data));
+        assert_eq!(huffman_decode_capped(&enc, data.len()), Some(data));
         // Truncated streams must fail identically.
         let cut = &enc[..enc.len() - 4];
         assert_eq!(

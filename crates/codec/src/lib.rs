@@ -14,7 +14,8 @@
 //!   stands in for Zstd as the final byte-oriented squeeze.
 //! * [`pipeline`] — the composed stages used by the compressors:
 //!   `encode_codes` (Huffman + zlite over quantization codes) and
-//!   `compress_bytes` (zlite over arbitrary byte payloads).
+//!   `compress_bytes` (zlite over arbitrary byte payloads). Every decoder
+//!   takes a cap on its output size.
 //! * [`hash`] — a self-contained SHA-256 and the content-addressed
 //!   [`ModelId`] that names trained models across streams and archives.
 
@@ -73,11 +74,9 @@ pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use hash::{sha256, ModelId, MODEL_ID_LEN};
-pub use huffman::{
-    huffman_decode, huffman_decode_capped, huffman_decode_capped_into, huffman_encode,
-};
-pub use lz::{zlite_compress, zlite_decompress, zlite_decompress_capped};
+pub use huffman::{huffman_decode_capped, huffman_decode_capped_into, huffman_encode};
+pub use lz::{zlite_compress, zlite_decompress_capped};
 pub use pipeline::{
-    compress_bytes, decode_codes, decode_codes_capped, decode_codes_capped_into, decompress_bytes,
-    decompress_bytes_capped, encode_codes, CodecError,
+    compress_bytes, decode_codes_capped, decode_codes_capped_into, decompress_bytes_capped,
+    encode_codes, CodecError,
 };

@@ -274,13 +274,8 @@ pub fn zlite_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress a buffer produced by [`zlite_compress`].
-/// Returns `None` on malformed input.
-pub fn zlite_decompress(buf: &[u8]) -> Option<Vec<u8>> {
-    zlite_decompress_capped(buf, usize::MAX)
-}
-
-/// [`zlite_decompress`] with an upper bound on the declared output size.
+/// Decompress a buffer produced by [`zlite_compress`] into at most
+/// `max_len` bytes.
 ///
 /// Returns `None` when the stream is malformed *or* declares more than
 /// `max_len` output bytes. Decoders of untrusted input should pass the
@@ -351,7 +346,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) {
         let enc = zlite_compress(data);
-        let dec = zlite_decompress(&enc).expect("roundtrip must decode");
+        let dec = zlite_decompress_capped(&enc, data.len()).expect("roundtrip must decode");
         assert_eq!(dec, data);
     }
 
@@ -418,7 +413,7 @@ mod tests {
         let mut hostile = Vec::new();
         crate::varint::write_uvarint(&mut hostile, u64::MAX);
         assert_eq!(zlite_decompress_capped(&hostile, 1 << 20), None);
-        assert_eq!(zlite_decompress(&hostile), None);
+        assert_eq!(zlite_decompress_capped(&hostile, usize::MAX), None);
     }
 
     #[test]
@@ -431,7 +426,7 @@ mod tests {
         buf.push(0x01);
         crate::varint::write_uvarint(&mut buf, (MAX_MATCH + 1) as u64);
         crate::varint::write_uvarint(&mut buf, 1);
-        assert_eq!(zlite_decompress(&buf), None);
+        assert_eq!(zlite_decompress_capped(&buf, 8), None);
     }
 
     #[test]
@@ -439,10 +434,13 @@ mod tests {
         let data = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
         let mut enc = zlite_compress(&data);
         // Truncate.
-        assert_eq!(zlite_decompress(&enc[..enc.len() - 2]), None);
+        assert_eq!(
+            zlite_decompress_capped(&enc[..enc.len() - 2], data.len()),
+            None
+        );
         // Invalid tag.
         let last = enc.len() - 1;
         enc[last.min(2)] = 0xFF;
-        let _ = zlite_decompress(&enc); // must not panic
+        let _ = zlite_decompress_capped(&enc, data.len()); // must not panic
     }
 }

@@ -1,13 +1,16 @@
 //! Composed lossless stages used by every compressor in the workspace.
 //!
-//! * [`encode_codes`] / [`decode_codes`] — the paper's "Huffman + Zstd" stage
-//!   applied to quantization-bin indices (Huffman over the `u32` alphabet,
-//!   then `zlite` over the Huffman bytes).
-//! * [`compress_bytes`] / [`decompress_bytes`] — `zlite` over raw byte
+//! * [`encode_codes`] / [`decode_codes_capped`] — the paper's "Huffman +
+//!   Zstd" stage applied to quantization-bin indices (Huffman over the `u32`
+//!   alphabet, then `zlite` over the Huffman bytes).
+//! * [`compress_bytes`] / [`decompress_bytes_capped`] — `zlite` over raw byte
 //!   payloads (unpredictable values, latent headers, block means).
+//!
+//! Every decoder takes a cap on its output, so a corrupt length prefix is
+//! rejected instead of trusted into a large allocation.
 
-use crate::huffman::{huffman_decode, huffman_decode_capped_into, huffman_encode};
-use crate::lz::{zlite_compress, zlite_decompress, zlite_decompress_capped};
+use crate::huffman::{huffman_decode_capped_into, huffman_encode};
+use crate::lz::{zlite_compress, zlite_decompress_capped};
 
 /// Errors surfaced while decoding compressed payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,17 +40,9 @@ pub fn encode_codes(codes: &[u32]) -> Vec<u8> {
     zlite_compress(&huffman_encode(codes))
 }
 
-/// Inverse of [`encode_codes`].
-pub fn decode_codes(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let huff = zlite_decompress(buf).ok_or(CodecError::CorruptLz)?;
-    huffman_decode(&huff).ok_or(CodecError::CorruptHuffman)
-}
-
-/// [`decode_codes`] with an upper bound on the declared symbol count.
-///
-/// Use on untrusted input when the caller knows how many codes a valid
-/// stream can hold: corrupt length prefixes in either lossless stage are
-/// rejected instead of trusted into large allocations. A Huffman code spends
+/// Inverse of [`encode_codes`], for a stream of at most `max_symbols` codes:
+/// corrupt length prefixes in either lossless stage are rejected instead of
+/// trusted into large allocations. A Huffman code spends
 /// at most [`crate::huffman`]'s 56 bits (7 bytes) per symbol, so the inner
 /// zlite output is capped at `8 · max_symbols` bytes plus table headroom.
 pub fn decode_codes_capped(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, CodecError> {
@@ -74,13 +69,7 @@ pub fn compress_bytes(bytes: &[u8]) -> Vec<u8> {
     zlite_compress(bytes)
 }
 
-/// Inverse of [`compress_bytes`].
-pub fn decompress_bytes(buf: &[u8]) -> Result<Vec<u8>, CodecError> {
-    zlite_decompress(buf).ok_or(CodecError::CorruptLz)
-}
-
-/// [`decompress_bytes`] with an upper bound on the declared output size, for
-/// untrusted input whose valid maximum size the caller knows.
+/// Inverse of [`compress_bytes`], for a payload of at most `max_len` bytes.
 pub fn decompress_bytes_capped(buf: &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
     zlite_decompress_capped(buf, max_len).ok_or(CodecError::CorruptLz)
 }
@@ -101,21 +90,24 @@ mod tests {
             "centre-heavy codes should compress >20x, got {} bytes",
             enc.len()
         );
-        assert_eq!(decode_codes(&enc).unwrap(), codes);
+        assert_eq!(decode_codes_capped(&enc, codes.len()).unwrap(), codes);
     }
 
     #[test]
     fn bytes_roundtrip() {
         let bytes: Vec<u8> = (0..10_000u32).flat_map(|i| (i / 3).to_le_bytes()).collect();
         let enc = compress_bytes(&bytes);
-        assert_eq!(decompress_bytes(&enc).unwrap(), bytes);
+        assert_eq!(decompress_bytes_capped(&enc, bytes.len()).unwrap(), bytes);
     }
 
     #[test]
     fn empty_streams() {
-        assert_eq!(decode_codes(&encode_codes(&[])).unwrap(), Vec::<u32>::new());
         assert_eq!(
-            decompress_bytes(&compress_bytes(&[])).unwrap(),
+            decode_codes_capped(&encode_codes(&[]), 0).unwrap(),
+            Vec::<u32>::new()
+        );
+        assert_eq!(
+            decompress_bytes_capped(&compress_bytes(&[]), 0).unwrap(),
             Vec::<u8>::new()
         );
     }
@@ -123,8 +115,8 @@ mod tests {
     #[test]
     fn corrupt_streams_return_errors() {
         let enc = encode_codes(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        assert!(decode_codes(&enc[..1]).is_err());
-        assert!(decompress_bytes(&[0xFF, 0xFF, 0xFF]).is_err());
+        assert!(decode_codes_capped(&enc[..1], 10).is_err());
+        assert!(decompress_bytes_capped(&[0xFF, 0xFF, 0xFF], 3).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! distinct symbol (zero-entropy alphabet), and large random payloads.
 
 use aesz_codec::{
-    decode_codes, decompress_bytes, encode_codes, huffman_decode, huffman_encode, varint,
-    zlite_compress, zlite_decompress, BitReader, BitWriter,
+    decode_codes_capped, decompress_bytes_capped, encode_codes, huffman_decode_capped,
+    huffman_encode, varint, zlite_compress, zlite_decompress_capped, BitReader, BitWriter,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,28 +12,46 @@ use rand::{Rng, SeedableRng};
 #[test]
 fn huffman_roundtrips_empty_single_symbol_and_large_random() {
     let empty: Vec<u32> = vec![];
-    assert_eq!(huffman_decode(&huffman_encode(&empty)), Some(empty));
+    assert_eq!(
+        huffman_decode_capped(&huffman_encode(&empty), empty.len()),
+        Some(empty)
+    );
 
     // Zero-entropy alphabet: every code word would be 0 bits long without a
     // degenerate-tree guard.
     let single = vec![42u32; 10_000];
-    assert_eq!(huffman_decode(&huffman_encode(&single)), Some(single));
+    assert_eq!(
+        huffman_decode_capped(&huffman_encode(&single), single.len()),
+        Some(single)
+    );
 
     let one = vec![7u32];
-    assert_eq!(huffman_decode(&huffman_encode(&one)), Some(one));
+    assert_eq!(
+        huffman_decode_capped(&huffman_encode(&one), one.len()),
+        Some(one)
+    );
 
     let mut rng = StdRng::seed_from_u64(0xC0DEC);
     let large: Vec<u32> = (0..200_000).map(|_| rng.gen_range(0..65_536u32)).collect();
-    assert_eq!(huffman_decode(&huffman_encode(&large)), Some(large));
+    assert_eq!(
+        huffman_decode_capped(&huffman_encode(&large), large.len()),
+        Some(large)
+    );
 }
 
 #[test]
 fn pipeline_roundtrips_empty_single_symbol_and_large_random() {
     let empty: Vec<u32> = vec![];
-    assert_eq!(decode_codes(&encode_codes(&empty)).unwrap(), empty);
+    assert_eq!(
+        decode_codes_capped(&encode_codes(&empty), empty.len()).unwrap(),
+        empty
+    );
 
     let single = vec![32_768u32; 4096];
-    assert_eq!(decode_codes(&encode_codes(&single)).unwrap(), single);
+    assert_eq!(
+        decode_codes_capped(&encode_codes(&single), single.len()).unwrap(),
+        single
+    );
 
     // Quantization-code-like data: a dominant symbol with sparse outliers,
     // plus a fully random tail.
@@ -47,28 +65,41 @@ fn pipeline_roundtrips_empty_single_symbol_and_large_random() {
             }
         })
         .collect();
-    assert_eq!(decode_codes(&encode_codes(&mixed)).unwrap(), mixed);
+    assert_eq!(
+        decode_codes_capped(&encode_codes(&mixed), mixed.len()).unwrap(),
+        mixed
+    );
 }
 
 #[test]
 fn zlite_roundtrips_empty_single_byte_and_large_random() {
-    assert_eq!(zlite_decompress(&zlite_compress(&[])).unwrap(), vec![]);
     assert_eq!(
-        zlite_decompress(&zlite_compress(&[0xAB])).unwrap(),
+        zlite_decompress_capped(&zlite_compress(&[]), 0).unwrap(),
+        vec![]
+    );
+    assert_eq!(
+        zlite_decompress_capped(&zlite_compress(&[0xAB]), 1).unwrap(),
         vec![0xAB]
     );
 
     let runs = vec![0x5Au8; 100_000];
-    assert_eq!(zlite_decompress(&zlite_compress(&runs)).unwrap(), runs);
+    assert_eq!(
+        zlite_decompress_capped(&zlite_compress(&runs), runs.len()).unwrap(),
+        runs
+    );
 
     // Incompressible input must still round-trip (stored/literal path).
     let mut rng = StdRng::seed_from_u64(0x217E);
     let random: Vec<u8> = (0..150_000).map(|_| rng.gen()).collect();
-    assert_eq!(zlite_decompress(&zlite_compress(&random)).unwrap(), random);
+    assert_eq!(
+        zlite_decompress_capped(&zlite_compress(&random), random.len()).unwrap(),
+        random
+    );
 
     let compressed = compressible_then_random(&mut rng);
     assert_eq!(
-        decompress_bytes(&aesz_codec::compress_bytes(&compressed)).unwrap(),
+        decompress_bytes_capped(&aesz_codec::compress_bytes(&compressed), compressed.len())
+            .unwrap(),
         compressed
     );
 }
