@@ -12,8 +12,8 @@
 //!   round-robin, workers pop their own deque from the front and steal
 //!   from the back of the others when idle;
 //! * a single `AtomicUsize` tracks jobs in flight (queued + running) and
-//!   enforces the cap at submit time — [`WorkPool::try_execute`] either
-//!   accepts the job or returns [`PoolFull`] immediately;
+//!   enforces the cap at submit time — [`WorkPool::try_execute_with`]
+//!   either accepts the job or returns [`PoolFullTagged`] immediately;
 //! * parking uses a `Condvar` with a short timeout, so a missed notify
 //!   costs at most one timeout interval rather than a hang.
 
@@ -22,30 +22,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
 /// A job that receives the index of the worker thread executing it —
 /// the key into [`WorkerLocal`] state. Stolen jobs get the *stealing*
 /// worker's index, so the key always names the thread actually running.
 pub type TaggedJob = Box<dyn FnOnce(usize) + Send + 'static>;
 
-/// Internal queue entry: a plain job or a worker-index-aware one.
-enum Task {
-    Plain(Job),
-    Tagged(TaggedJob),
-}
-
-/// Returned by [`WorkPool::try_execute`] when the in-flight cap is reached.
-/// Carries the job back so the caller can retry or drop it deliberately.
-pub struct PoolFull(pub Job);
-
-impl std::fmt::Debug for PoolFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PoolFull(..)")
-    }
-}
-
-/// [`PoolFull`] for [`WorkPool::try_execute_with`] submissions.
+/// Returned by [`WorkPool::try_execute_with`] when the in-flight cap is
+/// reached. Carries the job back so the caller can retry or drop it
+/// deliberately.
 pub struct PoolFullTagged(pub TaggedJob);
 
 impl std::fmt::Debug for PoolFullTagged {
@@ -95,7 +79,7 @@ impl<T: Default> WorkerLocal<T> {
 }
 
 struct Shared {
-    queues: Vec<Mutex<VecDeque<Task>>>,
+    queues: Vec<Mutex<VecDeque<TaggedJob>>>,
     /// Jobs accepted but not yet finished (queued + running).
     in_flight: AtomicUsize,
     /// Submission cap on `in_flight`.
@@ -148,16 +132,6 @@ impl WorkPool {
         self.shared.in_flight.load(Ordering::Acquire)
     }
 
-    /// Submit a job, or return it inside [`PoolFull`] when the in-flight
-    /// cap is reached. Never blocks.
-    pub fn try_execute(&self, job: Job) -> Result<(), PoolFull> {
-        if !self.reserve_slot() {
-            return Err(PoolFull(job));
-        }
-        self.push_task(Task::Plain(job));
-        Ok(())
-    }
-
     /// Submit a job that receives the executing worker's index (the key
     /// into a [`WorkerLocal`] sized for this pool), or return it inside
     /// [`PoolFullTagged`] at the cap. Never blocks.
@@ -165,7 +139,7 @@ impl WorkPool {
         if !self.reserve_slot() {
             return Err(PoolFullTagged(job));
         }
-        self.push_task(Task::Tagged(job));
+        self.push_task(job);
         Ok(())
     }
 
@@ -189,8 +163,8 @@ impl WorkPool {
         }
     }
 
-    /// Enqueue a reserved task round-robin and wake the workers.
-    fn push_task(&self, task: Task) {
+    /// Enqueue a reserved job round-robin and wake the workers.
+    fn push_task(&self, task: TaggedJob) {
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         if let Some(queue) = self.shared.queues.get(slot) {
             let mut guard = queue.lock().unwrap_or_else(|p| p.into_inner());
@@ -228,7 +202,7 @@ impl Drop for WorkPool {
     }
 }
 
-fn pop_job(shared: &Shared, id: usize) -> Option<Task> {
+fn pop_job(shared: &Shared, id: usize) -> Option<TaggedJob> {
     // Own queue first (front: FIFO for fairness)...
     if let Some(queue) = shared.queues.get(id) {
         let mut guard = queue.lock().unwrap_or_else(|p| p.into_inner());
@@ -258,10 +232,7 @@ fn worker_loop(shared: &Shared, id: usize) {
             // Catch the unwind, release the slot, keep serving. Jobs own
             // their captures, so a broken invariant stays inside the
             // panicked job's own state (hence AssertUnwindSafe).
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job {
-                Task::Plain(f) => f(),
-                Task::Tagged(f) => f(id),
-            }));
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(id)));
             shared.in_flight.fetch_sub(1, Ordering::AcqRel);
             continue;
         }
@@ -288,7 +259,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let counter = Arc::clone(&counter);
-            pool.try_execute(Box::new(move || {
+            pool.try_execute_with(Box::new(move |_| {
                 counter.fetch_add(1, Ordering::SeqCst);
             }))
             .expect("under cap");
@@ -302,7 +273,7 @@ mod tests {
         let pool = WorkPool::new(1, 1);
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        pool.try_execute(Box::new(move || {
+        pool.try_execute_with(Box::new(move |_| {
             started_tx.send(()).expect("test channel");
             release_rx.recv().expect("test channel");
         }))
@@ -310,8 +281,8 @@ mod tests {
         // The worker is now provably busy (it signalled) and the cap is 1,
         // so the next submission must bounce.
         started_rx.recv().expect("job started");
-        let err = pool.try_execute(Box::new(|| {}));
-        assert!(err.is_err(), "expected PoolFull at the cap");
+        let err = pool.try_execute_with(Box::new(|_| {}));
+        assert!(err.is_err(), "expected PoolFullTagged at the cap");
         release_tx.send(()).expect("test channel");
         // After the job finishes the slot frees up again.
         loop {
@@ -320,7 +291,7 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        pool.try_execute(Box::new(|| {})).expect("slot freed");
+        pool.try_execute_with(Box::new(|_| {})).expect("slot freed");
         pool.close();
     }
 
@@ -332,7 +303,7 @@ mod tests {
             // proves slots are released, not leaked.
             loop {
                 if pool
-                    .try_execute(Box::new(|| panic!("deliberate test panic")))
+                    .try_execute_with(Box::new(|_| panic!("deliberate test panic")))
                     .is_ok()
                 {
                     break;
@@ -345,7 +316,7 @@ mod tests {
         }
         // The lone worker must have survived every panic to run real work.
         let (tx, rx) = mpsc::channel();
-        pool.try_execute(Box::new(move || tx.send(()).expect("test channel")))
+        pool.try_execute_with(Box::new(move |_| tx.send(()).expect("test channel")))
             .expect("slots free after panicked jobs");
         rx.recv_timeout(std::time::Duration::from_secs(10))
             .expect("worker alive after panicked jobs");
@@ -421,7 +392,7 @@ mod tests {
                 let peak = Arc::clone(&peak);
                 scope.spawn(move || {
                     for _ in 0..200 {
-                        let _ = pool.try_execute(Box::new(|| {
+                        let _ = pool.try_execute_with(Box::new(|_| {
                             std::thread::yield_now();
                         }));
                         peak.fetch_max(pool.pending(), Ordering::SeqCst);
