@@ -9,15 +9,16 @@
 //! * [`compress_field`] — archive an in-memory field with one codec;
 //! * [`compress_field_with`] — pick the codec *per chunk* (e.g. a cheap
 //!   traditional codec for boundary chunks and AE-SZ for the interior);
-//! * [`decompress`] — windowed parallel decode of a whole archive,
-//!   dispatching every chunk to the registered codec its index entry names;
+//! * [`decompress_into`] — windowed parallel decode of a whole archive into
+//!   any [`ChunkSink`], dispatching every chunk to the registered codec its
+//!   index entry names; [`decompress`] runs it into an in-memory field;
 //! * [`decompress_chunk`] — random-access decode of a single chunk by index
 //!   without touching the rest of the archive.
 //!
 //! Out-of-core pipelines (raw files larger than RAM) skip the field-level
-//! helpers and drive [`write_archive_stream`] / [`ArchiveReader::decode_into`]
-//! with their own [`ChunkSource`] / [`ChunkSink`] — the `aesz` CLI does
-//! exactly that with seek-based file IO.
+//! helpers and drive [`write_archive_stream`] / [`decompress_into`] with
+//! their own [`ChunkSource`] / [`ChunkSink`] — the `aesz` CLI does exactly
+//! that with seek-based file IO.
 
 pub use aesz_metrics::archive::{
     chunk_dims, write_archive_embedding, write_archive_stream, write_field_archive,
@@ -85,27 +86,41 @@ pub fn compress_field_embedding(
     })
 }
 
-/// Decode a whole archive into an in-memory field, dispatching every chunk
-/// to the registered codec its index entry names, in parallel windows of
-/// `window` chunks. Returns the field and the codec that decoded each
-/// chunk (index order).
+/// Decode every chunk of `reader`'s archive into `sink`, in parallel
+/// windows of `window` chunks ([`ArchiveReader::decode_into`]), each chunk
+/// through the registered codec its index entry names.
 ///
 /// Learned chunks resolve their trained models per chunk, by the model id
 /// stamped in the chunk's stream ([`ModelResolver`]: the registered
 /// instance, the archive's embedded models, then the registry's store), and
 /// fail with [`DecompressError::MissingModel`] when none of them has it.
+pub fn decompress_into(
+    registry: &Registry,
+    reader: &ArchiveReader<'_>,
+    window: usize,
+    sink: &mut dyn ChunkSink,
+) -> Result<(), ArchiveReadError> {
+    let mut resolver = ModelResolver::for_archive(registry, reader);
+    reader.decode_into(
+        window,
+        &mut |i, id| resolver.chunk_decoder(reader, i, id),
+        sink,
+    )
+}
+
+/// Decode a whole archive into an in-memory field ([`decompress_into`] a
+/// [`FieldSink`]). Returns the field and the codec that decoded each chunk
+/// (index order).
 pub fn decompress(
     registry: &Registry,
     bytes: &[u8],
     window: usize,
 ) -> Result<(Field, Vec<CodecId>), ArchiveReadError> {
     let reader = ArchiveReader::open(bytes)?;
-    let codecs: Vec<CodecId> = reader.entries().iter().map(|e| e.codec).collect();
-    let mut resolver = ModelResolver::for_archive(registry, &reader);
-    let field = reader.decode_all(window, &mut |index, id| {
-        resolver.chunk_decoder(&reader, index, id)
-    })?;
-    Ok((field, codecs))
+    let mut sink = FieldSink::new(reader.dims());
+    decompress_into(registry, &reader, window, &mut sink)?;
+    let codecs = reader.entries().iter().map(|e| e.codec).collect();
+    Ok((sink.into_field(), codecs))
 }
 
 /// Random-access decode of the single chunk `index`: returns its placement

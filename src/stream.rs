@@ -12,10 +12,12 @@
 //!   that decodes in parallel, like [`ArchiveReader::decode_into`]'s. Resident
 //!   memory is bounded by one window of chunks (their frames and
 //!   reconstructions) plus the parser's internal buffer, never the archive.
-//! * [`StreamFieldDecoder::read_field`] — the pull loop over any
-//!   [`std::io::Read`]: feeds fixed-size slabs and assembles the chunks into
-//!   an in-memory field under an element cap. [`decompress_reader`],
-//!   [`decompress_reader_limited`] and the `aesz serve` daemon all run it.
+//! * [`StreamFieldDecoder::read_each`] — the one pull loop over any
+//!   [`std::io::Read`]: feeds fixed-size slabs and hands each output to a
+//!   callback. [`StreamFieldDecoder::read_field`] runs it to assemble an
+//!   in-memory field under an element cap (behind [`decompress_reader`],
+//!   [`decompress_reader_limited`] and the `aesz serve` daemon), and
+//!   `aesz decompress --input -` runs it into a file or stdout.
 //!
 //! Trained models resolve through the same [`ModelResolver`] as the
 //! buffered [`decompress`](crate::archive::decompress), with one twist
@@ -340,24 +342,19 @@ impl<'r> StreamFieldDecoder<'r> {
     }
 
     /// Drive this decoder over `input` to its end, reading fixed-size slabs,
-    /// and assemble the reconstruction. Streams whose declared geometry
-    /// (archive header dims, or a single frame's decoded field) exceeds
-    /// `max_elems` elements fail with [`DecompressError::Unsupported`] — for
-    /// archives *before* the destination field is allocated.
-    pub fn read_field(
+    /// and hand every output to `out` in stream order. Returns the number of
+    /// bytes read. Read and parse failures arrive as [`ArchiveReadError`]
+    /// (`Io` and `Archive`), converted into the caller's error type; the
+    /// first error `out` returns ends the loop.
+    pub fn read_each<E: From<ArchiveReadError>>(
         &mut self,
         input: &mut dyn std::io::Read,
-        max_elems: usize,
-    ) -> Result<Field, ArchiveReadError> {
-        let over = || {
-            ArchiveReadError::Archive(DecompressError::Unsupported(
-                "reconstruction exceeds the element cap",
-            ))
-        };
-        let mut sink: Option<Field> = None;
+        out: &mut dyn FnMut(StreamOutput) -> Result<(), E>,
+    ) -> Result<u64, E> {
         let mut buf = [0u8; 64 * 1024];
+        let mut total = 0u64;
         loop {
-            let n = input.read(&mut buf)?;
+            let n = input.read(&mut buf).map_err(ArchiveReadError::Io)?;
             if n == 0 {
                 self.finish();
             } else {
@@ -366,37 +363,54 @@ impl<'r> StreamFieldDecoder<'r> {
                 self.feed(buf.get(..n).ok_or(ArchiveReadError::Archive(
                     DecompressError::Inconsistent("reader returned more bytes than requested"),
                 ))?);
+                total += n as u64;
             }
-            while let Some(out) = self.poll().map_err(ArchiveReadError::Archive)? {
-                match out {
-                    StreamOutput::Header(h) => {
-                        if h.dims.len() > max_elems {
-                            return Err(over());
-                        }
-                        sink = Some(Field::zeros(h.dims));
-                    }
-                    StreamOutput::Chunk(spec, chunk) => match sink.as_mut() {
-                        Some(field) => field.write_block_valid(&spec, chunk.as_slice()),
-                        None => {
-                            return Err(ArchiveReadError::Archive(DecompressError::Inconsistent(
-                                "chunk emitted before the archive header",
-                            )))
-                        }
-                    },
-                    StreamOutput::Field(field) => {
-                        if field.len() > max_elems {
-                            return Err(over());
-                        }
-                        sink = Some(field);
-                    }
-                }
+            while let Some(output) = self.poll().map_err(ArchiveReadError::Archive)? {
+                out(output)?;
             }
             if n == 0 {
-                return sink.ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
-                    "empty stream",
-                )));
+                return Ok(total);
             }
         }
+    }
+
+    /// [`read_each`](StreamFieldDecoder::read_each) assembling the
+    /// reconstruction. Streams whose declared geometry (archive header dims,
+    /// or a single frame's decoded field) exceeds `max_elems` elements fail
+    /// with [`DecompressError::Unsupported`] — for archives *before* the
+    /// destination field is allocated.
+    pub fn read_field(
+        &mut self,
+        input: &mut dyn std::io::Read,
+        max_elems: usize,
+    ) -> Result<Field, ArchiveReadError> {
+        let mut sink: Option<Field> = None;
+        self.read_each(input, &mut |out| {
+            let elems = match &out {
+                StreamOutput::Header(h) => h.dims.len(),
+                StreamOutput::Field(field) => field.len(),
+                StreamOutput::Chunk(..) => 0,
+            };
+            if elems > max_elems {
+                return Err(ArchiveReadError::Archive(DecompressError::Unsupported(
+                    "reconstruction exceeds the element cap",
+                )));
+            }
+            match out {
+                StreamOutput::Header(h) => sink = Some(Field::zeros(h.dims)),
+                StreamOutput::Field(field) => sink = Some(field),
+                StreamOutput::Chunk(spec, chunk) => sink
+                    .as_mut()
+                    .ok_or(ArchiveReadError::Archive(DecompressError::Inconsistent(
+                        "chunk emitted before the archive header",
+                    )))?
+                    .write_block_valid(&spec, chunk.as_slice()),
+            }
+            Ok(())
+        })?;
+        sink.ok_or(ArchiveReadError::Archive(DecompressError::Truncated(
+            "empty stream",
+        )))
     }
 }
 
