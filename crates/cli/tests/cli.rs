@@ -533,5 +533,55 @@ fn a_remote_round_trip_through_the_daemon() {
         &read(&frame),
     );
     assert_eq!(local.stdout, read(&recon), "remote and local decode agree");
+    let health = stdout(&ok(&["remote", "--addr", &addr, "health"]));
+    assert!(health.contains(": healthy, uptime"), "{health}");
+    let stats = stdout(&ok(&["remote", "--addr", &addr, "stats"]));
+    assert!(stats.contains("1 compressed, 1 decompressed"), "{stats}");
+    let models = stdout(&ok(&["remote", "--addr", &addr, "models"]));
+    assert!(models.contains(": 0 models"), "{models}");
     drop(daemon);
+}
+
+#[test]
+fn a_file_holding_one_container_frame_decodes_like_the_piped_frame() {
+    use aesz_repro::datagen::Application;
+    use aesz_repro::{CodecId, Dims, ErrorBound, Registry};
+
+    let s = Scratch::new("frame");
+    let field = Application::CesmCldhgh.generate(Dims::d2(96, 128), 7);
+    let frame = Registry::with_defaults()
+        .fork(CodecId::Zfp)
+        .expect("ZFP is registered")
+        .compress(&field, ErrorBound::abs(1e-3))
+        .expect("compress");
+    let path = s.path("field.aesc");
+    std::fs::write(&path, &frame).expect("write frame");
+
+    let info = stdout(&ok(&["info", "--input", &path]));
+    let peeked = aesz_repro::metrics::container::peek(&frame).expect("peek");
+    assert!(info.contains("AESC"), "{info}");
+    assert!(info.contains("ZFP"), "{info}");
+    assert!(
+        info.contains(&format!("{} payload bytes", peeked.payload_len)),
+        "{info}"
+    );
+
+    let from_file = s.path("from_file.f32");
+    ok(&["decompress", "--input", &path, "--output", &from_file]);
+    let piped = ok_with(&["decompress", "--input", "-", "--output", "-"], &frame);
+    assert_eq!(piped.stdout.len(), RAW_BYTES);
+    assert_eq!(read(&from_file), piped.stdout, "file and pipe decode agree");
+    let to_stdout = ok(&["decompress", "--input", &path, "--output", "-"]);
+    assert_eq!(to_stdout.stdout, piped.stdout, "file -> stdout");
+    fails(
+        &[
+            "decompress",
+            "--input",
+            &path,
+            "--output",
+            &from_file,
+            "--verify",
+        ],
+        &[],
+    );
 }
