@@ -1,7 +1,7 @@
 //! Table VIII — compression and decompression throughput (MB/s) of every
-//! compressor at error bound 1e-3. Criterion benches in `benches/` back these
-//! numbers with statistically sound measurements; this binary prints the
-//! single-shot table.
+//! compressor at error bound 1e-3, one single-shot measurement per cell. The
+//! gated throughput numbers come from the release-mode speed test
+//! (`tests/speed_bench.rs`, `BENCH_speed.json` against `bench-floor.toml`).
 
 use aesz_baselines::{AeA, AeB, Sz2, SzAuto, SzInterp, Zfp};
 use aesz_bench::{test_field, trained_aesz, training_fields};
@@ -17,7 +17,7 @@ fn main() {
     println!("Table VIII counterpart — compression / decompression speed (MB/s), eb = 1e-3");
     println!("paper reference ordering: SZ2.1/ZFP/SZauto/SZinterp >> AE-SZ >> AE-A; AE-B similar to AE-SZ.");
     println!(
-        "AE-SZ rows use the rayon-parallel block pipeline; AE-SZ(ser) is the serial reference."
+        "AE-SZ rows use the lane-parallel block pipeline; AE-SZ(ser) is the serial reference."
     );
     println!(
         "{:<22} {:<10} {:>12} {:>12}",

@@ -1,15 +1,16 @@
 //! # aesz-bench
 //!
-//! Benchmark harness regenerating every table and figure of the AE-SZ paper's
-//! evaluation (Section V). Each table/figure has a dedicated binary under
-//! `src/bin/` (see DESIGN.md §5 for the full index); `table8_speeds` prints
-//! the throughput numbers of Table VIII.
+//! Benchmark harness regenerating the tables and figures of the AE-SZ
+//! paper's evaluation (Section V). Each table/figure has a dedicated binary
+//! under `src/bin/`, named after it (`fig8_rate_distortion`,
+//! `table8_speeds`, …); `table8_speeds` prints the throughput numbers of
+//! Table VIII.
 //!
 //! The harness runs on the synthetic SDRBench stand-ins from `aesz-datagen`
 //! at laptop-scale extents, so absolute numbers differ from the paper's
 //! V100-node measurements; the comparisons (who wins, by roughly what factor,
-//! where the crossovers fall) are what the binaries print and what
-//! EXPERIMENTS.md records.
+//! where the crossovers fall) are what the binaries print, next to the
+//! paper's reference lines.
 
 #![forbid(unsafe_code)]
 

@@ -1,11 +1,11 @@
 //! Table VIII-style throughput assertion for the parallel AE-SZ pipeline:
-//! on a ≥ 8 MB field the rayon-parallel block pipeline must beat the serial
+//! on a ≥ 8 MB field the lane-parallel block pipeline must beat the serial
 //! reference in both directions while producing byte-identical streams.
 //!
 //! The measurement needs the optimized profile to be meaningful, so the test
 //! is ignored under debug builds (CI runs it via `cargo test --release`).
 //! The byte-identity check always runs; the timing assertions are skipped on
-//! single-core machines, where the rayon shim degenerates to the serial path
+//! single-core machines, where the lanes degenerate to the serial path
 //! plus scheduling overhead.
 
 use aesz_core::{AeSz, AeSzConfig, PredictorPolicy};
@@ -36,8 +36,8 @@ fn parallel_beats_serial_on_8mb_field() {
 
     // 1456² f32 = 8.09 MB. The model is untrained (predictor quality is
     // irrelevant to throughput) and the policy is LorenzoOnly so the
-    // measurement isolates the per-block pipeline that the chunked rayon
-    // fan-out parallelizes; no AE inference runs, so the lane-parallel AE
+    // measurement isolates the per-block pipeline that the block-row lane
+    // engine parallelizes; no AE inference runs, so the lane-parallel AE
     // stage (one lane on the serial path) does not enter the timing.
     let field = Application::CesmCldhgh.generate(Dims::d2(1456, 1456), 42);
     assert!(field.len() * 4 >= 8 * 1024 * 1024, "field must be >= 8 MB");

@@ -93,8 +93,8 @@ const USAGE: &str = "usage:
   aesz info       --input FILE
   aesz compare    --a FILE --b FILE --dims DIMS [--max-abs E]
   aesz models     --dir DIR
-  aesz serve      [--addr HOST:PORT] [--workers N] [--queue N] [--max-conns N]
-                  [--max-bytes N] [--max-elems N] [--models DIR]
+  aesz serve      [--addr HOST:PORT] [--workers N] [--queue N] [--max-bytes N]
+                  [--max-elems N] [--models DIR]
   aesz remote     --addr HOST:PORT compress --input FILE|- --dims DIMS
                   --codec NAME --rel E | --abs E --output FILE|-
   aesz remote     --addr HOST:PORT decompress --input FILE|- --output FILE|-
@@ -120,6 +120,7 @@ File and piped archives share one layout (AESA v3, no index table), which
 appended slab's DIMS (matching every axis but the slowest).
 `serve` keeps models trained over the wire registered and shared across
 requests; a --models DIR model is built by each request that names it.
+With --workers plus --queue connections in service, it answers Busy.
 `remote` exits 75 (EX_TEMPFAIL) on a Busy backpressure rejection so
 callers back off.";
 

@@ -52,9 +52,6 @@ pub fn serve(mut args: Args) -> Result<(), String> {
             .num("--workers")?
             .map_or(d.workers, |n: usize| n.max(1)),
         queue_cap: args.num("--queue")?.unwrap_or(d.queue_cap),
-        max_connections: args
-            .num("--max-conns")?
-            .map_or(d.max_connections, |n: usize| n.max(1)),
         max_request_bytes: args.num("--max-bytes")?.unwrap_or(d.max_request_bytes),
         max_field_elems: args.num("--max-elems")?.unwrap_or(d.max_field_elems),
         model_dir: args
@@ -70,10 +67,9 @@ pub fn serve(mut args: Args) -> Result<(), String> {
     // The bound address goes to stdout (scripts read it, ports may be
     // auto-assigned via :0); flushed by emit_line before run() blocks.
     emit!(
-        "aesz serve: listening on {addr} ({} workers, {} queue slots, {} connections max)",
+        "aesz serve: listening on {addr} ({} workers, {} queue slots)",
         state.config.workers,
         state.config.queue_cap,
-        state.config.max_connections
     );
     server.run().map_err(|e| format!("serve: {e}"))
 }

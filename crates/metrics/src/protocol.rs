@@ -84,8 +84,8 @@ pub enum MsgType {
     ModelList = 0x86,
     /// Typed failure: an error code plus a short UTF-8 message.
     Error = 0xE0,
-    /// Typed backpressure rejection: the server is at its queue or
-    /// connection cap; retry later. Carries the queue depth observed.
+    /// Typed backpressure rejection: the server is at its connection cap;
+    /// retry later. Carries the queue depth observed.
     Busy = 0xE1,
 }
 
@@ -316,7 +316,7 @@ pub enum Response {
         /// Short human-readable message.
         message: String,
     },
-    /// Typed backpressure rejection (queue or connection cap reached).
+    /// Typed backpressure rejection (connection cap reached).
     Busy {
         /// Jobs queued when the request was rejected.
         queue_depth: u64,

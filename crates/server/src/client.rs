@@ -66,12 +66,6 @@ impl RemoteClient {
         })
     }
 
-    /// Replace the response-side caps (body bytes / field elements).
-    pub fn with_limits(mut self, limits: Limits) -> RemoteClient {
-        self.limits = limits;
-        self
-    }
-
     /// Send one request and read its response.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         let bytes = request.encode();

@@ -12,12 +12,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Connections allowed to queue behind busy workers before the
-    /// acceptor answers `Busy`.
+    /// Connections allowed to wait behind busy workers: with
+    /// `workers + queue_cap` connections in service (queued + running),
+    /// the acceptor answers `Busy`.
     pub queue_cap: usize,
-    /// Connections allowed to be in service at once (queued + running);
-    /// past this the acceptor answers `Busy` immediately.
-    pub max_connections: usize,
     /// Largest request body accepted, in bytes — checked against the
     /// declared length *before* any body byte is read.
     pub max_request_bytes: u64,
@@ -53,7 +51,6 @@ impl Default for ServerConfig {
                 .unwrap_or(1)
                 .max(2),
             queue_cap: 16,
-            max_connections: 64,
             max_request_bytes: 256 << 20,
             max_field_elems: 1 << 27,
             model_dir: None,

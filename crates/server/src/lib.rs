@@ -22,10 +22,12 @@
 //!   against [`ServerConfig::max_request_bytes`] before a single body byte
 //!   is read, and raw fields against [`ServerConfig::max_field_elems`]
 //!   before their data is touched;
-//! * **bounded concurrency** — a fixed worker pool
-//!   ([`rayon::pool::WorkPool`]) serves connections; past the connection
-//!   cap or the queue cap the acceptor answers with a typed `Busy`
-//!   response instead of buffering, so load sheds at the edge;
+//! * **bounded concurrency** — a fixed pool of workers
+//!   ([`pool::WorkPool`]) serves connections from one FIFO queue, one job
+//!   per connection; with `workers +`
+//!   [`queue_cap`](ServerConfig::queue_cap) connections in service the
+//!   acceptor answers with a typed `Busy` response instead of buffering,
+//!   so load sheds at the edge;
 //! * **bounded per-connection memory** — `Decompress` bodies stream from
 //!   the socket through
 //!   [`StreamFieldDecoder`](aesz_repro::StreamFieldDecoder) in fixed
@@ -52,6 +54,7 @@ pub mod config;
 )]
 pub mod conn;
 pub mod handler;
+pub mod pool;
 pub mod server;
 pub mod state;
 

@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use crate::config::ServerConfig;
 use crate::conn;
+use crate::pool::WorkPool;
 use crate::state::ServerState;
 use aesz_repro::metrics::protocol::Response;
 use aesz_repro::SharedRegistry;
-use rayon::pool::WorkPool;
 use std::io::Write;
 
 /// A bound (not yet running) daemon. [`Server::run`] blocks the calling
@@ -19,33 +19,32 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
     pool: Arc<WorkPool>,
-    /// `workers + queue_cap`: past this many connections in flight the
+    /// `workers + queue_cap`: at this many connections in service the
     /// acceptor answers `Busy` instead of queueing.
-    pool_cap: usize,
+    cap: usize,
     stop: Arc<AtomicBool>,
 }
 
 impl Server {
     /// Bind the listener and build the shared state: a default registry
     /// (all seven codecs) with the configured sidecar directory attached,
-    /// and a worker pool sized `workers` with `queue_cap` connections of
-    /// headroom.
+    /// and a pool of `workers` threads that admits `queue_cap` more
+    /// connections to wait for a worker.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let registry = SharedRegistry::with_defaults();
         if let Some(dir) = &config.model_dir {
             registry.add_sidecar_dir(dir.clone());
         }
-        let workers = config.workers.max(1);
-        let pool_cap = workers.saturating_add(config.queue_cap);
-        let pool = Arc::new(WorkPool::new(workers, pool_cap));
+        let pool = Arc::new(WorkPool::new(config.workers));
+        let cap = pool.workers().saturating_add(config.queue_cap);
         let state = Arc::new(ServerState::new(config, registry));
         state.set_pool(Arc::clone(&pool));
         Ok(Server {
             listener,
             state,
             pool,
-            pool_cap,
+            cap,
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -95,13 +94,9 @@ impl Server {
     /// a `Busy` response carrying the queue depth, then close — the peer
     /// knows to back off, and the daemon buffers nothing.
     fn accept(&self, stream: TcpStream) {
-        let active = self.state.active_connections();
-        let at_connection_cap = active >= self.state.config.max_connections as u64;
-        // The acceptor is the pool's only submitter, so this check cannot
-        // race against another producer: if there is room now, try_execute
-        // below cannot fail.
-        let at_queue_cap = self.pool.pending() >= self.pool_cap;
-        if at_connection_cap || at_queue_cap {
+        // Each connection is one pool job, so the pool's pending count is
+        // the number of connections in service; a panicking job leaves it.
+        if self.pool.pending() >= self.cap {
             self.state.connection_rejected();
             self.state.count_busy();
             busy_reject(stream, self.state.queue_depth());
@@ -109,20 +104,12 @@ impl Server {
         }
         self.state.connection_opened();
         let state = Arc::clone(&self.state);
-        // Tagged submission: the job learns which worker thread runs it, the
-        // key into the per-worker codec cache (stolen jobs get the stealing
-        // worker's index, so the key always names the executing thread).
-        let submitted = self.pool.try_execute_with(Box::new(move |worker| {
+        // The job learns which worker runs it: the key into the per-worker
+        // codec cache.
+        self.pool.execute(Box::new(move |worker| {
             conn::serve_connection(stream, &state, Some(worker));
             state.connection_closed();
         }));
-        if let Err(full) = submitted {
-            // Unreachable with a single submitter (checked above); if it
-            // ever happens, dropping the job closes the stream.
-            drop(full);
-            self.state.connection_closed();
-            self.state.count_busy();
-        }
     }
 }
 

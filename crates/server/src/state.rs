@@ -5,11 +5,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::config::ServerConfig;
+use crate::pool::{WorkPool, WorkerLocal};
 use aesz_repro::metrics::protocol::{ServerStats, CODEC_SLOTS};
 use aesz_repro::{
     CodecId, Compressor, DecompressError, ErrorBound, Field, ModelId, SharedRegistry,
 };
-use rayon::pool::{WorkPool, WorkerLocal};
 
 /// One worker thread's resident codec forks, one slot per codec
 /// (`ServerStats::codec_slot`). Each entry remembers the embedded-model id
@@ -147,11 +147,6 @@ impl ServerState {
             .get()
             .map(|p| p.pending().saturating_sub(p.workers()) as u64)
             .unwrap_or(0)
-    }
-
-    /// Connections currently in service (accepted, not yet closed).
-    pub fn active_connections(&self) -> u64 {
-        self.conns_active.load(Ordering::Relaxed)
     }
 
     /// Milliseconds since the daemon started.

@@ -380,7 +380,6 @@ fn connection_cap_rejects_with_typed_busy() {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue_cap: 0,
-        max_connections: 1,
         ..ServerConfig::default()
     });
 

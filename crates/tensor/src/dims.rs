@@ -83,13 +83,6 @@ impl Dims {
         }
     }
 
-    /// Row-major flattened index for a 1D coordinate.
-    #[inline]
-    pub fn idx1(&self, x: usize) -> usize {
-        debug_assert!(matches!(self, Dims::D1 { .. }));
-        x
-    }
-
     /// Row-major flattened index for a 2D coordinate.
     #[inline]
     pub fn idx2(&self, y: usize, x: usize) -> usize {

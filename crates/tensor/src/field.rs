@@ -141,11 +141,6 @@ impl BlockSpec {
     pub fn padded_len(&self, rank: usize) -> usize {
         self.nominal.pow(rank as u32)
     }
-
-    /// True when the block is full-size along every axis (no edge truncation).
-    pub fn is_full(&self) -> bool {
-        self.size.iter().all(|&s| s == self.nominal)
-    }
 }
 
 /// A block extracted from a field: the spec plus a padded copy of the values.
@@ -236,11 +231,6 @@ impl Field {
         &mut self.data
     }
 
-    /// Consume the field, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Minimum and maximum value (ignoring NaNs). Returns `(0, 0)` for empty fields.
     pub fn min_max(&self) -> (f32, f32) {
         let mut lo = f32::INFINITY;
@@ -291,20 +281,6 @@ impl Field {
             lo,
             hi,
         )
-    }
-
-    /// Undo [`Field::normalize_pm1`] on a slice of normalized values.
-    pub fn denormalize_pm1(values: &mut [f32], lo: f32, hi: f32) {
-        let range = hi - lo;
-        if range == 0.0 {
-            for v in values.iter_mut() {
-                *v = lo;
-            }
-        } else {
-            for v in values.iter_mut() {
-                *v = (*v + 1.0) * 0.5 * range + lo;
-            }
-        }
     }
 
     /// Iterate over the block grid with nominal edge length `block`.
@@ -591,12 +567,12 @@ mod tests {
     fn normalize_roundtrip() {
         let f = Field::from_vec(Dims::d1(5), vec![-2.0, -1.0, 0.0, 1.0, 2.0]).unwrap();
         let (n, lo, hi) = f.normalize_pm1();
+        assert_eq!((lo, hi), (-2.0, 2.0));
         assert!((n[0] + 1.0).abs() < 1e-6);
         assert!((n[4] - 1.0).abs() < 1e-6);
-        let mut back = n.as_slice().to_vec();
-        Field::denormalize_pm1(&mut back, lo, hi);
-        for (a, b) in back.iter().zip(f.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
+        // The returned range undoes the mapping.
+        for (a, b) in n.as_slice().iter().zip(f.as_slice()) {
+            assert!(((a + 1.0) * 0.5 * (hi - lo) + lo - b).abs() < 1e-5);
         }
     }
 
@@ -605,9 +581,7 @@ mod tests {
         let f = Field::from_vec(Dims::d1(3), vec![7.0; 3]).unwrap();
         let (n, lo, hi) = f.normalize_pm1();
         assert_eq!(n.as_slice(), &[0.0, 0.0, 0.0]);
-        let mut back = n.as_slice().to_vec();
-        Field::denormalize_pm1(&mut back, lo, hi);
-        assert_eq!(back, vec![7.0; 3]);
+        assert_eq!((lo, hi), (7.0, 7.0));
     }
 
     #[test]
@@ -618,8 +592,7 @@ mod tests {
         assert_eq!(specs.len(), 6);
         // Last block row is truncated to 6 rows.
         assert_eq!(specs[4].size, vec![6, 32]);
-        assert!(specs[0].is_full());
-        assert!(!specs[4].is_full());
+        assert_eq!(specs[0].size, vec![32, 32]);
     }
 
     #[test]

@@ -44,13 +44,6 @@ pub fn kaiming(shape: &[usize], fan_in: usize, rng: &mut StdRng) -> Tensor {
     normal(shape, 0.0, std, rng)
 }
 
-/// Xavier/Glorot uniform initialisation: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier(shape: &[usize], fan_in: usize, fan_out: usize, rng: &mut StdRng) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    uniform(shape, -a, a, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,13 +87,5 @@ mod tests {
         let std_small = (small.sq_norm() / small.len() as f32).sqrt();
         let std_large = (large.sq_norm() / large.len() as f32).sqrt();
         assert!(std_small > std_large * 3.0);
-    }
-
-    #[test]
-    fn xavier_bounds() {
-        let mut r = rng(9);
-        let t = xavier(&[1024], 32, 32, &mut r);
-        let a = (6.0f32 / 64.0).sqrt();
-        assert!(t.as_slice().iter().all(|&v| v.abs() <= a));
     }
 }

@@ -11,9 +11,10 @@
 //! ([`Lanes::over`] with one lane). [`crate::engine`] runs AE-SZ's and
 //! SZ2.1's select–quantize and reconstruct loops on lanes of block rows.
 //! [`run`] is the one fan-out: the lanes above, and the chunk windows of
-//! the archive writer, reader and push decoder, one job per chunk.
+//! the archive writer, reader and push decoder, one job per chunk. It deals
+//! its items to scoped threads started for the call and joined before it
+//! returns.
 
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// A split of `units` work units into contiguous lanes of `span` units
@@ -75,27 +76,52 @@ impl Lanes {
 }
 
 /// Run `lane` once per work item and return the first error in item order;
-/// every item runs, also after an error. Items are dealt round-robin to one
-/// scoped thread per core, so they may outnumber the cores (the archive
-/// layer runs one item per chunk of a window); a single item, or a single
-/// core, runs everything on the calling thread. A panicking item re-panics
-/// in the caller once every item has finished.
+/// every item runs, also after an error. Items are dealt round-robin to
+/// `min(cores, items)` scoped threads, so they may outnumber the cores (the
+/// archive layer runs one item per chunk of a window); a single item, or a
+/// single core, runs everything on the calling thread. A panicking item
+/// re-panics in the caller once every thread has finished.
 pub fn run<W, E, F>(work: impl IntoIterator<Item = W>, lane: F) -> Result<(), E>
 where
     W: Send,
     E: Send,
     F: Fn(W) -> Result<(), E> + Sync,
 {
-    let mut slots: Vec<(Option<W>, Result<(), E>)> =
-        work.into_iter().map(|w| (Some(w), Ok(()))).collect();
-    slots.par_chunks_mut(1).for_each(|slot| {
-        for (work, result) in slot {
-            if let Some(work) = work.take() {
-                *result = lane(work);
-            }
+    let items: Vec<W> = work.into_iter().collect();
+    let threads = match items.len() {
+        0 | 1 => 1,
+        n => std::thread::available_parallelism().map_or(1, |c| c.get().min(n)),
+    };
+    if threads == 1 {
+        return items.into_iter().map(&lane).fold(Ok(()), Result::and);
+    }
+    // Item `i` goes to deck `i % threads`; each deck keeps item order.
+    let mut decks: Vec<Vec<(usize, W)>> = Vec::with_capacity(threads);
+    for (i, item) in items.into_iter().enumerate() {
+        match decks.get_mut(i % threads) {
+            Some(deck) => deck.push((i, item)),
+            None => decks.push(vec![(i, item)]),
+        }
+    }
+    // A deck's first error is its lowest-numbered one.
+    let mut firsts: Vec<Option<(usize, E)>> = decks.iter().map(|_| None).collect();
+    let lane = &lane;
+    std::thread::scope(|scope| {
+        for (deck, first) in decks.into_iter().zip(firsts.iter_mut()) {
+            scope.spawn(move || {
+                for (i, item) in deck {
+                    if let Err(e) = lane(item) {
+                        first.get_or_insert((i, e));
+                    }
+                }
+            });
         }
     });
-    slots.into_iter().try_for_each(|(_, result)| result)
+    firsts
+        .into_iter()
+        .flatten()
+        .min_by_key(|&(i, _)| i)
+        .map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Resident per-lane state (network scratch plus a codec's staging

@@ -3,9 +3,8 @@
 //! solves (normal equations with Gaussian elimination).
 //!
 //! These are deliberately straightforward scalar implementations; the
-//! performance-sensitive outer loops (over blocks / batch elements) are
-//! parallelised with rayon at the call sites, following the data-parallel
-//! style of the workspace guides.
+//! performance-sensitive outer loops (over blocks / batch elements) run in
+//! parallel at the call sites, on the lanes of [`crate::lanes`].
 
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};

@@ -85,11 +85,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterpret the buffer under a new shape with the same element count.
     pub fn reshape(&self, shape: &[usize]) -> Result<Tensor> {
         let expected: usize = shape.iter().product();
@@ -138,13 +133,6 @@ impl Tensor {
         }
     }
 
-    /// Element-wise in-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise addition (shapes must match).
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
         self.zip(other, |a, b| a + b)
@@ -177,20 +165,6 @@ impl Tensor {
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
         })
-    }
-
-    /// In-place scaled add: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::IncompatibleShapes(format!(
-                "{:?} vs {:?}",
-                self.shape, other.shape
-            )));
-        }
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Multiply every element by a scalar, returning a new tensor.
@@ -265,14 +239,6 @@ mod tests {
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
         let c = Tensor::zeros(&[4]);
         assert!(a.add(&c).is_err());
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Tensor::ones(&[3]);
-        let b = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]).unwrap();
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.as_slice(), &[1.5, 2.0, 2.5]);
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! and decode bit-identically, while writers swap other codecs' entries. No
 //! deadlock, no lock poisoning, and no decode changes what is registered.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use aesz_repro::metrics::{CodecId, Compressor};
+use aesz_repro::metrics::CodecId;
 use aesz_repro::resolve::decompress_frame;
 use aesz_repro::{ErrorBound, SharedRegistry};
-use rayon::pool::{PoolFullTagged, TaggedJob, WorkPool, WorkerLocal};
 
 mod common;
 
@@ -119,84 +117,4 @@ fn decodes_proceed_while_other_codecs_are_registered() {
         shared.registered_codec_state(CodecId::AeSz),
         Some(Some(codec.embedded_model_id().expect("trained aesz")))
     );
-}
-
-/// Soak of the per-worker resident-codec pattern `aesz serve` uses
-/// ([`rayon::pool::WorkerLocal`] keyed by the executing worker's index):
-/// every job compresses through its worker's long-lived fork, and every
-/// stream must stay byte-identical to a fresh-fork compression. A codec
-/// instance that accumulated state from a previous job — or a
-/// [`WorkerLocal`] that ever handed one worker's slot to another mid-job —
-/// would surface here as a diverged stream or a torn instance.
-#[test]
-fn per_worker_resident_codecs_never_leak_state_across_jobs() {
-    let trained = common::trained_registry();
-    let shared = Arc::new(SharedRegistry::with_defaults());
-    // AE-A: the strictly model-dependent codec — if resident state drifted,
-    // its streams would show it.
-    shared.register(trained.fork(CodecId::AeA).expect("trained aea"));
-    let field = Arc::new(common::field_2d());
-    let bound = ErrorBound::rel(1e-2);
-    let expected = Arc::new(
-        shared
-            .compress(CodecId::AeA, &field, bound)
-            .expect("fresh-fork compress"),
-    );
-
-    let workers = 3usize;
-    let jobs = 96usize;
-    let pool = WorkPool::new(workers, workers + jobs);
-    type Slot = Option<(usize, Box<dyn Compressor>)>;
-    let locals: Arc<WorkerLocal<Slot>> = Arc::new(WorkerLocal::new(workers));
-    let mismatches = Arc::new(AtomicUsize::new(0));
-    let done = Arc::new(AtomicUsize::new(0));
-
-    for _ in 0..jobs {
-        let shared = Arc::clone(&shared);
-        let locals = Arc::clone(&locals);
-        let field = Arc::clone(&field);
-        let expected = Arc::clone(&expected);
-        let mismatches = Arc::clone(&mismatches);
-        let done = Arc::clone(&done);
-        let mut job: TaggedJob = Box::new(move |worker| {
-            let ok = (|| {
-                let mut slot = locals.get(worker)?;
-                let (owner, instance) = slot
-                    .get_or_insert_with(|| (worker, shared.fork(CodecId::AeA).expect("fork aea")));
-                // The slot a worker sees must always be its own.
-                if *owner != worker {
-                    return None;
-                }
-                let stream = instance.compress(&field, bound).ok()?;
-                (stream.as_slice() == expected.as_slice()).then_some(())
-            })();
-            if ok.is_none() {
-                mismatches.fetch_add(1, Ordering::Relaxed);
-            }
-            done.fetch_add(1, Ordering::Release);
-        });
-        loop {
-            match pool.try_execute_with(job) {
-                Ok(()) => break,
-                Err(PoolFullTagged(back)) => {
-                    job = back;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-    while done.load(Ordering::Acquire) < jobs {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    assert_eq!(
-        mismatches.load(Ordering::Relaxed),
-        0,
-        "a resident per-worker codec produced a stream differing from a fresh fork"
-    );
-    // Each worker that ran at least one job forked exactly once and kept
-    // the instance resident — no churn, no cross-worker sharing.
-    let residents = (0..workers)
-        .filter(|&w| locals.get(w).map(|s| s.is_some()).unwrap_or(false))
-        .count();
-    assert!(residents >= 1, "at least one worker served jobs");
 }
